@@ -6,6 +6,7 @@ package repro
 // around SeDA's operating point.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -51,6 +52,16 @@ func BenchmarkAblationDataflow(b *testing.B) {
 	}
 }
 
+// protectOne walks a single scheme over sim. The ablations read only
+// the overhead accounting, so the flat trace is never materialized.
+func protectOne(s memprot.Scheme, sim *scalesim.NetworkResult, opts memprot.Options) (*memprot.Result, error) {
+	rs, err := memprot.ProtectAllArenaCtx(context.Background(), []memprot.Scheme{s}, sim, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 // BenchmarkAblationMetadataCaches sweeps the SGX VN/MAC cache sizes
 // and reports the traffic overhead at each point — the sensitivity
 // behind the paper's choice of 16 KB + 8 KB.
@@ -70,7 +81,7 @@ func BenchmarkAblationMetadataCaches(b *testing.B) {
 				opts := memprot.DefaultOptions()
 				opts.VNCacheBytes = kb * 1024
 				opts.MACCacheBytes = kb * 512 // keep the paper's 2:1 ratio
-				res, err := memprot.Protect(memprot.SchemeSGX64, sim, opts)
+				res, err := protectOne(memprot.SchemeSGX64, sim, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -96,7 +107,7 @@ func BenchmarkAblationBlockGranularity(b *testing.B) {
 		blk := blk
 		b.Run(fmt.Sprintf("mgx%dB", blk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := memprot.Protect(memprot.Scheme{Kind: memprot.MGX, Block: blk}, sim,
+				res, err := protectOne(memprot.Scheme{Kind: memprot.MGX, Block: blk}, sim,
 					memprot.DefaultOptions())
 				if err != nil {
 					b.Fatal(err)
@@ -107,7 +118,7 @@ func BenchmarkAblationBlockGranularity(b *testing.B) {
 	}
 	b.Run("seda-optblk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := memprot.Protect(memprot.SchemeSeDA, sim, memprot.DefaultOptions())
+			res, err := protectOne(memprot.SchemeSeDA, sim, memprot.DefaultOptions())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -140,6 +151,8 @@ func BenchmarkDRAMSimulator(b *testing.B) {
 	b.SetBytes(int64(bytes))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dsim.RunTrace(tr)
+		if _, err := dsim.RunOverlayCtx(context.Background(), tr, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,6 +11,7 @@
 package repro
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -35,11 +36,11 @@ var (
 func suites(b *testing.B) (*seda.SuiteResult, *seda.SuiteResult) {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suiteServer, suiteErr = seda.RunSuite(seda.ServerNPU())
+		suiteServer, suiteErr = seda.RunSuiteOptsCtx(context.Background(), seda.ServerNPU(), model.All(), seda.DefaultSuiteOptions())
 		if suiteErr != nil {
 			return
 		}
-		suiteEdge, suiteErr = seda.RunSuite(seda.EdgeNPU())
+		suiteEdge, suiteErr = seda.RunSuiteOptsCtx(context.Background(), seda.EdgeNPU(), model.All(), seda.DefaultSuiteOptions())
 	})
 	if suiteErr != nil {
 		b.Fatal(suiteErr)

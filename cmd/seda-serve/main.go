@@ -53,7 +53,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "auto", "disk cache directory; \"auto\" = <user cache dir>/seda-repro, \"off\" = memory only")
 	memEntries := flag.Int("mem-entries", 0, "in-memory cache entries (0 = default)")
 	workers := flag.Int("workers", 0, "workload-level worker pool size per sweep (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "force the fully sequential pipeline (one goroutine end to end)")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent pipeline evaluations before shedding with 503 (0 = unlimited; cache hits and coalesced identical requests never count)")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "full-request read timeout")
 	writeTimeout := flag.Duration("write-timeout", 3*time.Minute, "response write timeout (must cover a cold full-suite evaluation)")
@@ -88,11 +87,7 @@ func main() {
 		fatal(err)
 	}
 
-	opts := seda.DefaultSuiteOptions()
-	opts.Workers = *workers
-	if *seq {
-		opts = seda.SequentialOptions()
-	}
+	opts := seda.SuiteOptions{Workers: *workers}
 
 	dir := rescache.ResolveDir(*cacheDir)
 	cache, err := rescache.New(rescache.Options{

@@ -25,8 +25,7 @@ func main() {
 	workload := flag.String("workload", "rest", "workload short name ("+strings.Join(model.Names(), ", ")+")")
 	npuName := flag.String("npu", "server", "npu config: server or edge")
 	table1 := flag.Bool("table1", false, "print Table I (multi-level granularity comparison) and exit")
-	seq := flag.Bool("seq", false, "force the fully sequential pipeline (one goroutine end to end)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (pair with -seq for a single-goroutine profile)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the evaluation to this file (for a single-threaded profile, run with GOMAXPROCS=1)")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
 	timing := flag.Bool("timing", false, "print the pipeline span tree (per-stage wall times) to stderr as JSON when done")
@@ -62,10 +61,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	opts := seda.DefaultSuiteOptions()
-	if *seq {
-		opts = seda.SequentialOptions()
-	}
 	// Ctrl-C cancels the evaluation cooperatively instead of letting it
 	// run to completion; a second signal kills outright.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -78,7 +73,7 @@ func main() {
 			tr.WriteJSON(os.Stderr, true) //nolint:errcheck
 		}()
 	}
-	rows, err := seda.RunNetworkOptsCtx(ctx, npu, net, opts)
+	rows, err := seda.RunNetworkOptsCtx(ctx, npu, net, seda.DefaultSuiteOptions())
 	if err != nil {
 		profiles.Stop() //nolint:errcheck // os.Exit skips the defer
 		if errors.Is(err, context.Canceled) {

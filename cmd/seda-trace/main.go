@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -58,7 +59,7 @@ func main() {
 	if *raw {
 		opts.CoalesceOverlays = false
 	}
-	prots, err := memprot.ProtectAll([]memprot.Scheme{scheme}, sim, opts)
+	prots, err := memprot.ProtectAllArenaCtx(context.Background(), []memprot.Scheme{scheme}, sim, opts, nil)
 	if err != nil {
 		fatal(err)
 	}

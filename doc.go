@@ -30,7 +30,7 @@
 //	internal/loadgen   deterministic traffic scenarios + capacity search
 //
 // The pipeline is deterministic, so results are memoizable:
-// seda.RunSuiteCached/RunNetworkCached serve rows through
+// seda.RunSuiteCachedCtx serves rows through
 // internal/rescache keyed by seda.ConfigFingerprint, and the
 // cmd/seda-serve HTTP server ("sweep-as-a-service") exposes the cached
 // sweeps as JSON or CSV with singleflight deduplication of concurrent

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -60,7 +61,7 @@ func main() {
 
 	// Compare deployment cost on both platforms.
 	for _, npu := range []seda.NPUConfig{seda.ServerNPU(), seda.EdgeNPU()} {
-		rows, err := seda.RunNetwork(npu, custom)
+		rows, err := seda.RunNetworkOptsCtx(context.Background(), npu, custom, seda.DefaultSuiteOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

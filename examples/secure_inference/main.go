@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -20,7 +21,7 @@ func main() {
 	npu := seda.EdgeNPU()
 	net := model.ByName("rest")
 
-	rows, err := seda.RunNetwork(npu, net)
+	rows, err := seda.RunNetworkOptsCtx(context.Background(), npu, net, seda.DefaultSuiteOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -85,13 +86,13 @@ func TestIntegrationTrafficOrderingFullSuiteServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		prots, err := memprot.ProtectAllArenaCtx(context.Background(), memprot.AllSchemes(), sim, memprot.DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		oh := map[string]float64{}
-		for _, s := range memprot.AllSchemes() {
-			res, err := memprot.Protect(s, sim, memprot.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			oh[s.Name()] = res.TrafficOverheadRatio()
+		for _, res := range prots {
+			oh[res.Scheme.Name()] = res.TrafficOverheadRatio()
 		}
 		order := []string{"SGX-64B", "MGX-64B", "MGX-512B", "SeDA", "Baseline"}
 		for i := 0; i+1 < len(order); i++ {
@@ -115,10 +116,11 @@ func TestIntegrationTimingAndFunctionalAgreeOnOptBlk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prot, err := memprot.Protect(memprot.SchemeSeDA, sim, memprot.DefaultOptions())
+	prots, err := memprot.ProtectAllArenaCtx(context.Background(), []memprot.Scheme{memprot.SchemeSeDA}, sim, memprot.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	prot := prots[0]
 	p, err := secinfer.New(model.LeNet(), itEncKey, itMacKey, 1, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +144,7 @@ func TestIntegrationSeDABeatsAllPriorSchemesEverywhere(t *testing.T) {
 	}
 	for _, npu := range []seda.NPUConfig{seda.ServerNPU(), seda.EdgeNPU()} {
 		for _, wl := range []string{"let", "dlrm", "trf"} {
-			rows, err := seda.RunNetwork(npu, model.ByName(wl))
+			rows, err := seda.RunNetworkOptsCtx(context.Background(), npu, model.ByName(wl), seda.DefaultSuiteOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +181,7 @@ func TestIntegrationTopologyImportRunsThroughPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := seda.RunNetwork(seda.ServerNPU(), imported)
+	rows, err := seda.RunNetworkOptsCtx(context.Background(), seda.ServerNPU(), imported, seda.DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,13 @@
 // scheduler they replaced (TestFRFCFSGoldenPickOrder pins the pick
 // order). Span buffers are recycled across runs — within one
 // simulator, or across the several simulators of a workload sweep via
-// a shared Arena. RunOverlay consumes a protection scheme's
+// a shared Arena. RunOverlayCtx consumes a protection scheme's
 // spine+overlay stream pair merged in anchor order, so the
 // scheme-independent data stream is never duplicated per scheme.
-// Channels are fully independent after the explode step, so they drain
-// on parallel goroutines by default; per-channel statistics merge in
-// channel-index order, making Stats bit-identical to a sequential
-// drain.
+// Channels are fully independent after the explode step and drain one
+// after another on the calling goroutine: callers already run one
+// simulator per protection scheme concurrently, and per-channel
+// goroutines measured no faster on top of that while allocating more.
 package dram
 
 import (
@@ -198,8 +198,8 @@ type channel struct {
 	refCount uint64
 }
 
-// chanResult is one channel's contribution to Stats, accumulated
-// privately by its drain goroutine and merged in channel-index order.
+// chanResult is one channel's contribution to Stats, merged into the
+// run's Stats as soon as the channel finishes draining.
 type chanResult struct {
 	rowHits   uint64
 	rowMisses uint64
@@ -213,12 +213,11 @@ type chanResult struct {
 // runState is the per-run scratch memory: channel structs with their
 // bank arrays, span queues and window rings, plus the per-channel fill
 // cursors.
-// States are recycled through Simulator.pool so steady-state RunTrace
-// calls allocate only the returned ChanCycles slice.
+// States are recycled through Simulator.pool so steady-state drains
+// allocate only the returned ChanCycles slice.
 type runState struct {
 	chans   []channel
 	cursors []int
-	results []chanResult
 }
 
 // Arena is a shared pool of per-run scratch states that several
@@ -298,11 +297,10 @@ func (d *decoder) split(burst uint64) (ch uint64, bk int32, row int64) {
 
 // Simulator drains traces through the memory system.
 type Simulator struct {
-	cfg        Config
-	dec        decoder
-	sequential bool
-	arena      *Arena    // shared scratch pool, if set
-	pool       sync.Pool // private *runState pool otherwise
+	cfg   Config
+	dec   decoder
+	arena *Arena    // shared scratch pool, if set
+	pool  sync.Pool // private *runState pool otherwise
 }
 
 // New builds a simulator.
@@ -316,10 +314,12 @@ func New(cfg Config) (*Simulator, error) {
 // Config returns the configuration.
 func (s *Simulator) Config() Config { return s.cfg }
 
-// SetSequentialDrain forces channels to drain one after another on the
-// calling goroutine instead of in parallel. Results are bit-identical
-// either way; the switch exists for determinism tests and debugging.
-func (s *Simulator) SetSequentialDrain(v bool) { s.sequential = v }
+// SetSequentialDrain does nothing: channels always drain one after
+// another on the calling goroutine.
+//
+// Deprecated: there is no parallel drain left to switch off. The
+// method stays only so existing callers keep compiling.
+func (s *Simulator) SetSequentialDrain(bool) {}
 
 // SetArena points the simulator at a shared scratch pool. Simulators
 // sharing an arena should have the same geometry; a pooled state whose
@@ -373,7 +373,6 @@ func (s *Simulator) getState() *runState {
 				ch.nextRef = s.cfg.TRefi
 				ch.refCount = 0
 				st.cursors[i] = 0
-				st.results[i] = chanResult{}
 			}
 			return st
 		}
@@ -381,7 +380,6 @@ func (s *Simulator) getState() *runState {
 	st := &runState{
 		chans:   make([]channel, s.cfg.Channels),
 		cursors: make([]int, s.cfg.Channels),
-		results: make([]chanResult, s.cfg.Channels),
 	}
 	for i := range st.chans {
 		banks := make([]bank, s.cfg.BanksPerChan)
@@ -407,46 +405,21 @@ func (s *Simulator) bursts(bytes uint32) int {
 	return n
 }
 
-// RunTrace drains a trace through the memory system. The trace is
-// consumed in place — no intermediate representation is built.
-func (s *Simulator) RunTrace(t *trace.Trace) Stats { return s.RunAccesses(t.Accesses) }
-
-// RunAccesses drains a raw access slice and returns timing statistics.
-// Requests are split into bursts, distributed to exact-size per-channel
-// queues (burst counts are computed in a pre-pass so the fill never
-// reallocates), and each channel is scheduled FR-FCFS (row hits first
-// within the window, else oldest). Channels drain concurrently unless
-// SetSequentialDrain was called; statistics merge deterministically.
-func (s *Simulator) RunAccesses(accesses []trace.Access) Stats {
-	st, _ := s.RunAccessesCtx(context.Background(), accesses)
-	return st
-}
-
-// RunAccessesCtx is RunAccesses under a context: the drain loops check
-// ctx cooperatively (every few thousand scheduler picks, between
-// explode passes) and abandon the run, returning ctx.Err(), once it is
-// cancelled. A cancelled run's Stats are meaningless and must not be
-// used.
-func (s *Simulator) RunAccessesCtx(ctx context.Context, accesses []trace.Access) (Stats, error) {
-	return s.run(ctx, func(yield func(*trace.Access)) {
-		for i := range accesses {
-			yield(&accesses[i])
-		}
-	})
-}
-
-// RunOverlay drains the merge of a shared data spine and a scheme's
+// RunOverlayCtx drains the merge of a shared data spine and a scheme's
 // overlay deltas, interleaved in anchor order, without materializing
 // the combined trace: both explode passes walk the two streams in
-// place. Stats are bit-identical to RunTrace over the materialized
-// merge (see TestRunOverlayMatchesMaterialized).
-func (s *Simulator) RunOverlay(spine *trace.Trace, deltas *trace.Overlay) Stats {
-	st, _ := s.RunOverlayCtx(context.Background(), spine, deltas)
-	return st
-}
-
-// RunOverlayCtx is RunOverlay under a context, with the cooperative
-// cancellation behavior of RunAccessesCtx.
+// place. Stats are bit-identical to a drain of the materialized merge
+// (see TestRunOverlayMatchesMaterialized); a nil overlay drains the
+// spine alone.
+//
+// Each access is split into bursts, distributed to exact-size
+// per-channel queues (burst counts are computed in a pre-pass so the
+// fill never reallocates), and each channel is scheduled FR-FCFS (row
+// hits first within the window, else oldest). The drain checks ctx
+// cooperatively (between explode passes, and every pollCycles of
+// simulated time inside each channel) and abandons the run, returning
+// ctx.Err(), once it is cancelled. A cancelled run's Stats are
+// meaningless and must not be used.
 func (s *Simulator) RunOverlayCtx(ctx context.Context, spine *trace.Trace, deltas *trace.Overlay) (Stats, error) {
 	return s.run(ctx, func(yield func(*trace.Access)) {
 		trace.ForEachMerged(spine, deltas, yield)
@@ -604,34 +577,11 @@ func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access)
 		}
 	})
 
-	// Drain. Channels share no state after the explode, so they can
-	// run on parallel goroutines; each accumulates into its own
-	// chanResult slot. Every channel observes the same done channel, so
-	// a cancellation stops all of them within one check interval.
-	if s.sequential || s.cfg.Channels == 1 {
-		for ci := range chans {
-			rs.results[ci] = s.drainChannel(&chans[ci], done)
-			if rs.results[ci].aborted {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for ci := range chans {
-			wg.Add(1)
-			go func(ci int) {
-				defer wg.Done()
-				rs.results[ci] = s.drainChannel(&chans[ci], done)
-			}(ci)
-		}
-		wg.Wait()
-	}
-
-	// Merge per-channel results in channel-index order. Every field is
-	// a sum or max of per-channel values, so the merged Stats is
-	// bit-identical to what a sequential drain produces.
+	// Drain the channels in index order, merging each one's statistics
+	// as it finishes. Channels share no state after the explode, and
+	// every field is a sum or max of per-channel values.
 	for ci := range chans {
-		r := &rs.results[ci]
+		r := s.drainChannel(&chans[ci], done)
 		if r.aborted {
 			return Stats{}, ctx.Err()
 		}

@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/trace"
@@ -13,6 +14,16 @@ func newSim(t *testing.T, channels int) *Simulator {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// drain runs spine (merged with ov, which may be nil) through s under
+// a context that cannot be cancelled, so the drain cannot fail.
+func drain(s *Simulator, spine *trace.Trace, ov *trace.Overlay) Stats {
+	st, err := s.RunOverlayCtx(context.Background(), spine, ov)
+	if err != nil {
+		panic(err)
+	}
+	return st
 }
 
 func seqTrace(n int, stride uint64, bytes uint32, kind trace.Kind) *trace.Trace {
@@ -42,7 +53,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEmptyTrace(t *testing.T) {
 	s := newSim(t, 4)
-	st := s.RunTrace(&trace.Trace{})
+	st := drain(s, &trace.Trace{}, nil)
 	if st.Cycles != 0 || st.BytesMoved != 0 {
 		t.Errorf("empty trace: %+v", st)
 	}
@@ -51,7 +62,7 @@ func TestEmptyTrace(t *testing.T) {
 func TestBytesConservation(t *testing.T) {
 	s := newSim(t, 4)
 	tr := seqTrace(100, 64, 64, trace.Read)
-	st := s.RunTrace(tr)
+	st := drain(s, tr, nil)
 	if st.BytesMoved != 100*64 {
 		t.Errorf("bytes moved = %d, want %d", st.BytesMoved, 100*64)
 	}
@@ -64,7 +75,7 @@ func TestLargeAccessSplitsIntoBursts(t *testing.T) {
 	s := newSim(t, 1)
 	tr := &trace.Trace{}
 	tr.Append(trace.Access{Addr: 0, Bytes: 512, Kind: trace.Write})
-	st := s.RunTrace(tr)
+	st := drain(s, tr, nil)
 	if st.Writes != 8 {
 		t.Errorf("512B write -> %d bursts, want 8", st.Writes)
 	}
@@ -77,7 +88,7 @@ func TestCyclesMonotoneInTraceLength(t *testing.T) {
 	s := newSim(t, 4)
 	var prev uint64
 	for _, n := range []int{10, 100, 1000, 5000} {
-		st := s.RunTrace(seqTrace(n, 64, 64, trace.Read))
+		st := drain(s, seqTrace(n, 64, 64, trace.Read), nil)
 		if st.Cycles < prev {
 			t.Errorf("cycles decreased: n=%d cycles=%d prev=%d", n, st.Cycles, prev)
 		}
@@ -89,8 +100,8 @@ func TestMoreChannelsFaster(t *testing.T) {
 	tr := seqTrace(4000, 64, 64, trace.Read)
 	s1 := newSim(t, 1)
 	s4 := newSim(t, 4)
-	c1 := s1.RunTrace(tr).Cycles
-	c4 := s4.RunTrace(tr).Cycles
+	c1 := drain(s1, tr, nil).Cycles
+	c4 := drain(s4, tr, nil).Cycles
 	if c4 >= c1 {
 		t.Errorf("4-channel (%d cycles) not faster than 1-channel (%d)", c4, c1)
 	}
@@ -105,7 +116,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 	// with a higher row-hit rate than a bank-thrashing stride walk.
 	seq := seqTrace(2000, 64, 64, trace.Read)
 	s := newSim(t, 1)
-	stSeq := s.RunTrace(seq)
+	stSeq := drain(s, seq, nil)
 
 	thrash := &trace.Trace{}
 	rowStride := uint64(2048 * 16 * 7) // jump rows and banks every access
@@ -113,7 +124,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 		thrash.Append(trace.Access{Addr: uint64(i) * rowStride, Bytes: 64, Kind: trace.Read})
 	}
 	s2 := newSim(t, 1)
-	stThrash := s2.RunTrace(thrash)
+	stThrash := drain(s2, thrash, nil)
 
 	if stSeq.RowHitRate() <= stThrash.RowHitRate() {
 		t.Errorf("sequential row-hit rate %.3f <= thrash %.3f",
@@ -127,7 +138,7 @@ func TestSequentialBeatsRandom(t *testing.T) {
 
 func TestRowOutcomeAccounting(t *testing.T) {
 	s := newSim(t, 1)
-	st := s.RunTrace(seqTrace(1000, 64, 64, trace.Read))
+	st := drain(s, seqTrace(1000, 64, 64, trace.Read), nil)
 	if st.RowHits+st.RowMisses+st.RowEmpty != st.Reads {
 		t.Errorf("row outcomes %d+%d+%d != reads %d",
 			st.RowHits, st.RowMisses, st.RowEmpty, st.Reads)
@@ -145,7 +156,7 @@ func TestRefreshHappens(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Enough traffic to run past several tREFI intervals.
-	st := s.RunTrace(seqTrace(50000, 64, 64, trace.Read))
+	st := drain(s, seqTrace(50000, 64, 64, trace.Read), nil)
 	if st.Refreshes == 0 {
 		t.Error("no refreshes over a long trace")
 	}
@@ -161,7 +172,7 @@ func TestRefreshDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.RunTrace(seqTrace(50000, 64, 64, trace.Read))
+	st := drain(s, seqTrace(50000, 64, 64, trace.Read), nil)
 	if st.Refreshes != 0 {
 		t.Errorf("refreshes = %d with refresh disabled", st.Refreshes)
 	}
@@ -172,7 +183,7 @@ func TestIssueCycleRespected(t *testing.T) {
 	tr := &trace.Trace{}
 	const lateIssue = 1_000_000
 	tr.Append(trace.Access{Cycle: lateIssue, Addr: 0, Bytes: 64, Kind: trace.Read})
-	st := s.RunTrace(tr)
+	st := drain(s, tr, nil)
 	if st.Cycles < lateIssue {
 		t.Errorf("trace finished at %d, before its only request's issue time %d",
 			st.Cycles, lateIssue)
@@ -181,7 +192,7 @@ func TestIssueCycleRespected(t *testing.T) {
 
 func TestChannelMappingCoversAllChannels(t *testing.T) {
 	s := newSim(t, 4)
-	st := s.RunTrace(seqTrace(400, 64, 64, trace.Read))
+	st := drain(s, seqTrace(400, 64, 64, trace.Read), nil)
 	for ci, busy := range st.ChanCycles {
 		if busy == 0 {
 			t.Errorf("channel %d never used by interleaved walk", ci)
@@ -199,7 +210,7 @@ func TestMixedReadWriteCounts(t *testing.T) {
 		}
 		tr.Append(trace.Access{Addr: uint64(i) * 64, Bytes: 64, Kind: k})
 	}
-	st := s.RunTrace(tr)
+	st := drain(s, tr, nil)
 	if st.Reads != 32 || st.Writes != 32 {
 		t.Errorf("reads/writes = %d/%d, want 32/32", st.Reads, st.Writes)
 	}

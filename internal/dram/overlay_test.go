@@ -47,35 +47,26 @@ func overlayPair(n int) (*trace.Trace, *trace.Overlay) {
 }
 
 // TestRunOverlayMatchesMaterialized pins the tentpole equivalence: the
-// two-stream consumption path produces bit-identical Stats to running
-// the materialized merge through RunTrace.
+// two-stream consumption path produces bit-identical Stats to draining
+// the materialized merge as a plain trace.
 func TestRunOverlayMatchesMaterialized(t *testing.T) {
 	spine, ov := overlayPair(500)
-	for _, seqDrain := range []bool{false, true} {
-		a := newSim(t, 4)
-		a.SetSequentialDrain(seqDrain)
-		b := newSim(t, 4)
-		b.SetSequentialDrain(seqDrain)
-		got := a.RunOverlay(spine, ov)
-		want := b.RunTrace(ov.Materialize(spine))
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seqDrain=%v: RunOverlay %+v != materialized RunTrace %+v", seqDrain, got, want)
-		}
+	got := drain(newSim(t, 4), spine, ov)
+	want := drain(newSim(t, 4), ov.Materialize(spine), nil)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("overlay drain %+v != materialized drain %+v", got, want)
 	}
 }
 
 // TestRunOverlayEmptyDeltas: a scheme with no metadata (Baseline)
-// consumes the spine alone.
+// consumes the spine alone, exactly as the nil-overlay raw-trace form
+// does.
 func TestRunOverlayEmptyDeltas(t *testing.T) {
 	spine, _ := overlayPair(100)
-	got := newSim(t, 4).RunOverlay(spine, &trace.Overlay{})
-	want := newSim(t, 4).RunTrace(spine)
+	got := drain(newSim(t, 4), spine, &trace.Overlay{})
+	want := drain(newSim(t, 4), spine, nil)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("empty overlay %+v != spine-only %+v", got, want)
-	}
-	gotNil := newSim(t, 4).RunOverlay(spine, nil)
-	if !reflect.DeepEqual(gotNil, want) {
-		t.Errorf("nil overlay %+v != spine-only %+v", gotNil, want)
+		t.Errorf("empty overlay %+v != nil overlay %+v", got, want)
 	}
 }
 
@@ -90,12 +81,12 @@ func TestArenaSharingIsTransparent(t *testing.T) {
 	s2 := newSim(t, 4)
 	s2.SetArena(arena)
 
-	want := newSim(t, 4).RunOverlay(spine, ov)
+	want := drain(newSim(t, 4), spine, ov)
 	for i := 0; i < 3; i++ {
-		if got := s1.RunOverlay(spine, ov); !reflect.DeepEqual(got, want) {
+		if got := drain(s1, spine, ov); !reflect.DeepEqual(got, want) {
 			t.Fatalf("arena run %d (s1) diverged: %+v != %+v", i, got, want)
 		}
-		if got := s2.RunOverlay(spine, ov); !reflect.DeepEqual(got, want) {
+		if got := drain(s2, spine, ov); !reflect.DeepEqual(got, want) {
 			t.Fatalf("arena run %d (s2) diverged: %+v != %+v", i, got, want)
 		}
 	}
@@ -109,7 +100,7 @@ func TestArenaGeometryMismatchRebuilds(t *testing.T) {
 	arena := NewArena()
 	s4 := newSim(t, 4)
 	s4.SetArena(arena)
-	s4.RunOverlay(spine, ov) // warm the arena with 4-channel state
+	drain(s4, spine, ov) // warm the arena with 4-channel state
 
 	cfg := DDR4Like(2)
 	s2, err := New(cfg)
@@ -117,13 +108,13 @@ func TestArenaGeometryMismatchRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.SetArena(arena)
-	got := s2.RunOverlay(spine, ov)
+	got := drain(s2, spine, ov)
 
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.RunOverlay(spine, ov)
+	want := drain(ref, spine, ov)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("mismatched-geometry arena state leaked: %+v != %+v", got, want)
 	}
@@ -134,14 +125,14 @@ func TestArenaGeometryMismatchRebuilds(t *testing.T) {
 func TestArenaConcurrentUse(t *testing.T) {
 	spine, ov := overlayPair(400)
 	arena := NewArena()
-	want := newSim(t, 4).RunOverlay(spine, ov)
+	want := drain(newSim(t, 4), spine, ov)
 
 	done := make(chan Stats, 6)
 	for k := 0; k < 6; k++ {
 		s := newSim(t, 4)
 		s.SetArena(arena)
 		go func(s *Simulator) {
-			done <- s.RunOverlay(spine, ov)
+			done <- drain(s, spine, ov)
 		}(s)
 	}
 	for k := 0; k < 6; k++ {

@@ -63,7 +63,7 @@ func TestExploreRetainsTrueFrontier(t *testing.T) {
 	cost := make([]float64, len(res.Points))
 	cycles := make([]float64, len(res.Points))
 	for i := range res.Points {
-		suite, err := seda.RunSuiteOpts(res.Points[i].Config, workloads, seda.DefaultSuiteOptions())
+		suite, err := seda.RunSuiteOptsCtx(context.Background(), res.Points[i].Config, workloads, seda.DefaultSuiteOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -87,6 +87,11 @@ func axisNames() []string {
 // forever; the grid-level budget is the caller's MaxPoints.
 const maxAxisValues = 4096
 
+// maxIntValue bounds the integer axes at the largest integer a float64
+// holds exactly, so every accepted value prints exactly in Canonical
+// and converts to an int without wrapping.
+const maxIntValue = 1 << 53
+
 // Spec is a parsed grid specification.
 type Spec struct {
 	// axes in axisTable order; only swept axes present.
@@ -195,7 +200,11 @@ func expandRange(def axisDef, lo, hi float64, step string) ([]float64, error) {
 		if len(out) >= maxAxisValues {
 			return fmt.Errorf("range expands past %d values", maxAxisValues)
 		}
-		out = append(out, normalize(def, v))
+		v = normalize(def, v)
+		if def.kind != kindRate && v > maxIntValue {
+			return fmt.Errorf("range value %.0f exceeds %d", v, int64(maxIntValue))
+		}
+		out = append(out, v)
 		return nil
 	}
 	// hi is inclusive with a relative tolerance, so 32:256:2x ends on
@@ -261,11 +270,19 @@ func parseValue(def axisDef, s string) (float64, error) {
 		return 0, fmt.Errorf("value %q: %w", s, err)
 	}
 	v *= mult
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return 0, fmt.Errorf("value %q is not finite", s)
+	}
 	if v <= 0 {
 		return 0, fmt.Errorf("value %q is not positive", s)
 	}
-	if def.kind != kindRate && v != math.Trunc(v) {
-		return 0, fmt.Errorf("value %q is not an integer", s)
+	if def.kind != kindRate {
+		if v != math.Trunc(v) {
+			return 0, fmt.Errorf("value %q is not an integer", s)
+		}
+		if v > maxIntValue {
+			return 0, fmt.Errorf("value %q exceeds %d", s, int64(maxIntValue))
+		}
 	}
 	return v, nil
 }

@@ -62,6 +62,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{"sram=1.5", "not an integer"},
 		{"rows=1:2:3:4", "more than two"},
 		{"rows=abc", "value"},
+		{"rows=1e30", "exceeds"},
+		{"rows=9007199254740000:9007199254740992:+1000", "exceeds"},
+		{"channels=inf", "not finite"},
+		{"freq=nan", "not finite"},
+		{"bw=1e308T", "not finite"},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec(tc.in)

@@ -22,8 +22,8 @@ type Hist struct {
 
 const (
 	histMin        = time.Microsecond
-	histSubBuckets = 8   // per octave: resolution factor 2^(1/8)
-	histOctaves    = 30  // 1µs * 2^30 ≈ 17.9 min full scale
+	histSubBuckets = 8  // per octave: resolution factor 2^(1/8)
+	histOctaves    = 30 // 1µs * 2^30 ≈ 17.9 min full scale
 	histBuckets    = histOctaves*histSubBuckets + 1
 )
 

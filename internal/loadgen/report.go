@@ -308,8 +308,8 @@ func (r *Report) Row(topology, phase, note string) (BenchRow, error) {
 
 // benchFile is the BENCH_SERVE.json document shape.
 type benchFile struct {
-	Description string            `json:"description"`
-	Environment map[string]any    `json:"environment,omitempty"`
+	Description string              `json:"description"`
+	Environment map[string]any      `json:"environment,omitempty"`
 	Rows        map[string]BenchRow `json:"rows"`
 }
 

@@ -179,6 +179,8 @@ func TestScenarioErrors(t *testing.T) {
 			`csv fraction 1.5 outside [0, 1]`},
 		{"bad spec", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"explore","specs":["rows="]}]}]}`,
 			`spec "rows="`},
+		{"explore with workloads", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"explore","specs":["rows=16"],"workloads":["let"]}]}]}`,
+			`figs/workloads/zipf/csv/revalidate are sweep knobs`},
 		{"bad kind", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"mystery"}]}]}`,
 			`unknown kind "mystery" (want sweep, explore or catalog)`},
 		{"duplicate phase", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"catalog"}]},{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"catalog"}]}]}`,

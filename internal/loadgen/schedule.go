@@ -133,9 +133,6 @@ func newMixSampler(m *Mix) *mixSampler {
 		for _, spec := range m.Specs {
 			q := url.Values{}
 			q.Set("spec", spec)
-			if len(m.Workloads) > 0 && m.Workloads[0] != "" && m.Workloads[0] != "*" {
-				q.Set("workloads", m.Workloads[0])
-			}
 			if m.Base != "" {
 				q.Set("base", m.Base)
 			}

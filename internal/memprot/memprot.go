@@ -227,9 +227,9 @@ func (o LayerOverhead) MetaBytes() uint64 {
 // scheme-independent data-access stream, aliased read-only from the
 // scalesim layer and shared by every scheme evaluated off the same
 // simulation — and the Deltas overlay holding only what this scheme
-// added, anchored into the spine. dram.RunOverlay consumes the two
-// streams directly; Materialize (or the Protect wrapper, which fills
-// Trace) flattens them for consumers that want one slice.
+// added, anchored into the spine. dram.Simulator.RunOverlayCtx
+// consumes the two streams directly; Materialize flattens them for
+// consumers that want one slice.
 type ProtectedLayer struct {
 	LayerID int
 
@@ -240,15 +240,15 @@ type ProtectedLayer struct {
 	// Deltas is this scheme's metadata/over-fetch overlay.
 	Deltas *trace.Overlay
 
-	// Trace is the flattened spine+deltas merge. ProtectAll leaves it
-	// nil; Protect materializes it.
+	// Trace is the flattened spine+deltas merge, nil until
+	// Materialize builds it.
 	Trace *trace.Trace
 
 	Overhead LayerOverhead
 }
 
 // Materialize returns the layer's flat augmented trace, building it
-// from the spine and overlay if Protect has not already done so.
+// from the spine and overlay on first use.
 func (pl *ProtectedLayer) Materialize() *trace.Trace {
 	if pl.Trace == nil {
 		pl.Trace = pl.Deltas.Materialize(pl.Spine)

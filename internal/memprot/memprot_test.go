@@ -1,6 +1,7 @@
 package memprot
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -34,9 +35,29 @@ func serverNet(t *testing.T, name string) *scalesim.NetworkResult {
 	return res
 }
 
+// protectAll is ProtectAllArenaCtx without an arena or cancellation.
+func protectAll(schemes []Scheme, net *scalesim.NetworkResult, opts Options) ([]*Result, error) {
+	return ProtectAllArenaCtx(context.Background(), schemes, net, opts, nil)
+}
+
+// protectFlat evaluates one scheme and materializes every layer's flat
+// augmented trace: the seed pipeline's shape, kept as the reference
+// the shared-spine overlay path is checked against.
+func protectFlat(s Scheme, net *scalesim.NetworkResult, opts Options) (*Result, error) {
+	rs, err := protectAll([]Scheme{s}, net, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := rs[0]
+	for i := range r.Layers {
+		r.Layers[i].Materialize()
+	}
+	return r, nil
+}
+
 func protect(t *testing.T, s Scheme, net *scalesim.NetworkResult) *Result {
 	t.Helper()
-	r, err := Protect(s, net, DefaultOptions())
+	r, err := protectFlat(s, net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +332,7 @@ func TestMetadataAddressesDisjointFromData(t *testing.T) {
 
 func TestProtectRejectsInvalidScheme(t *testing.T) {
 	net := edgeNet(t, "let")
-	if _, err := Protect(Scheme{Kind: SGX, Block: 7}, net, DefaultOptions()); err == nil {
+	if _, err := protectFlat(Scheme{Kind: SGX, Block: 7}, net, DefaultOptions()); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }

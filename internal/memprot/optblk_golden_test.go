@@ -78,7 +78,7 @@ func TestSeDAOptBlkGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := Protect(SchemeSeDA, sim, DefaultOptions())
+			res, err := protectFlat(SchemeSeDA, sim, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,7 +88,7 @@ func TestSeDAOptBlkGolden(t *testing.T) {
 					key, got, want)
 			}
 			for _, s := range []Scheme{SchemeSGX64, SchemeMGX512, SchemeBaseline} {
-				fres, err := Protect(s, sim, DefaultOptions())
+				fres, err := protectFlat(s, sim, DefaultOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -128,7 +128,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 		sims[g.name] = sim
 	}
 
-	cold, err := Protect(SchemeSeDA, sims["server"], opts)
+	cold, err := protectFlat(SchemeSeDA, sims["server"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 
 	// Edge evaluation of the same workload: LeNet's tilings coincide,
 	// so every search must come from the server run's entries.
-	edge, err := Protect(SchemeSeDA, sims["edge"], opts)
+	edge, err := protectFlat(SchemeSeDA, sims["edge"], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestOptBlkCacheSharesAcrossNPUs(t *testing.T) {
 	}
 
 	// Cached results must be bit-identical to uncached ones.
-	fresh, err := Protect(SchemeSeDA, sims["edge"], DefaultOptions())
+	fresh, err := protectFlat(SchemeSeDA, sims["edge"], DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,23 +13,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Arena recycles overlay storage across ProtectAll evaluations. On a
-// multi-workload sweep the per-scheme overlays are consumed (by the
-// DRAM model) and discarded once per workload; drawing them from an
-// arena lets the next workload refill the previous one's backing
-// arrays instead of growing fresh ones, which removes the overlay —
-// the dominant allocation of the protection phase — from the
-// steady-state profile.
+// Arena recycles overlay storage across ProtectAllArenaCtx
+// evaluations. On a multi-workload sweep the per-scheme overlays are
+// consumed (by the DRAM model) and discarded once per workload;
+// drawing them from an arena lets the next workload refill the
+// previous one's backing arrays instead of growing fresh ones, which
+// removes the overlay — the dominant allocation of the protection
+// phase — from the steady-state profile.
 //
-// The free list is FIFO and ProtectAllArena both acquires and releases
-// overlays in layer-major (layer, scheme) order, so on repeated
-// evaluations each slot tends to get back a buffer grown to its own
-// previous size — an
-// SGX layer's 100k-entry array is not wasted on a Baseline layer that
-// needs none. The arena holds strong references (unlike sync.Pool), so
-// a GC mid-sweep cannot empty it. Safe for concurrent use.
+// The free list is FIFO and ProtectAllArenaCtx both acquires and
+// releases overlays in layer-major (layer, scheme) order, so on
+// repeated evaluations each slot tends to get back a buffer grown to
+// its own previous size — an SGX layer's 100k-entry array is not
+// wasted on a Baseline layer that needs none. The arena holds strong
+// references (unlike sync.Pool), so a GC mid-sweep cannot empty it.
+// Safe for concurrent use.
 //
-// Callers that pass an Arena to ProtectAllArena own the release
+// Callers that pass an Arena to ProtectAllArenaCtx own the release
 // discipline: call Release once the results are no longer referenced.
 type Arena struct {
 	mu   sync.Mutex
@@ -78,7 +78,7 @@ func (a *Arena) Release(rs []*Result) {
 		a.head = 0
 	}
 	// Push in layer-major (layer, scheme) order — the same order
-	// ProtectAllArena acquires in — so each slot's buffer comes back
+	// ProtectAllArenaCtx acquires in — so each slot's buffer comes back
 	// around to an equivalent slot next evaluation.
 	layers := 0
 	for _, r := range rs {
@@ -100,29 +100,22 @@ func (a *Arena) Release(rs []*Result) {
 	a.mu.Unlock()
 }
 
-// ProtectAll evaluates a set of schemes over one simulated network
-// around a shared, immutable data spine: each layer's trace is walked
-// exactly once, with every access fanned out to all scheme emitters.
-// Schemes never copy the data stream — each ProtectedLayer's Spine
-// field aliases the scalesim layer trace, and the scheme contributes
-// only its metadata/over-fetch overlay, anchored into the spine. The
-// DRAM model consumes the two streams directly (dram.RunOverlay); the
-// merge is byte-identical to the flat traces the schemes used to build.
-func ProtectAll(schemes []Scheme, net *scalesim.NetworkResult, opts Options) ([]*Result, error) {
-	return ProtectAllArena(schemes, net, opts, nil)
-}
-
-// ProtectAllArena is ProtectAll drawing overlay storage from an arena
-// (which may be nil). See Arena for the recycling contract.
-func ProtectAllArena(schemes []Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) ([]*Result, error) {
-	return ProtectAllArenaCtx(context.Background(), schemes, net, opts, arena)
-}
-
-// ProtectAllArenaCtx is ProtectAllArena under a context, checked once
-// per network layer — the protection walk is layer-streaming, so that
-// is the natural all-or-nothing boundary. On cancellation the partial
-// results are released back to the arena (nothing escapes to the
-// caller, who must not Release on error) and ctx.Err() is returned.
+// ProtectAllArenaCtx evaluates a set of schemes over one simulated
+// network around a shared, immutable data spine: each layer's trace is
+// walked exactly once, with every access fanned out to all scheme
+// emitters. Schemes never copy the data stream — each ProtectedLayer's
+// Spine field aliases the scalesim layer trace, and the scheme
+// contributes only its metadata/over-fetch overlay, anchored into the
+// spine. The DRAM model consumes the two streams directly
+// (dram.Simulator.RunOverlayCtx); ProtectedLayer.Materialize rebuilds
+// the flat merge where a caller needs one.
+//
+// Overlay storage is drawn from arena, which may be nil (see Arena for
+// the recycling contract). The context is checked once per network
+// layer — the protection walk is layer-streaming, so that is the
+// natural all-or-nothing boundary. On cancellation the partial results
+// are released back to the arena (nothing escapes to the caller, who
+// must not Release on error) and ctx.Err() is returned.
 func ProtectAllArenaCtx(ctx context.Context, schemes []Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) ([]*Result, error) {
 	ctx, span := obs.Start(ctx, obs.StageProtect)
 	defer span.End()
@@ -178,22 +171,6 @@ func ProtectAllArenaCtx(ctx context.Context, schemes []Scheme, net *scalesim.Net
 		ps[k].drain(results[k])
 	}
 	return results, nil
-}
-
-// Protect runs a single scheme over a simulated network and returns
-// the augmented per-layer traces and overhead accounting. It is the
-// flat-trace convenience wrapper over ProtectAll: each layer's Trace
-// field holds the materialized spine+overlay merge.
-func Protect(s Scheme, net *scalesim.NetworkResult, opts Options) (*Result, error) {
-	rs, err := ProtectAll([]Scheme{s}, net, opts)
-	if err != nil {
-		return nil, err
-	}
-	r := rs[0]
-	for i := range r.Layers {
-		r.Layers[i].Materialize()
-	}
-	return r, nil
 }
 
 // OptBlkCache memoizes SeDA authblock searches by run-set geometry,
@@ -389,8 +366,9 @@ func (p *protector) drain(res *Result) {
 
 // protector holds per-network scheme state (metadata caches persist
 // across layers within one inference) plus the streaming cursor for
-// the layer currently being walked. ProtectAll drives it: beginLayer,
-// then access for every spine index in order, then endLayer.
+// the layer currently being walked. ProtectAllArenaCtx drives it:
+// beginLayer, then access for every spine index in order, then
+// endLayer.
 type protector struct {
 	scheme Scheme
 	opts   Options

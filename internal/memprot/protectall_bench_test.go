@@ -1,6 +1,7 @@
 package memprot
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -39,11 +40,12 @@ func benchNet(b *testing.B, name string, server bool) *scalesim.NetworkResult {
 // BenchmarkProtectAll measures the protection phase on the sweep hot
 // path in three configurations:
 //
-//   - independent: six Protect calls, each materializing its flat
-//     augmented trace — the seed pipeline's shape.
-//   - shared-spine: one ProtectAll walk; schemes emit overlay deltas
-//     off the shared data spine, nothing is materialized.
-//   - shared-spine-arena: ProtectAllArena drawing overlay storage from
+//   - independent: six single-scheme walks, each materializing its
+//     flat augmented trace — the seed pipeline's shape.
+//   - shared-spine: one ProtectAllArenaCtx walk without an arena;
+//     schemes emit overlay deltas off the shared data spine, nothing
+//     is materialized.
+//   - shared-spine-arena: ProtectAllArenaCtx drawing overlay storage from
 //     a warmed arena — the seda sweep's steady state, where workload
 //     N+1 refills the buffers workload N grew. This is the
 //     configuration the >= 4x per-scheme allocated-bytes acceptance
@@ -64,7 +66,7 @@ func BenchmarkProtectAll(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, s := range schemes {
-					if _, err := Protect(s, net, DefaultOptions()); err != nil {
+					if _, err := protectFlat(s, net, DefaultOptions()); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -73,14 +75,14 @@ func BenchmarkProtectAll(b *testing.B) {
 		b.Run(cfg.name+"/shared-spine", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := ProtectAll(schemes, net, DefaultOptions()); err != nil {
+				if _, err := protectAll(schemes, net, DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(cfg.name+"/shared-spine-arena", func(b *testing.B) {
 			arena := NewArena()
-			warm, err := ProtectAllArena(schemes, net, DefaultOptions(), arena)
+			warm, err := ProtectAllArenaCtx(context.Background(), schemes, net, DefaultOptions(), arena)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -88,7 +90,7 @@ func BenchmarkProtectAll(b *testing.B) {
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rs, err := ProtectAllArena(schemes, net, DefaultOptions(), arena)
+				rs, err := ProtectAllArenaCtx(context.Background(), schemes, net, DefaultOptions(), arena)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -102,7 +104,7 @@ func BenchmarkProtectAll(b *testing.B) {
 // non-benchmark guard on the steady-state property, with a
 // deliberately generous factor so measurement noise cannot flake it:
 // a warmed shared-spine+arena evaluation must allocate at least 3x
-// less than six independent Protect calls (the benchmark records the
+// less than six independent flat walks (the benchmark records the
 // real number, which is far larger). The factor was 4x before overlay
 // coalescing; coalescing shrinks the independent baseline too (its
 // materialized traces carry several-fold fewer overlay entries), so
@@ -114,13 +116,13 @@ func TestProtectAllAllocatesFarLessThanIndependentRuns(t *testing.T) {
 	net := serverNet(t, "ncf")
 	schemes := AllSchemes()
 	arena := NewArena()
-	warm, err := ProtectAllArena(schemes, net, DefaultOptions(), arena)
+	warm, err := ProtectAllArenaCtx(context.Background(), schemes, net, DefaultOptions(), arena)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arena.Release(warm)
 	shared := allocBytes(t, func() {
-		rs, err := ProtectAllArena(schemes, net, DefaultOptions(), arena)
+		rs, err := ProtectAllArenaCtx(context.Background(), schemes, net, DefaultOptions(), arena)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +130,7 @@ func TestProtectAllAllocatesFarLessThanIndependentRuns(t *testing.T) {
 	})
 	independent := allocBytes(t, func() {
 		for _, s := range schemes {
-			if _, err := Protect(s, net, DefaultOptions()); err != nil {
+			if _, err := protectFlat(s, net, DefaultOptions()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -13,7 +13,7 @@ import (
 // data stream is built once per workload and never copied per scheme.
 func TestProtectAllSharesOneSpine(t *testing.T) {
 	net := edgeNet(t, "let")
-	prots, err := ProtectAll(AllSchemes(), net, DefaultOptions())
+	prots, err := protectAll(AllSchemes(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestProtectAllSharesOneSpine(t *testing.T) {
 					r.Scheme.Name(), i)
 			}
 			if r.Layers[i].Trace != nil {
-				t.Fatalf("%s layer %d: ProtectAll materialized a flat trace", r.Scheme.Name(), i)
+				t.Fatalf("%s layer %d: the walk materialized a flat trace", r.Scheme.Name(), i)
 			}
 		}
 	}
@@ -44,21 +44,22 @@ func TestProtectAllLeavesSpineUntouched(t *testing.T) {
 	for i := range net.Layers {
 		before[i] = append([]trace.Access(nil), net.Layers[i].Trace.Accesses...)
 	}
-	if _, err := ProtectAll(AllSchemes(), net, DefaultOptions()); err != nil {
+	if _, err := protectAll(AllSchemes(), net, DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	for i := range net.Layers {
 		if !reflect.DeepEqual(before[i], net.Layers[i].Trace.Accesses) {
-			t.Fatalf("layer %d: spine mutated by ProtectAll", i)
+			t.Fatalf("layer %d: spine mutated by the protection walk", i)
 		}
 	}
 }
 
-// TestProtectMatchesProtectAllMaterialized: the flat wrapper and the
-// overlay path describe the same augmented trace, access for access.
+// TestProtectMatchesProtectAllMaterialized: the single-scheme flat
+// reference (protectFlat) and the six-scheme overlay walk describe the
+// same augmented trace and overhead, access for access.
 func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 	net := edgeNet(t, "ncf")
-	prots, err := ProtectAll(AllSchemes(), net, DefaultOptions())
+	prots, err := protectAll(AllSchemes(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 			got := r.Layers[i].Materialize()
 			want := flat.Layers[i].Trace
 			if !reflect.DeepEqual(got.Accesses, want.Accesses) {
-				t.Fatalf("%s layer %d: materialized overlay differs from Protect trace",
+				t.Fatalf("%s layer %d: materialized overlay differs from the single-scheme flat trace",
 					r.Scheme.Name(), i)
 			}
 			if r.Layers[i].Overhead != flat.Layers[i].Overhead {
@@ -84,12 +85,12 @@ func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 // (scheme state never leaks across emitters).
 func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 	net := edgeNet(t, "sent")
-	all, err := ProtectAll(AllSchemes(), net, DefaultOptions())
+	all, err := protectAll(AllSchemes(), net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k, s := range AllSchemes() {
-		solo, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		solo, err := protectAll([]Scheme{s}, net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +111,7 @@ func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 func TestDrainAddressesPerCacheRegion(t *testing.T) {
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512} {
 		net := edgeNet(t, "let")
-		prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		prots, err := protectAll([]Scheme{s}, net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +163,7 @@ func TestMetadataRegionsNeverOverlap(t *testing.T) {
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512, SchemeMGX64, SchemeMGX512} {
 		for _, wl := range []string{"alex", "sent"} {
 			net := edgeNet(t, wl)
-			prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+			prots, err := protectAll([]Scheme{s}, net, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +256,7 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 	net := &scalesim.NetworkResult{Layers: []scalesim.LayerResult{{LayerID: 0, Trace: tr}}}
 
 	for _, s := range []Scheme{SchemeSGX64, SchemeSGX512, SchemeMGX64, SchemeMGX512} {
-		prots, err := ProtectAll([]Scheme{s}, net, DefaultOptions())
+		prots, err := protectAll([]Scheme{s}, net, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +304,7 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 // TestProtectAllRejectsInvalidScheme mirrors the single-scheme guard.
 func TestProtectAllRejectsInvalidScheme(t *testing.T) {
 	net := edgeNet(t, "let")
-	if _, err := ProtectAll([]Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions()); err == nil {
+	if _, err := protectAll([]Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions()); err == nil {
 		t.Error("invalid scheme accepted")
 	}
 }

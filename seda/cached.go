@@ -21,22 +21,19 @@ import (
 // cache are indistinguishable from freshly computed ones and re-serialize
 // to byte-identical output — see TestCachedRowsByteIdentical.
 
-// RunNetworkCached evaluates every scheme on one network, serving from
-// (and filling) c. hit reports whether the result was served without a
-// fresh pipeline evaluation by this call: from memory, from the disk
-// layer, or by coalescing onto a concurrent identical evaluation. A
-// nil cache degrades to RunNetworkOpts.
-func RunNetworkCached(c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
-	return RunNetworkCachedCtx(context.Background(), c, npu, net, opts)
-}
-
-// RunNetworkCachedCtx is RunNetworkCached under a caller context. The
-// context governs this caller's wait on the cache, not the evaluation
-// itself: the pipeline runs under the cache's detached compute context
-// (which the evaluation observes via RunNetworkOptsCtx), so a caller
-// that cancels detaches immediately while an evaluation other callers
-// still await keeps running — see rescache.GetOrComputeCtx.
-func RunNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
+// runNetworkCachedCtx evaluates every scheme on one network, serving
+// from (and filling) c. hit reports whether the result was served
+// without a fresh pipeline evaluation by this call: from memory, from
+// the disk layer, or by coalescing onto a concurrent identical
+// evaluation. A nil cache degrades to RunNetworkOptsCtx.
+//
+// The context governs this caller's wait on the cache, not the
+// evaluation itself: the pipeline runs under the cache's detached
+// compute context (which the evaluation observes via
+// RunNetworkOptsCtx), so a caller that cancels detaches immediately
+// while an evaluation other callers still await keeps running — see
+// rescache.GetOrComputeCtx.
+func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
 	if c == nil {
 		rows, err = RunNetworkOptsCtx(ctx, npu, net, opts)
 		return rows, false, err
@@ -77,23 +74,20 @@ func RunNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 	}
 }
 
-// RunSuiteCached is RunSuiteOpts with the per-network cache in front:
-// each (NPU, network) pair is looked up independently, so a sweep only
-// evaluates the workloads the cache has not seen. Uncached workloads
-// run through the same bounded worker pool as RunSuiteOpts, and output
-// is assembled in input order regardless of scheduling.
-func RunSuiteCached(c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	return RunSuiteCachedCtx(context.Background(), c, npu, nets, opts)
-}
-
-// RunSuiteCachedCtx is RunSuiteCached under a caller context, with the
-// per-workload cancellation semantics of RunNetworkCachedCtx.
+// RunSuiteCachedCtx is RunSuiteOptsCtx with the per-network cache in
+// front: each (NPU, network) pair is looked up independently, so a
+// sweep only evaluates the workloads the cache has not seen. Uncached
+// workloads run through the same bounded worker pool as
+// RunSuiteOptsCtx, output is assembled in input order regardless of
+// scheduling, and each workload waits on the cache with the
+// cancellation semantics of runNetworkCachedCtx. A nil cache degrades
+// to RunSuiteOptsCtx.
 func RunSuiteCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
 	if c == nil {
 		return RunSuiteOptsCtx(ctx, npu, nets, opts)
 	}
 	return runSuiteWith(ctx, npu, nets, opts, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
-		rows, _, err := RunNetworkCachedCtx(ctx, c, npu, n, opts)
+		rows, _, err := runNetworkCachedCtx(ctx, c, npu, n, opts)
 		return rows, err
 	})
 }

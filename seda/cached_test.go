@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"sync"
@@ -52,17 +53,17 @@ func TestRunNetworkCachedMatchesFresh(t *testing.T) {
 	c := newTestCache(t)
 	npu, net := EdgeNPU(), model.ByName("let")
 
-	fresh, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
+	fresh, err := RunNetworkOptsCtx(context.Background(), npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+	got, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
 	if err != nil || hit {
 		t.Fatalf("first cached run: hit=%v err=%v", hit, err)
 	}
 	assertRowsEqual(t, got, fresh)
 
-	again, hit, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+	again, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
 	if err != nil || !hit {
 		t.Fatalf("second cached run: hit=%v err=%v", hit, err)
 	}
@@ -87,7 +88,7 @@ func TestRunNetworkCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+			results[i], _, errs[i] = runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
 		}(i)
 	}
 	wg.Wait()
@@ -114,10 +115,10 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 
 	// Prime the cache with one workload, then sweep two: only the
 	// uncached one evaluates.
-	if _, _, err := RunNetworkCached(c, npu, let, DefaultSuiteOptions()); err != nil {
+	if _, _, err := runNetworkCachedCtx(context.Background(), c, npu, let, DefaultSuiteOptions()); err != nil {
 		t.Fatal(err)
 	}
-	suite, err := RunSuiteCached(c, npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 		t.Fatalf("stats = %+v, want 2 computes (let, ncf) and 1 hit (let reused)", st)
 	}
 
-	want, err := RunSuiteOn(npu, []*model.Network{let, ncf})
+	want, err := RunSuiteOptsCtx(context.Background(), npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 func TestRunSuiteCachedNilCacheFallsBack(t *testing.T) {
 	npu := EdgeNPU()
 	nets := []*model.Network{model.ByName("let")}
-	suite, err := RunSuiteCached(nil, npu, nets, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := RunNetworkCached(c1, npu, net, DefaultSuiteOptions())
+	fresh, _, err := runNetworkCachedCtx(context.Background(), c1, npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hit, err := RunNetworkCached(c2, npu, net, DefaultSuiteOptions())
+	warm, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, DefaultSuiteOptions())
 	if err != nil || !hit {
 		t.Fatalf("warm start: hit=%v err=%v", hit, err)
 	}
@@ -216,11 +217,11 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := RunNetworkCached(c, npu, net, DefaultSuiteOptions())
+	rows, _, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatalf("corrupt entry not healed: %v", err)
 	}
-	want, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
+	want, err := RunNetworkOptsCtx(context.Background(), npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, hit, err := RunNetworkCached(c2, npu, net, DefaultSuiteOptions())
+	again, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, DefaultSuiteOptions())
 	if err != nil || !hit {
 		t.Fatalf("repaired entry: hit=%v err=%v", hit, err)
 	}

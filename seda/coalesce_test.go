@@ -1,6 +1,7 @@
 package seda
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,11 +40,11 @@ func TestCoalescedOverlaysDRAMEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+			raws, err := memprot.ProtectAllArenaCtx(context.Background(), Schemes(), sim, rawOpts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			coals, err := memprot.ProtectAll(Schemes(), sim, coalOpts)
+			coals, err := memprot.ProtectAllArenaCtx(context.Background(), Schemes(), sim, coalOpts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,8 +69,14 @@ func TestCoalescedOverlaysDRAMEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want := a.RunOverlay(rpl.Spine, rpl.Deltas)
-					got := b.RunOverlay(cpl.Spine, cpl.Deltas)
+					want, err := a.RunOverlayCtx(context.Background(), rpl.Spine, rpl.Deltas)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := b.RunOverlayCtx(context.Background(), cpl.Spine, cpl.Deltas)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if !reflect.DeepEqual(got, want) {
 						t.Errorf("%s/%s/%s layer %d: coalesced stats %+v != raw %+v",
 							npu.Name, name, scheme.Name(), i, got, want)
@@ -108,11 +115,11 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+	raws, err := memprot.ProtectAllArenaCtx(context.Background(), Schemes(), sim, rawOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coals, err := memprot.ProtectAll(Schemes(), sim, memprot.DefaultOptions())
+	coals, err := memprot.ProtectAllArenaCtx(context.Background(), Schemes(), sim, memprot.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +138,13 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 }
 
 // TestRunNetworkMatchesRawOverlays pins the end-to-end figure
-// equivalence the coalescing claims: RunNetworkOpts (which evaluates
+// equivalence the coalescing claims: RunNetworkOptsCtx (which evaluates
 // with DefaultOptions, coalescing on) must produce rows identical to
 // an evaluation forced through raw overlays.
 func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("ncf")
-	rows, err := RunNetworkOpts(npu, net, SequentialOptions())
+	rows, err := RunNetworkOptsCtx(context.Background(), npu, net, SequentialOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +160,7 @@ func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raws, err := memprot.ProtectAll(Schemes(), sim, rawOpts)
+	raws, err := memprot.ProtectAllArenaCtx(context.Background(), Schemes(), sim, rawOpts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +169,14 @@ func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dsim.SetSequentialDrain(true)
 		var exec uint64
 		var data, meta uint64
 		for i := range prot.Layers {
 			pl := &prot.Layers[i]
-			st := dsim.RunOverlay(pl.Spine, pl.Deltas)
+			st, err := dsim.RunOverlayCtx(context.Background(), pl.Spine, pl.Deltas)
+			if err != nil {
+				t.Fatal(err)
+			}
 			layerCycles := st.Cycles
 			if c := sim.Layers[i].ComputeCycles; c > layerCycles {
 				layerCycles = c

@@ -9,7 +9,7 @@
 // Typical use:
 //
 //	npu, err := seda.NPUByName("server")
-//	rows, err := seda.RunNetwork(npu, model.ByName("rest"))
+//	rows, err := seda.RunNetworkOptsCtx(ctx, npu, model.ByName("rest"), seda.DefaultSuiteOptions())
 //	// rows contains normalized traffic and performance per scheme.
 package seda
 

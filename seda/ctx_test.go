@@ -11,21 +11,24 @@ import (
 )
 
 // TestRunNetworkCtxBackgroundIdentical pins that the context plumbing
-// is figure-neutral: the Ctx variant under context.Background produces
-// exactly the rows of the plain call.
+// is figure-neutral: a live, cancellable context arms the drain's
+// cancellation polls, and must produce exactly the rows of an
+// uncancellable context.Background run.
 func TestRunNetworkCtxBackgroundIdentical(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("let")
-	want, err := RunNetworkOpts(npu, net, SequentialOptions())
+	want, err := RunNetworkOptsCtx(context.Background(), npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunNetworkOptsCtx(context.Background(), npu, net, SequentialOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	got, err := RunNetworkOptsCtx(ctx, npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Ctx variant diverged from the plain call under Background")
+		t.Fatal("rows under a cancellable context diverged from context.Background")
 	}
 }
 
@@ -34,7 +37,7 @@ func TestRunNetworkCtxBackgroundIdentical(t *testing.T) {
 func TestRunNetworkPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := RunNetworkOptsCtx(ctx, EdgeNPU(), model.ByName("let"), SequentialOptions())
+	rows, err := RunNetworkOptsCtx(ctx, EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
 	if !errors.Is(err, context.Canceled) || rows != nil {
 		t.Fatalf("rows=%v err=%v, want nil/Canceled", rows, err)
 	}

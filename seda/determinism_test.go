@@ -1,17 +1,37 @@
 package seda
 
 import (
-	"reflect"
+	"bytes"
+	"context"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/model"
 )
 
-// TestSuiteDeterminism asserts that the fully parallel pipeline
-// (workload worker pool + concurrent schemes + concurrent DRAM channel
-// drain) produces byte-identical RunResult rows to the forced
-// single-goroutine run. This is the contract that lets every consumer
-// default to the parallel path.
+// workerCounts are the pool sizes every determinism test compares: one
+// workload at a time, a fixed two-worker pool, and the GOMAXPROCS
+// default.
+var workerCounts = []int{1, 2, 0}
+
+// runSuiteJSON evaluates nets on npu with the given worker count and
+// returns the suite's canonical JSON.
+func runSuiteJSON(t *testing.T, npu NPUConfig, nets []*model.Network, workers int) []byte {
+	t.Helper()
+	suite, err := RunSuiteOptsCtx(context.Background(), npu, nets, SuiteOptions{Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := suite.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSuiteDeterminism asserts that every worker-pool size produces
+// byte-identical suite JSON to the one-workload-at-a-time run. This is
+// the contract that lets every consumer default to the GOMAXPROCS pool.
 func TestSuiteDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
@@ -20,54 +40,42 @@ func TestSuiteDeterminism(t *testing.T) {
 		model.ByName("let"), model.ByName("ncf"), model.ByName("sent"),
 	}
 	npu := EdgeNPU()
-
-	par, err := RunSuiteOpts(npu, nets, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunSuiteOpts(npu, nets, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(par.Rows) != len(seq.Rows) {
-		t.Fatalf("row sets differ: %d vs %d workloads", len(par.Rows), len(seq.Rows))
-	}
-	for name, seqRows := range seq.Rows {
-		parRows, ok := par.Rows[name]
-		if !ok {
-			t.Fatalf("parallel run missing workload %s", name)
+	want := runSuiteJSON(t, npu, nets, 1)
+	for _, workers := range workerCounts[1:] {
+		if got := runSuiteJSON(t, npu, nets, workers); !bytes.Equal(got, want) {
+			t.Errorf("Workers=%d: suite JSON differs from Workers=1:\n got %s\nwant %s", workers, got, want)
 		}
-		if !reflect.DeepEqual(parRows, seqRows) {
-			t.Errorf("%s: parallel rows differ from sequential:\npar: %+v\nseq: %+v",
-				name, parRows, seqRows)
-		}
-	}
-
-	// Re-running the parallel pipeline must also be self-consistent.
-	par2, err := RunSuiteOpts(npu, nets, SuiteOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par.Rows, par2.Rows) {
-		t.Error("two parallel runs disagree")
 	}
 }
 
 // TestRunNetworkOptsSequentialMatches covers the single-network entry
-// point the CLI uses with -seq.
+// point seda-sim uses: its rows serialize to the same bytes whether
+// the six scheme goroutines share one P or run in parallel, under
+// every worker-count option.
 func TestRunNetworkOptsSequentialMatches(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("let")
-	par, err := RunNetworkOpts(npu, net, DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
+	rowsJSON := func(workers int) []byte {
+		rows, err := RunNetworkOptsCtx(context.Background(), npu, net, SuiteOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	seq, err := RunNetworkOpts(npu, net, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, seq) {
-		t.Errorf("parallel rows differ from sequential:\npar: %+v\nseq: %+v", par, seq)
+	var want []byte
+	withGOMAXPROCS(1, func() { want = rowsJSON(1) })
+	for _, procs := range []int{1, 2, 8} {
+		withGOMAXPROCS(procs, func() {
+			for _, workers := range workerCounts {
+				if got := rowsJSON(workers); !bytes.Equal(got, want) {
+					t.Errorf("GOMAXPROCS=%d Workers=%d: rows differ from the single-threaded run:\n got %s\nwant %s",
+						procs, workers, got, want)
+				}
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"strconv"
 	"strings"
@@ -12,9 +13,9 @@ import (
 
 func smallSuite(t *testing.T) *SuiteResult {
 	t.Helper()
-	s, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	s, err := RunSuiteOptsCtx(context.Background(), EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

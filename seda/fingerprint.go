@@ -23,7 +23,7 @@ import (
 const PipelineVersion = "4"
 
 // ConfigFingerprint returns the canonical SHA-256 (hex) of everything
-// that determines a RunNetwork evaluation's output: the pipeline
+// that determines a RunNetworkOptsCtx evaluation's output: the pipeline
 // version, the NPU configuration with its fully derived DRAM timing
 // model, the scheme set in plot order, and the network's canonical
 // topology encoding. It is the content-address under which

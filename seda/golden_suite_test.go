@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -38,7 +39,7 @@ func TestSuiteJSONGolden(t *testing.T) {
 				[]byte(`"pipeline_version": "3"`),
 				[]byte(fmt.Sprintf(`"pipeline_version": %q`, PipelineVersion)), 1)
 
-			suite, err := RunSuiteOpts(npu, model.All(), DefaultSuiteOptions())
+			suite, err := RunSuiteOptsCtx(context.Background(), npu, model.All(), DefaultSuiteOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestRunResultJSONRoundTrip(t *testing.T) {
-	rows, err := RunNetworkOpts(EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
+	rows, err := RunNetworkOptsCtx(context.Background(), EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +78,9 @@ func TestSchemeByName(t *testing.T) {
 }
 
 func TestWriteJSONDeterministicAndWellFormed(t *testing.T) {
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOptsCtx(context.Background(), EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestWriteJSONDeterministicAndWellFormed(t *testing.T) {
 }
 
 func TestWriteSuitesJSONArray(t *testing.T) {
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{model.ByName("let")})
+	suite, err := RunSuiteOptsCtx(context.Background(), EdgeNPU(), []*model.Network{model.ByName("let")}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package seda
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -97,8 +98,8 @@ func TestValidateRejectsBadDRAMGeometry(t *testing.T) {
 			}
 			// The invalid geometry must be unreachable from the pipeline
 			// entry points, not just flagged by a standalone Validate.
-			if _, rerr := RunNetwork(npu, model.ByName("let")); rerr == nil {
-				t.Fatal("RunNetwork accepted an invalid geometry")
+			if _, rerr := RunNetworkOptsCtx(context.Background(), npu, model.ByName("let"), DefaultSuiteOptions()); rerr == nil {
+				t.Fatal("RunNetworkOptsCtx accepted an invalid geometry")
 			}
 		})
 	}

@@ -14,7 +14,7 @@ import (
 
 // protArena recycles protection-overlay storage across every network
 // evaluated in this process (see memprot.Arena). Results never escape
-// RunNetworkOpts — only aggregated RunResult rows do — so the overlays
+// RunNetworkOptsCtx — only aggregated RunResult rows do — so the overlays
 // can be released as soon as the DRAM phase has consumed them.
 var protArena = memprot.NewArena()
 
@@ -65,31 +65,22 @@ func (r RunResult) TrafficOverhead() float64 { return r.NormTraffic - 1 }
 // PerfOverhead returns the slowdown 1 - NormPerf.
 func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 
-// RunNetwork evaluates every scheme on one network and returns one
-// row per scheme, ordered as Schemes() (baseline last).
-func RunNetwork(npu NPUConfig, net *model.Network) ([]RunResult, error) {
-	return RunNetworkOpts(npu, net, DefaultSuiteOptions())
-}
-
-// RunNetworkOpts evaluates every scheme on one network under explicit
-// execution options and returns one row per scheme, ordered as
-// Schemes() (baseline last).
+// RunNetworkOptsCtx evaluates every scheme on one network and returns
+// one row per scheme, ordered as Schemes() (baseline last). The six
+// schemes' DRAM phases run on their own goroutines; opts.Workers bounds
+// suites, not a single network, so opts selects nothing here.
 //
 // The evaluation is built around a shared data spine: the scalesim
-// trace is walked once by memprot.ProtectAll, which hands every scheme
-// the same read-only data stream plus a per-scheme metadata overlay.
-// The DRAM phase then consumes spine+overlay pairs directly, with all
-// six schemes drawing their scratch queues from one shared arena.
-func RunNetworkOpts(npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
-	return RunNetworkOptsCtx(context.Background(), npu, net, opts)
-}
-
-// RunNetworkOptsCtx is RunNetworkOpts under a caller context,
-// propagated into the protection walk (checked per layer) and the DRAM
-// drain loops (checked every few thousand scheduler picks). A
-// cancelled evaluation returns ctx.Err() with no partial rows; the
-// context adds no measurable work when it cannot be cancelled
-// (context.Background), so the wrappers cost nothing.
+// trace is walked once by memprot.ProtectAllArenaCtx, which hands every
+// scheme the same read-only data stream plus a per-scheme metadata
+// overlay. The DRAM phase then consumes spine+overlay pairs directly,
+// with all six schemes drawing their scratch queues from one shared
+// arena.
+//
+// The context reaches the protection walk (checked per layer) and the
+// DRAM drain loops (checked every pollCycles of simulated time). A
+// cancelled evaluation returns ctx.Err() with no partial rows; an
+// uncancellable context (context.Background) adds no measurable work.
 func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
 	if err := npu.Validate(); err != nil {
 		return nil, err
@@ -120,30 +111,20 @@ func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, o
 	defer protArena.Release(prots)
 
 	// DRAM timing per scheme. Schemes are independent given their
-	// overlay streams; they run concurrently (each owns its DRAM
-	// model, all sharing the process-wide scratch arena) unless the
-	// options force a single goroutine. Rows land in fixed slots, so
-	// scheduling never affects output order.
+	// overlay streams, so they run concurrently, each owning its DRAM
+	// model and all sharing the process-wide scratch arena. Rows land in
+	// fixed slots, so scheduling never affects output order.
 	rows := make([]RunResult, len(schemes))
 	errs := make([]error, len(schemes))
-	if opts.SequentialSchemes {
-		for i := range schemes {
-			rows[i], errs[i] = runScheme(ctx, npu, net, sim, prots[i], opts)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i := range schemes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				rows[i], errs[i] = runScheme(ctx, npu, net, sim, prots[i], opts)
-			}(i)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for i := range schemes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rows[i], errs[i] = runScheme(ctx, npu, net, sim, prots[i])
+		}(i)
 	}
+	wg.Wait()
 	for _, e := range errs {
 		if e != nil {
 			return nil, e
@@ -173,7 +154,7 @@ func safeRatio(num, den float64) float64 {
 // the sum over layers of max(compute, memory): the accelerator
 // double-buffers, so within a layer compute and DRAM overlap, but
 // layer boundaries synchronize.
-func runScheme(ctx context.Context, npu NPUConfig, net *model.Network, sim *scalesim.NetworkResult, prot *memprot.Result, opts SuiteOptions) (RunResult, error) {
+func runScheme(ctx context.Context, npu NPUConfig, net *model.Network, sim *scalesim.NetworkResult, prot *memprot.Result) (RunResult, error) {
 	ctx, span := obs.Start(ctx, obs.StageDRAM)
 	span.SetDetail(prot.Scheme.Name())
 	defer span.End()
@@ -181,7 +162,6 @@ func runScheme(ctx context.Context, npu NPUConfig, net *model.Network, sim *scal
 	if err != nil {
 		return RunResult{}, err
 	}
-	dsim.SetSequentialDrain(opts.SequentialDRAM)
 	dsim.SetArena(dramArena)
 
 	row := RunResult{
@@ -208,7 +188,7 @@ func runScheme(ctx context.Context, npu NPUConfig, net *model.Network, sim *scal
 	return row, nil
 }
 
-// SchemeRow finds the row for a scheme in RunNetwork output.
+// SchemeRow finds the row for a scheme in RunNetworkOptsCtx output.
 func SchemeRow(rows []RunResult, s memprot.Scheme) (RunResult, error) {
 	for _, r := range rows {
 		if r.Scheme == s {

@@ -2,6 +2,7 @@ package seda
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestDRAMTimingDerivation(t *testing.T) {
 }
 
 func TestRunNetworkRowShape(t *testing.T) {
-	rows, err := RunNetwork(EdgeNPU(), model.ByName("let"))
+	rows, err := RunNetworkOptsCtx(context.Background(), EdgeNPU(), model.ByName("let"), DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestPaperShapeBands(t *testing.T) {
 	}
 	for _, npu := range []NPUConfig{ServerNPU(), EdgeNPU()} {
 		for _, wl := range []string{"alex", "rest"} {
-			rows, err := RunNetwork(npu, model.ByName(wl))
+			rows, err := RunNetworkOptsCtx(context.Background(), npu, model.ByName(wl), DefaultSuiteOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,9 +158,9 @@ func TestSuiteTablesRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
 	}
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOptsCtx(context.Background(), EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("ncf"), model.ByName("sent"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,9 +187,9 @@ func TestSuiteAverages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
 	}
-	suite, err := RunSuiteOn(EdgeNPU(), []*model.Network{
+	suite, err := RunSuiteOptsCtx(context.Background(), EdgeNPU(), []*model.Network{
 		model.ByName("let"), model.ByName("dlrm"),
-	})
+	}, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestSuiteAverages(t *testing.T) {
 func TestRunNetworkRejectsBadConfig(t *testing.T) {
 	bad := ServerNPU()
 	bad.FreqHz = 0
-	if _, err := RunNetwork(bad, model.ByName("let")); err == nil {
+	if _, err := RunNetworkOptsCtx(context.Background(), bad, model.ByName("let"), DefaultSuiteOptions()); err == nil {
 		t.Error("bad NPU config accepted")
 	}
 }

@@ -22,32 +22,21 @@ type SuiteResult struct {
 }
 
 // SuiteOptions tunes how a sweep executes. The pipeline is
-// deterministic under every setting: parallel and sequential runs
-// produce byte-identical results (see TestSuiteDeterminism).
+// deterministic under every setting: any worker count produces
+// byte-identical results (see TestSuiteDeterminism).
 type SuiteOptions struct {
 	// Workers bounds how many workloads evaluate concurrently.
 	// 0 (the default) means GOMAXPROCS.
 	Workers int
-
-	// SequentialSchemes evaluates the protection schemes of each
-	// workload one after another instead of on parallel goroutines.
-	SequentialSchemes bool
-
-	// SequentialDRAM drains DRAM channels on a single goroutine
-	// instead of one goroutine per channel.
-	SequentialDRAM bool
 }
 
-// DefaultSuiteOptions parallelizes at every level: a GOMAXPROCS-bounded
-// workload pool, concurrent scheme evaluation, and concurrent DRAM
-// channel draining.
+// DefaultSuiteOptions runs a GOMAXPROCS-bounded workload pool.
 func DefaultSuiteOptions() SuiteOptions { return SuiteOptions{} }
 
-// SequentialOptions forces the whole pipeline onto one goroutine —
-// the determinism reference and profiling baseline.
-func SequentialOptions() SuiteOptions {
-	return SuiteOptions{Workers: 1, SequentialSchemes: true, SequentialDRAM: true}
-}
+// SequentialOptions evaluates one workload at a time. Each workload
+// still runs its six schemes concurrently; for a single-threaded run,
+// set GOMAXPROCS=1.
+func SequentialOptions() SuiteOptions { return SuiteOptions{Workers: 1} }
 
 func (o SuiteOptions) workers() int {
 	if o.Workers > 0 {
@@ -56,26 +45,11 @@ func (o SuiteOptions) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunSuite evaluates all 13 workloads on one NPU.
-func RunSuite(npu NPUConfig) (*SuiteResult, error) {
-	return RunSuiteOpts(npu, model.All(), DefaultSuiteOptions())
-}
-
-// RunSuiteOn evaluates the given workloads on one NPU.
-func RunSuiteOn(npu NPUConfig, nets []*model.Network) (*SuiteResult, error) {
-	return RunSuiteOpts(npu, nets, DefaultSuiteOptions())
-}
-
-// RunSuiteOpts evaluates the given workloads on one NPU with explicit
-// execution options. Workloads are independent given their own
-// simulator state, so they run through a bounded worker pool; results
-// are collected per slot and assembled in input order, and the first
-// error (in input order) wins, so output is independent of scheduling.
-func RunSuiteOpts(npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	return RunSuiteOptsCtx(context.Background(), npu, nets, opts)
-}
-
-// RunSuiteOptsCtx is RunSuiteOpts under a caller context. Cancellation
+// RunSuiteOptsCtx evaluates the given workloads on one NPU.
+// Workloads are independent given their own simulator state, so they
+// run through a pool of opts.Workers goroutines; results are collected
+// per slot and assembled in input order, and the first error (in input
+// order) wins, so output is independent of scheduling. Cancellation
 // propagates into every in-flight workload evaluation (see
 // RunNetworkOptsCtx) and stops the pool dispatching new ones; a
 // cancelled sweep returns ctx.Err() and no partial result.
@@ -85,8 +59,8 @@ func RunSuiteOptsCtx(ctx context.Context, npu NPUConfig, nets []*model.Network, 
 	})
 }
 
-// runSuiteWith is the suite scaffolding shared by RunSuiteOpts and
-// RunSuiteCached: a bounded worker pool over the workloads, per-slot
+// runSuiteWith is the suite scaffolding shared by RunSuiteOptsCtx and
+// RunSuiteCachedCtx: a bounded worker pool over the workloads, per-slot
 // result collection, and input-order assembly and error reporting.
 // The context gates dispatch (no new workload starts once it is
 // cancelled) and is passed to run for intra-workload cancellation;

@@ -1,6 +1,7 @@
 package seda
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
@@ -8,11 +9,11 @@ import (
 
 // BenchmarkRunSuite measures the full evaluation pipeline (13
 // workloads x 6 schemes: scalesim schedule -> protection scheme ->
-// DRAM timing) on both NPUs, sequential vs parallel. The sequential
-// variant forces one goroutine end to end; the parallel variant is the
-// default pipeline (GOMAXPROCS workload pool, concurrent schemes,
-// concurrent channel drain). Before/after numbers for the perf
-// trajectory live in BENCH_PIPELINE.json.
+// DRAM timing) on both NPUs, one workload at a time vs the default
+// GOMAXPROCS workload pool. Both variants drain each workload's six
+// schemes concurrently; run under GOMAXPROCS=1 for a single-threaded
+// number. Before/after numbers for the perf trajectory live in
+// BENCH_PIPELINE.json.
 //
 // Run with:
 //
@@ -23,12 +24,12 @@ func BenchmarkRunSuite(b *testing.B) {
 			name string
 			opts SuiteOptions
 		}{
-			{"seq", SequentialOptions()},
-			{"par", DefaultSuiteOptions()},
+			{"workers1", SequentialOptions()},
+			{"default", DefaultSuiteOptions()},
 		} {
 			b.Run(npu.Name+"/"+mode.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := RunSuiteOpts(npu, model.All(), mode.opts); err != nil {
+					if _, err := RunSuiteOptsCtx(context.Background(), npu, model.All(), mode.opts); err != nil {
 						b.Fatal(err)
 					}
 				}
