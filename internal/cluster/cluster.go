@@ -41,10 +41,16 @@
 // client, so a replica dying mid-body is a retryable event, not a
 // truncated client response — the chaos suites pin exactly this
 // transparency.
+//
+// Every route runs behind the replica's own serve.Middleware (request
+// IDs, GET/HEAD only, panic containment, latency histogram, access
+// line), so both tiers answer, count and log a request the same way;
+// the request ID it puts on the context also tags the router's
+// failure lines. The router keeps no tracer: a replica's X-Seda-Timing
+// header passes through untouched.
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -239,14 +245,17 @@ func (rt *Router) SetDraining(v bool) { rt.draining.Store(v) }
 
 // Handler mounts the router's HTTP surface.
 func (rt *Router) Handler() http.Handler {
+	m := rt.metrics
+	mw := &serve.Middleware{Requests: m.reqs, Panics: m.panics, Duration: m.reqDur, Log: rt.log}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", rt.mw("/healthz", rt.handleHealthz))
-	mux.HandleFunc("/readyz", rt.mw("/readyz", rt.handleReadyz))
-	mux.HandleFunc("/metrics", rt.mw("/metrics", rt.handleMetrics))
-	mux.HandleFunc("/v1/workloads", rt.mw("/v1/workloads", rt.catalog("/v1/workloads")))
-	mux.HandleFunc("/v1/schemes", rt.mw("/v1/schemes", rt.catalog("/v1/schemes")))
-	mux.HandleFunc("/v1/sweep", rt.mw("/v1/sweep", rt.handleSweep))
-	mux.HandleFunc("/v1/explore", rt.mw("/v1/explore", rt.handleExplore))
+	handle := func(route string, h http.HandlerFunc) { mux.HandleFunc(route, mw.Wrap(route, h)) }
+	handle("/healthz", rt.handleHealthz)
+	handle("/readyz", rt.handleReadyz)
+	handle("/metrics", rt.handleMetrics)
+	handle("/v1/workloads", rt.catalog("/v1/workloads"))
+	handle("/v1/schemes", rt.catalog("/v1/schemes"))
+	handle("/v1/sweep", rt.handleSweep)
+	handle("/v1/explore", rt.handleExplore)
 	return mux
 }
 
@@ -359,7 +368,11 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, route, key str
 			return
 		}
 		rt.metrics.unserved.Inc()
-		rt.log.Warn("request unserved", slog.String("route", route), slog.Any("err", err))
+		rt.log.Warn("request unserved",
+			slog.String("id", obs.RequestID(r.Context())),
+			slog.String("route", route),
+			slog.Any("err", err),
+		)
 		// Jittered advice, same reasoning as the replica's Retry-After:
 		// a fleet-wide outage must not heal into a retry stampede.
 		w.Header().Set("Retry-After", strconv.Itoa(2+rand.IntN(3)))
@@ -384,17 +397,15 @@ func (rt *Router) tryStale(w http.ResponseWriter, r *http.Request) bool {
 	if rt.degraded == nil {
 		return false
 	}
-	rec := newBufferingWriter()
-	rt.degraded.ServeHTTP(rec, r)
-	if rec.status != http.StatusOK && rec.status != http.StatusNotModified {
+	var rec serve.ResponseBuffer
+	rt.degraded.ServeHTTP(&rec, r)
+	if st := rec.Status(); st != http.StatusOK && st != http.StatusNotModified {
 		return false
 	}
-	h := w.Header()
-	copyEndToEndHeaders(h, rec.header)
+	h := rec.Header()
 	h.Set("X-Seda-Stale", "true")
 	h.Set("Warning", `110 seda-router "stale: served from the shared cache tier, no replica available"`)
-	w.WriteHeader(rec.status)
-	w.Write(rec.body.Bytes()) //nolint:errcheck // client gone mid-stream
+	rec.CopyTo(w)
 	rt.metrics.staleServed.Inc()
 	return true
 }
@@ -428,7 +439,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			Breaker: rep.BreakerState().String(),
 		})
 	}
-	writeJSON(w, doc)
+	serve.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleReadyz: the router is ready while it can route to at least one
@@ -455,13 +466,11 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	case doc.Eligible == 0:
 		doc.Status = "unavailable"
 	}
+	code := http.StatusOK
 	if doc.Status != "ready" {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(doc) //nolint:errcheck
-		return
+		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, doc)
+	serve.WriteJSON(w, code, doc)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -483,11 +492,4 @@ func boolGauge(g *obs.Gauge, v bool) {
 	} else {
 		g.Set(0)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone mid-stream
 }

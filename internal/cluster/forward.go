@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/failpoint"
+	"repro/internal/obs"
 )
 
 // errNoReplica means ranking produced zero candidates: every breaker
@@ -133,7 +133,7 @@ func (rt *Router) race(r *http.Request, cands []*Replica) (*bufferedResp, int, e
 				return out.resp, out.idx, nil
 			}
 			lastErr = out.err
-			rt.log.Debug("attempt failed",
+			rt.log.Debug("attempt failed", "id", obs.RequestID(ctx),
 				"attempt", out.idx, "of", budget, "err", out.err)
 			if inflight > 0 {
 				continue // a hedge is still running; let it finish
@@ -199,7 +199,7 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, rep *Replica) (*
 	// The dial site models a dead (error) or slow (sleep) replica link
 	// before any real network traffic.
 	if err := failpoint.Inject(ctx, FailpointDial); err != nil {
-		rt.noteFailure(rep, true)
+		rt.noteFailure(ctx, rep, true)
 		return nil, fmt.Errorf("replica %s: %w", rep.Name, err)
 	}
 
@@ -220,7 +220,7 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, rep *Replica) (*
 
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		rt.noteFailure(rep, true)
+		rt.noteFailure(ctx, rep, true)
 		return nil, fmt.Errorf("replica %s: %w", rep.Name, err)
 	}
 	defer resp.Body.Close() //nolint:errcheck
@@ -228,7 +228,7 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, rep *Replica) (*
 	if retry, brk := retryableStatus(resp.StatusCode); retry {
 		// Drain a little so the connection can be reused, then fail over.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10)) //nolint:errcheck
-		rt.noteFailure(rep, brk)
+		rt.noteFailure(ctx, rep, brk)
 		return nil, fmt.Errorf("replica %s answered %d", rep.Name, resp.StatusCode)
 	}
 
@@ -242,7 +242,7 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, rep *Replica) (*
 		err = failpoint.Inject(ctx, FailpointBody)
 	}
 	if err != nil {
-		rt.noteFailure(rep, true)
+		rt.noteFailure(ctx, rep, true)
 		return nil, fmt.Errorf("replica %s: mid-body: %w", rep.Name, err)
 	}
 
@@ -258,40 +258,14 @@ func (rt *Router) attempt(ctx context.Context, r *http.Request, rep *Replica) (*
 
 // noteFailure records one failed attempt. breakerCounts distinguishes
 // replica trouble (feeds the breaker, may open it) from flow control
-// (does not).
-func (rt *Router) noteFailure(rep *Replica, breakerCounts bool) {
+// (does not). The log line names the request whose failure tipped the
+// breaker; a health probe carries no request ID.
+func (rt *Router) noteFailure(ctx context.Context, rep *Replica, breakerCounts bool) {
 	if !breakerCounts {
 		return
 	}
 	if rep.breaker.Failure() {
 		rt.metrics.breakerTransitions.Inc()
-		rt.log.Warn("breaker opened", "replica", rep.Name)
+		rt.log.Warn("breaker opened", "id", obs.RequestID(ctx), "replica", rep.Name)
 	}
-}
-
-// bufferingWriter captures a handler's response in memory; the stale
-// path uses it to decide whether the degraded tier's answer is worth
-// relaying before any byte reaches the client.
-type bufferingWriter struct {
-	header http.Header
-	status int
-	wrote  bool
-	body   bytes.Buffer
-}
-
-func newBufferingWriter() *bufferingWriter {
-	return &bufferingWriter{header: make(http.Header), status: http.StatusOK}
-}
-
-func (bw *bufferingWriter) Header() http.Header { return bw.header }
-
-func (bw *bufferingWriter) WriteHeader(code int) {
-	if !bw.wrote {
-		bw.wrote = true
-		bw.status = code
-	}
-}
-
-func (bw *bufferingWriter) Write(p []byte) (int, error) {
-	return bw.body.Write(p)
 }

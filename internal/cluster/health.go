@@ -82,7 +82,7 @@ func (rt *Router) probe(ctx context.Context, rep *Replica) {
 	if err != nil {
 		wasAlive := rep.alive.Swap(false)
 		rep.ready.Store(false)
-		rt.noteFailure(rep, true)
+		rt.noteFailure(ctx, rep, true)
 		if wasAlive {
 			rt.log.Warn("replica unreachable", slog.String("replica", rep.Name), slog.Any("err", err))
 		}

@@ -1,16 +1,8 @@
 package cluster
 
 import (
-	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
-	"log/slog"
-	"net/http"
-	"time"
-
 	"repro/internal/obs"
-	"repro/seda"
+	"repro/internal/serve"
 )
 
 // routerMetrics is the router's Prometheus registry. Counters are
@@ -40,7 +32,6 @@ type routerMetrics struct {
 
 func newRouterMetrics() *routerMetrics {
 	r := obs.NewRegistry()
-	build := obs.ReadBuild()
 	m := &routerMetrics{
 		reg: r,
 		reqDur: r.HistogramVec("seda_router_request_duration_seconds",
@@ -71,13 +62,7 @@ func newRouterMetrics() *routerMetrics {
 
 		runtime: obs.NewRuntimeGauges(r),
 	}
-	r.Gauge("seda_build_info",
-		"build identity; always 1, the labels carry the information",
-		obs.Label{Name: "go_version", Value: build.GoVersion},
-		obs.Label{Name: "module_version", Value: build.ModuleVersion},
-		obs.Label{Name: "revision", Value: build.Revision},
-		obs.Label{Name: "pipeline", Value: seda.PipelineVersion},
-	).Set(1)
+	serve.RegisterBuildInfo(r, obs.ReadBuild())
 	return m
 }
 
@@ -94,83 +79,4 @@ func (m *routerMetrics) registerReplica(rep *Replica) {
 		"upstream attempts currently outstanding against the replica", l)
 	rep.breakerG = m.reg.Gauge("seda_router_breaker_state",
 		"circuit-breaker state: 0 closed, 1 open, 2 half-open", l)
-}
-
-// mw is the router's per-route middleware: request counting, request
-// IDs, latency histogram under the route pattern, one structured
-// access line, and panic containment (a poisoned request answers 500;
-// the router survives).
-func (rt *Router) mw(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rt.metrics.reqs.Inc()
-		start := time.Now()
-		rid := requestID(r)
-		w.Header().Set("X-Request-Id", rid)
-		r.Header.Set("X-Request-Id", rid) // attempts forward it upstream
-		sw := &statusWriter{ResponseWriter: w}
-
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel identity, per net/http docs
-					panic(rec)
-				}
-				rt.metrics.panics.Inc()
-				rt.log.LogAttrs(context.Background(), slog.LevelError, "handler panic",
-					slog.String("id", rid),
-					slog.String("route", route),
-					slog.Any("panic", rec),
-				)
-				http.Error(sw, fmt.Sprintf("internal error (request %s)", rid), http.StatusInternalServerError)
-			}
-			d := time.Since(start)
-			rt.metrics.reqDur.With(route).Observe(d.Seconds())
-			rt.log.LogAttrs(context.Background(), slog.LevelInfo, "request",
-				slog.String("id", rid),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.RequestURI()),
-				slog.String("route", route),
-				slog.Int("status", sw.status),
-				slog.Duration("duration", d),
-			)
-		}()
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			sw.Header().Set("Allow", "GET, HEAD")
-			http.Error(sw, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(sw, r)
-	}
-}
-
-// requestID keeps a caller-provided correlation ID or mints one, so
-// one ID ties together the router access line, the replica access
-// line, and any error body across the hop.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= 128 {
-		return id
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(p []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(p)
 }

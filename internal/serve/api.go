@@ -1,23 +1,26 @@
 // Package serve is the reusable HTTP-serving framework shared by the
 // seda-serve replica and the seda-router cluster front-end: the API
 // surface over the cached evaluation pipeline (sweep, explore, catalog
-// and health endpoints), the per-route middleware (request IDs, timing
-// spans, latency histograms, panic recovery, structured access logs),
-// the error→status mapping, and the listener lifecycle (bind,
-// addr-file publication, signal-drained shutdown).
+// and health endpoints), the error→status mapping, and the listener
+// lifecycle (bind, addr-file publication, signal-drained shutdown).
+//
+// Every route of both processes runs behind one Middleware (request
+// counting, request IDs, the GET/HEAD restriction, panic containment,
+// latency histograms, structured access lines). The replica adds only
+// its inner wrapper inside it: the request deadline, the tracer that
+// feeds the stage histograms, and ?debug=timing buffering.
 //
 // cmd/seda-serve is a thin flag-parsing shell over this package;
 // cmd/seda-router reuses the same API type in cache-only mode as its
-// graceful-degradation tier and the lifecycle for its own listener, so
-// both processes share one hardened implementation.
+// graceful-degradation tier, the Middleware for its own routes, and
+// the lifecycle for its own listener, so both processes share one
+// hardened implementation.
 package serve
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +49,7 @@ const FailpointSweep = "serve.sweep"
 
 // server wires the HTTP surface to the cached evaluation pipeline. All
 // state is read-only after construction except the cache (internally
-// synchronized) and the request/panic counters, so one server instance
+// synchronized) and the metrics, so one server instance
 // safely handles concurrent requests; identical concurrent sweeps
 // coalesce onto one pipeline evaluation inside the cache's singleflight
 // layer, and distinct ones beyond the cache's bounded compute capacity
@@ -56,8 +59,6 @@ type API struct {
 	opts       seda.SuiteOptions
 	reqTimeout time.Duration // per-request deadline; 0 = none
 	MaxExplore int           // /v1/explore grid-size cap; 0 = DefaultMaxExplorePoints
-	reqs       atomic.Uint64
-	panics     atomic.Uint64 // handler panics recovered by the middleware
 	draining   atomic.Bool   // set once shutdown begins; /readyz reports 503
 
 	// jitter drives the Retry-After randomness on /readyz and shed
@@ -70,7 +71,7 @@ type API struct {
 
 	build   obs.Build
 	metrics *serverMetrics
-	Log     *slog.Logger // never nil; newServer defaults to discard
+	Log     *slog.Logger // never nil; NewAPI defaults to discard; set before Handler
 }
 
 func NewAPI(cache *rescache.Cache, opts seda.SuiteOptions, reqTimeout time.Duration) *API {
@@ -115,45 +116,34 @@ func (s *API) SeedJitter(seed uint64) {
 func (s *API) SetDraining(v bool) { s.draining.Store(v) }
 
 func (s *API) Handler() http.Handler {
+	m := s.metrics
+	mw := &Middleware{Requests: m.httpReqs, Panics: &m.handlerPanics, Duration: m.reqDur, Log: s.Log}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.get("/healthz", s.handleHealthz))
-	mux.HandleFunc("/readyz", s.get("/readyz", s.handleReadyz))
-	mux.HandleFunc("/metrics", s.get("/metrics", s.handleMetrics))
-	mux.HandleFunc("/v1/workloads", s.get("/v1/workloads", s.handleWorkloads))
-	mux.HandleFunc("/v1/schemes", s.get("/v1/schemes", s.handleSchemes))
-	mux.HandleFunc("/v1/sweep", s.get("/v1/sweep", s.handleSweep))
-	mux.HandleFunc("/v1/explore", s.get("/v1/explore", s.handleExplore))
+	handle := func(route string, h http.HandlerFunc) {
+		mux.HandleFunc(route, mw.Wrap(route, s.traced(h)))
+	}
+	handle("/healthz", s.handleHealthz)
+	handle("/readyz", s.handleReadyz)
+	handle("/metrics", s.handleMetrics)
+	handle("/v1/workloads", s.handleWorkloads)
+	handle("/v1/schemes", s.handleSchemes)
+	handle("/v1/sweep", s.handleSweep)
+	handle("/v1/explore", s.handleExplore)
 	return mux
 }
 
-// get is the per-route middleware: it counts the request, restricts
-// the route to GET/HEAD, bounds it with the server's request deadline
-// (the handler sees the deadline on r.Context(), which also cancels
-// when the client disconnects), tags it with a request ID, traces it
-// (every span that ends feeds the stage histograms; ?debug=timing
-// additionally returns the span tree in X-Seda-Timing), observes its
-// latency in seda_request_duration_seconds under the explicit route
-// pattern (never the raw path — label cardinality stays bounded), logs
-// one structured access line, and converts handler panics into a 500 —
-// counted in seda_panics_total — so one poisoned request cannot take
-// the server down. http.ErrAbortHandler is re-panicked: it is
-// net/http's own "abort this response" signal, not a defect.
-func (s *API) get(route string, h http.HandlerFunc) http.HandlerFunc {
+// traced is the replica's inner wrapper, run inside the shared
+// Middleware: it bounds the request with the server's deadline (the
+// handler sees it on r.Context(), which also cancels when the client
+// disconnects) and traces it — every span that ends feeds the stage
+// histograms, and ?debug=timing buffers the response so the span tree
+// can ride back in X-Seda-Timing. A panic leaves the buffer unflushed,
+// so the middleware's 500 starts clean.
+func (s *API) traced(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.reqs.Add(1)
-		start := time.Now()
-
-		rid := newRequestID(r)
-		w.Header().Set("X-Request-Id", rid)
-		rw := &respWriter{ResponseWriter: w}
-		timing := wantTiming(r)
-		if timing {
-			rw.buf = new(bytes.Buffer)
-		}
-
-		ctx := obs.WithRequestID(r.Context(), rid)
-		var cancel context.CancelFunc
+		ctx := r.Context()
 		if s.reqTimeout > 0 {
+			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.reqTimeout)
 			defer cancel()
 		}
@@ -162,53 +152,15 @@ func (s *API) get(route string, h http.HandlerFunc) http.HandlerFunc {
 		defer tr.Finish()
 		r = r.WithContext(ctx)
 
-		done := func() {
-			tr.Finish() // end the root span before exporting or observing
-			if timing {
-				rw.Header().Set("X-Seda-Timing", string(tr.JSON()))
-				rw.flush()
-			}
-			d := time.Since(start)
-			s.metrics.reqDur.With(route).Observe(d.Seconds())
-			s.Log.LogAttrs(context.Background(), slog.LevelInfo, "request",
-				slog.String("id", rid),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.RequestURI()),
-				slog.String("route", route),
-				slog.Int("status", rw.status),
-				slog.Int("bytes", rw.bytes),
-				slog.Duration("duration", d),
-			)
-		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				if rec == http.ErrAbortHandler { //nolint:errorlint // sentinel identity, per net/http docs
-					panic(rec)
-				}
-				s.panics.Add(1)
-				s.Log.LogAttrs(context.Background(), slog.LevelError, "handler panic",
-					slog.String("id", rid),
-					slog.String("route", route),
-					slog.Any("panic", rec),
-				)
-				// Timing mode buffered the whole response, so nothing
-				// has hit the wire yet: discard the partial body and
-				// let the error response start fresh. Otherwise this
-				// is best-effort — a no-op on the status line if the
-				// handler already wrote, but it still ends the response.
-				if rw.buf != nil {
-					rw.buf, rw.wroteHeader, rw.status, rw.bytes = nil, false, 0, 0
-				}
-				http.Error(rw, fmt.Sprintf("internal error (request %s)", rid), http.StatusInternalServerError)
-			}
-			done()
-		}()
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			rw.Header().Set("Allow", "GET, HEAD")
-			http.Error(rw, "method not allowed", http.StatusMethodNotAllowed)
+		if r.URL.Query().Get("debug") != "timing" {
+			h(w, r)
 			return
 		}
-		h(rw, r)
+		var buf ResponseBuffer
+		h(&buf, r)
+		tr.Finish() // end the root span before exporting it
+		buf.Header().Set("X-Seda-Timing", string(tr.JSON()))
+		buf.CopyTo(w)
 	}
 }
 
@@ -217,7 +169,7 @@ func (s *API) get(route string, h http.HandlerFunc) http.HandlerFunc {
 // revision, pipeline version (the cache-fingerprint epoch), and the Go
 // toolchain.
 func (s *API) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Status   string `json:"status"`
 		Version  string `json:"version"`
 		Revision string `json:"revision"`
@@ -249,21 +201,15 @@ func (s *API) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	st := s.cache.Stats()
 	slots := s.cache.ComputeSlots()
 	doc := readyJSON{Status: "ready", Inflight: st.Inflight, Slots: slots}
+	code := http.StatusOK
 	switch {
 	case s.draining.Load():
-		doc.Status = "draining"
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(doc) //nolint:errcheck
+		doc.Status, code = "draining", http.StatusServiceUnavailable
 	case slots > 0 && st.Inflight >= slots:
-		doc.Status = "saturated"
+		doc.Status, code = "saturated", http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds(st.Inflight)))
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(doc) //nolint:errcheck
-	default:
-		writeJSON(w, doc)
 	}
+	WriteJSON(w, code, doc)
 }
 
 // retryAfterSeconds turns queue pressure into backoff advice: the base
@@ -282,15 +228,14 @@ func (s *API) retryAfterSeconds(inflight int) int {
 }
 
 // handleMetrics exposes the registry in the Prometheus text format.
-// State owned outside the registry — the request/panic counters and
-// the cache statistics — is mirrored in from exactly one Stats
-// snapshot per scrape, so every seda_cache_* series in one scrape
-// describes the same instant.
+// State owned outside the registry — the panic count and the cache
+// statistics — is mirrored in from exactly one Stats snapshot per
+// scrape, so every seda_cache_* series in one scrape describes the
+// same instant.
 func (s *API) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	st := s.cache.Stats()
 	m := s.metrics
-	m.httpReqs.Set(s.reqs.Load())
-	m.panics.Set(s.panics.Load() + st.Panics)
+	m.panics.Set(m.handlerPanics.Value() + st.Panics)
 	m.shed.Set(st.Shed)
 	m.hits.Set(st.Hits)
 	m.diskHits.Set(st.DiskHits)
@@ -317,7 +262,7 @@ func (s *API) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
 	for i, n := range all {
 		out[i] = workloadJSON{Name: n.Name, Full: n.Full, Layers: len(n.Layers), MACs: n.TotalMACs()}
 	}
-	writeJSON(w, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *API) handleSchemes(w http.ResponseWriter, _ *http.Request) {
@@ -344,7 +289,7 @@ func (s *API) handleSchemes(w http.ResponseWriter, _ *http.Request) {
 		}
 		out[i] = row
 	}
-	writeJSON(w, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // figures maps the paper's figure names to (NPU, metric).
@@ -556,7 +501,7 @@ func writeFigJSON(w http.ResponseWriter, suite *seda.SuiteResult, figName string
 		}
 		doc.Rows = append(doc.Rows, row)
 	}
-	writeJSON(w, doc)
+	WriteJSON(w, http.StatusOK, doc)
 }
 
 // sweepETag derives the strong validator for one sweep representation:
@@ -661,13 +606,6 @@ func acceptQuality(header, mediaType string) float64 {
 		return 0
 	}
 	return bestQ
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone mid-stream
 }
 
 func badRequest(w http.ResponseWriter, format string, args ...any) {

@@ -181,19 +181,30 @@ func ExploreAffinityKey(spec *explore.Spec, base seda.NPUConfig, nets []*model.N
 
 // ParseWorkloads resolves a comma-separated workload list against the
 // benchmark suite (case handled by model.ByName); empty selects the
-// full suite.
+// full suite. A repeated name keeps only its first occurrence, so
+// "let,let" denotes the same result — body, ETag and affinity key — as
+// "let".
 func ParseWorkloads(raw string) ([]*model.Network, error) {
 	if raw == "" {
 		return model.All(), nil
 	}
 	var nets []*model.Network
+	spelled := make(map[string]bool) // a repeated spelling skips the lookup
+	picked := make(map[string]bool)  // resolved names; catches case variants
 	for _, name := range strings.Split(raw, ",") {
 		name = strings.TrimSpace(name)
+		if spelled[name] {
+			continue
+		}
+		spelled[name] = true
 		n := model.ByName(name)
 		if n == nil {
 			return nil, fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(model.Names(), ", "))
 		}
-		nets = append(nets, n)
+		if !picked[n.Name] {
+			picked[n.Name] = true
+			nets = append(nets, n)
+		}
 	}
 	return nets, nil
 }

@@ -1,27 +1,23 @@
 package serve
 
 import (
-	"bytes"
-	"crypto/rand"
-	"encoding/hex"
-	"net/http"
 	"time"
 
 	"repro/internal/obs"
-	"repro/seda"
 )
 
 // serverMetrics is the server's Prometheus registry. Two kinds of
 // series live here:
 //
-//   - Native instruments (the duration histograms) observed on the
-//     request path.
+//   - Native instruments observed on the request path: the duration
+//     histograms and the request counter.
 //   - Mirror counters and gauges for state owned elsewhere — the
-//     request/panic counters on server and the cache's Stats. Those are
-//     Set from ONE snapshot per scrape in handleMetrics, so a scrape is
-//     internally consistent (hits+misses+coalesced accounting from the
-//     same instant) and the scrape path takes the cache lock exactly
-//     once.
+//     cache's Stats, plus seda_panics_total, which sums the
+//     middleware's handler panics with the cache's compute panics.
+//     Those are Set from ONE snapshot per scrape in handleMetrics, so a
+//     scrape is internally consistent (hits+misses+coalesced accounting
+//     from the same instant) and the scrape path takes the cache lock
+//     exactly once.
 //
 // Series names predate this registry (the CI smoke job and dashboards
 // grep them), so they are frozen: seda_cache_* and
@@ -33,17 +29,18 @@ type serverMetrics struct {
 	stageDur   *obs.HistogramVec // by pipeline stage (fed by Tracer.OnEnd)
 	computeDur *obs.Histogram    // rescache compute executions only
 
-	httpReqs   *obs.Counter
-	panics     *obs.Counter
-	shed       *obs.Counter
-	hits       *obs.Counter
-	diskHits   *obs.Counter
-	coalesced  *obs.Counter
-	misses     *obs.Counter
-	errors     *obs.Counter
-	diskErrors *obs.Counter
-	entries    *obs.Gauge
-	inflight   *obs.Gauge
+	httpReqs      *obs.Counter
+	handlerPanics obs.Counter // unregistered; mirrored into panics
+	panics        *obs.Counter
+	shed          *obs.Counter
+	hits          *obs.Counter
+	diskHits      *obs.Counter
+	coalesced     *obs.Counter
+	misses        *obs.Counter
+	errors        *obs.Counter
+	diskErrors    *obs.Counter
+	entries       *obs.Gauge
+	inflight      *obs.Gauge
 
 	runtime *obs.RuntimeGauges
 }
@@ -84,13 +81,7 @@ func newServerMetrics(build obs.Build) *serverMetrics {
 
 		runtime: obs.NewRuntimeGauges(r),
 	}
-	r.Gauge("seda_build_info",
-		"build identity; always 1, the labels carry the information",
-		obs.Label{Name: "go_version", Value: build.GoVersion},
-		obs.Label{Name: "module_version", Value: build.ModuleVersion},
-		obs.Label{Name: "revision", Value: build.Revision},
-		obs.Label{Name: "pipeline", Value: seda.PipelineVersion},
-	).Set(1)
+	RegisterBuildInfo(r, build)
 	return m
 }
 
@@ -103,72 +94,4 @@ func (s *API) observeStage(name string, d time.Duration) {
 	if name == obs.StageCompute {
 		s.metrics.computeDur.Observe(d.Seconds())
 	}
-}
-
-// newRequestID returns the caller's X-Request-Id when present (so IDs
-// correlate across services) or a fresh 16-hex-digit one.
-func newRequestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= 128 {
-		return id
-	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion is not worth failing a request over; a
-		// constant ID still tags the logs.
-		return "0000000000000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
-// respWriter observes the status and size of a response on its way
-// out, and in timing mode (?debug=timing) holds the body in memory so
-// the X-Seda-Timing trailer-like header can be stamped after the
-// handler finishes — trace data isn't known until then, and headers
-// cannot follow the body on the wire.
-type respWriter struct {
-	http.ResponseWriter
-	status      int
-	bytes       int
-	wroteHeader bool
-	buf         *bytes.Buffer // non-nil only in timing mode
-}
-
-func (rw *respWriter) WriteHeader(code int) {
-	if rw.wroteHeader {
-		return
-	}
-	rw.wroteHeader = true
-	rw.status = code
-	if rw.buf == nil {
-		rw.ResponseWriter.WriteHeader(code)
-	}
-}
-
-func (rw *respWriter) Write(p []byte) (int, error) {
-	if !rw.wroteHeader {
-		rw.WriteHeader(http.StatusOK)
-	}
-	rw.bytes += len(p)
-	if rw.buf != nil {
-		return rw.buf.Write(p)
-	}
-	return rw.ResponseWriter.Write(p)
-}
-
-// flush releases a buffered (timing-mode) response to the client.
-func (rw *respWriter) flush() {
-	if rw.buf == nil {
-		return
-	}
-	if !rw.wroteHeader {
-		rw.status = http.StatusOK
-	}
-	rw.ResponseWriter.WriteHeader(rw.status)
-	rw.ResponseWriter.Write(rw.buf.Bytes()) //nolint:errcheck // client gone mid-stream
-}
-
-// wantTiming reports whether the request opted into the span-tree
-// debug header.
-func wantTiming(r *http.Request) bool {
-	return r.URL.Query().Get("debug") == "timing"
 }
