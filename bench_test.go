@@ -178,9 +178,10 @@ func BenchmarkAblationOptBlkSearch(b *testing.B) {
 	tr := sim.Layers[1].Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := authblock.SearchLayer(tr)
-		f64 := authblock.Evaluate(tr.Accesses, 64)
-		f512 := authblock.Evaluate(tr.Accesses, 512)
+		rs := authblock.NewRunSet(tr.Accesses)
+		r := rs.Search()
+		f64 := rs.Evaluate(64)
+		f512 := rs.Evaluate(512)
 		b.ReportMetric(float64(r.Best.Total()), "optblk-cost-B")
 		b.ReportMetric(float64(f64.Total()), "fixed64-cost-B")
 		b.ReportMetric(float64(f512.Total()), "fixed512-cost-B")

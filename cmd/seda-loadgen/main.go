@@ -1,12 +1,12 @@
-// Command seda-loadgen is the synthetic traffic harness and capacity
-// model for the serving stack. It replays a declarative scenario (a
-// built-in name or a JSON file) against one seda-serve replica or the
-// seda-router fleet, measures client-side latency on HDR-style
-// log-bucketed histograms (coordinated-omission-corrected for
-// open-loop phases), classifies every response into an
-// ok/stale/304/shed/error taxonomy, scrapes /metrics at every phase
-// boundary to attribute cache and router counter deltas to the traffic
-// that caused them, and writes a machine-readable capacity report.
+// Command seda-loadgen is the synthetic traffic harness for the
+// serving stack. It replays a declarative scenario (a built-in name or
+// a JSON file) against one seda-serve replica or the seda-router
+// fleet, measures client-side latency on HDR-style log-bucketed
+// histograms (coordinated-omission-corrected for open-loop phases),
+// classifies every response into an ok/stale/304/shed/error taxonomy,
+// scrapes /metrics at every phase boundary to attribute cache and
+// router counter deltas to the traffic that caused them, and writes a
+// machine-readable report.
 //
 // Everything sent is a pure function of (scenario, seed): the same
 // -seed replays a byte-identical request schedule (dump it with
@@ -21,10 +21,6 @@
 //	    print the deterministic plan report (no traffic)
 //	seda-loadgen -scenario smoke -schedule-out sched.tsv
 //	    dump the request schedule (no traffic)
-//	seda-loadgen -target URL -scenario capacity -search -slo-p99 250ms
-//	    step-load search: ramp + bisect offered RPS to the highest rate
-//	    holding the p99 SLO and shed ceiling; then -bench-json upserts
-//	    a BENCH_SERVE.json topology row (-bench-label names it)
 package main
 
 import (
@@ -33,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -55,19 +50,6 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	maxInflight := flag.Int("max-inflight", 512, "open-loop concurrency cap; arrivals past it are counted dropped, not queued")
 	quiet := flag.Bool("quiet", false, "suppress per-phase progress lines on stderr")
-
-	search := flag.Bool("search", false, "step-load capacity search: ramp offered RPS until the SLO breaks, bisect to the max sustainable rate (uses the scenario's last phase mix)")
-	sloP99 := flag.Duration("slo-p99", 250*time.Millisecond, "search: p99 latency ceiling a step must hold")
-	maxShed := flag.Float64("max-shed", 0.01, "search: tolerated (shed+rejected)/total per step")
-	rpsMin := flag.Float64("rps-min", 5, "search: starting offered rate")
-	rpsMax := flag.Float64("rps-max", 2000, "search: offered-rate ceiling")
-	stepDuration := flag.Duration("step-duration", 5*time.Second, "search: offered window per step")
-	resolution := flag.Float64("resolution", 0.1, "search: stop when the bracket is within this relative width")
-
-	benchJSON := flag.String("bench-json", "", "upsert a topology row into this BENCH_SERVE.json-style file after the run")
-	benchLabel := flag.String("bench-label", "", "row label for -bench-json, e.g. \"1-replica\" or \"router-3-replicas\"")
-	benchPhase := flag.String("bench-phase", "", "phase whose numbers fill the bench row (default: the last phase)")
-	benchNote := flag.String("bench-note", "", "free-form note stored on the bench row")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
 
@@ -143,20 +125,7 @@ func main() {
 		}
 	}
 
-	var rep *loadgen.Report
-	if *search {
-		rep, err = loadgen.Search(ctx, loadgen.SearchOptions{
-			Run:          runOpts,
-			SLOP99:       *sloP99,
-			MaxShedRate:  *maxShed,
-			MinRPS:       *rpsMin,
-			MaxRPS:       *rpsMax,
-			StepDuration: *stepDuration,
-			Resolution:   *resolution,
-		})
-	} else {
-		rep, err = loadgen.Run(ctx, runOpts)
-	}
+	rep, err := loadgen.Run(ctx, runOpts)
 	if err != nil {
 		fatal(err)
 	}
@@ -172,26 +141,6 @@ func main() {
 	}
 	if err := rep.WriteJSON(out); err != nil {
 		fatal(err)
-	}
-
-	if *benchJSON != "" {
-		if *benchLabel == "" {
-			fatal(fmt.Errorf("-bench-json needs -bench-label to name the topology row"))
-		}
-		row, err := rep.Row(*benchLabel, *benchPhase, *benchNote)
-		if err != nil {
-			fatal(err)
-		}
-		env := map[string]any{
-			"go":         runtime.Version(),
-			"gomaxprocs": runtime.GOMAXPROCS(0),
-			"os_arch":    runtime.GOOS + "/" + runtime.GOARCH,
-			"note":       "single shared CPU budget: client, router and replicas contend for the same cores; rows compare topologies, not absolute hardware capacity",
-		}
-		if err := loadgen.UpsertBenchRow(*benchJSON, *benchLabel, "Measured serving capacity by topology (seda-loadgen reports; see EXPERIMENTS.md for methodology)", env, row); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "seda-loadgen: bench row %q upserted into %s\n", *benchLabel, *benchJSON)
 	}
 }
 

@@ -5,11 +5,10 @@
 // configs always land on the replica whose rescache is warm), with
 // least-loaded failover, token-bucket admission at the front door,
 // active /readyz health checking, per-replica circuit breakers,
-// bounded retry with exponential backoff + jitter, optional hedged
-// requests, and graceful degradation: when every replica is down, a
-// cache-only view of the shared disk-cache tier serves
-// already-published results (marked X-Seda-Stale) before the router
-// answers 503.
+// bounded retry with exponential backoff + jitter, and graceful
+// degradation: when every replica is down, a cache-only view of the
+// shared disk-cache tier serves already-published results (marked
+// X-Seda-Stale) before the router answers 503.
 //
 // A minimal three-replica deployment, sharing one disk cache:
 //
@@ -24,7 +23,7 @@
 // catalog is identical on every instance of one build), plus the
 // router's own /healthz (fleet view), /readyz and /metrics
 // (seda_router_* series: per-replica up/ready/breaker/inflight gauges,
-// retry/hedge/failover/stale counters, route latency histograms).
+// retry/failover/stale counters, route latency histograms).
 package main
 
 import (
@@ -54,7 +53,6 @@ func main() {
 	retryBudget := flag.Int("retry-budget", 3, "max upstream attempts per request, first try included")
 	backoffBase := flag.Duration("backoff-base", 25*time.Millisecond, "initial retry backoff (doubled each wave, fully jittered)")
 	backoffMax := flag.Duration("backoff-max", time.Second, "retry backoff ceiling")
-	hedgeDelay := flag.Duration("hedge-delay", 0, "hedge a slow attempt onto the next replica after this delay (0 = hedging off)")
 	attemptTimeout := flag.Duration("attempt-timeout", 3*time.Minute, "per-upstream-attempt deadline; expiry fails over (must cover a cold full-suite evaluation)")
 	breakerThreshold := flag.Int("breaker-threshold", 3, "consecutive failures that open a replica's circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker blocks traffic before half-opening")
@@ -115,7 +113,6 @@ func main() {
 		RetryBudget:      *retryBudget,
 		BackoffBase:      *backoffBase,
 		BackoffMax:       *backoffMax,
-		HedgeDelay:       *hedgeDelay,
 		AttemptTimeout:   *attemptTimeout,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,

@@ -27,7 +27,7 @@
 //	internal/obs       stage tracing, metrics registry, structured logs, pprof
 //	internal/serve     the HTTP serving stack (API, lifecycle, metrics)
 //	internal/cluster   fault-tolerant routing over a fleet of serve replicas
-//	internal/loadgen   deterministic traffic scenarios + capacity search
+//	internal/loadgen   deterministic traffic scenarios and measured reports
 //
 // The pipeline is deterministic, so results are memoizable:
 // seda.RunSuiteCachedCtx serves rows through
@@ -37,11 +37,10 @@
 // identical requests. cmd/seda-router fronts N such replicas with
 // config-fingerprint-affinity routing (rendezvous hashing over the
 // same cache fingerprints), health-checked failover, per-replica
-// circuit breakers, budgeted retry with backoff and optional hedging,
-// and graceful degradation from a shared disk-cache tier.
-// cmd/seda-loadgen measures what the stack sustains: deterministic
-// scenario replay, coordinated-omission-corrected latency, and an SLO
-// capacity search recorded in BENCH_SERVE.json.
+// circuit breakers, budgeted retry with backoff, and graceful
+// degradation from a shared disk-cache tier. cmd/seda-loadgen drives
+// the stack: deterministic scenario replay, coordinated-omission-
+// corrected latency, and per-phase /metrics attribution.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and

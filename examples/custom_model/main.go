@@ -17,6 +17,7 @@ import (
 	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/scalesim"
+	"repro/internal/trace"
 	"repro/seda"
 )
 
@@ -52,7 +53,15 @@ func main() {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "layer\trow-tiles\tgroups\thalo rows\tifmap run(B)\toptBlk(B)")
 	for _, lr := range sim.Layers {
-		search := authblock.SearchLayer(lr.Trace)
+		// The search reads schedule geometry: data accesses only.
+		var data []trace.Access
+		for _, a := range lr.Trace.Accesses {
+			if a.Class == trace.Data {
+				data = append(data, a)
+			}
+		}
+		runs := authblock.NewRunSet(data)
+		search := runs.Search()
 		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\n",
 			lr.Layer.Name, lr.Tiling.RowTiles, lr.Tiling.Groups,
 			lr.Tiling.HaloRows, lr.Tiling.IfmapRunBytes, search.Best.Block)

@@ -18,14 +18,14 @@
 // addition to the conventional power-of-two sizes, which is how SeDA's
 // intra-layer awareness eliminates redundant verification entirely
 // when a divisor of the run length exists.
+//
+// The search runs on a RunSet, the deduplicated summary of an access
+// stream: NewRunSet builds one from raw accesses, CollectLayer one per
+// tensor from a layer trace, and RunSet.Search/SearchWeighted pick the
+// block.
 package authblock
 
-import (
-	"sort"
-
-	"repro/internal/tiling"
-	"repro/internal/trace"
-)
+import "sort"
 
 // MACBytes is the per-block metadata cost (64-bit MAC).
 const MACBytes = 8
@@ -47,26 +47,6 @@ type Cost struct {
 
 // Total returns the summed cost.
 func (c Cost) Total() uint64 { return c.MACBytes + c.OverFetch + c.RMWBytes }
-
-// Evaluate scores one candidate block size against a set of access
-// runs with a direct per-access scan. It is the reference cost model:
-// the RunSet-summary evaluation the searches use must stay
-// bit-identical to it (the randomized property test and the
-// FuzzAuthblockEvaluate target both compare against this scan).
-func Evaluate(runs []trace.Access, block int) Cost {
-	c := Cost{Block: block}
-	b := uint64(block)
-	for _, a := range runs {
-		n := uint64(a.Bytes)
-		c.MACBytes += tiling.BlocksTouched(a.Addr, n, b) * MACBytes
-		if a.Kind == trace.Read {
-			c.OverFetch += tiling.ReadOverFetch(a.Addr, n, b)
-		} else {
-			c.RMWBytes += tiling.WriteRMWBytes(a.Addr, n, b)
-		}
-	}
-	return c
-}
 
 // Candidates returns the block sizes the search considers for the
 // given run lengths: powers of two from MinBlock to MaxBlock plus
@@ -133,42 +113,4 @@ func OnChipMACWeights() Weights { return Weights{MAC: 0, OverFetch: 1, RMW: 1} }
 
 func (w Weights) score(c Cost) float64 {
 	return w.MAC*float64(c.MACBytes) + w.OverFetch*float64(c.OverFetch) + w.RMW*float64(c.RMWBytes)
-}
-
-// Search picks the optBlk for a layer given its access runs, with the
-// default (off-chip MAC) cost weights. With no runs it falls back to
-// MinBlock.
-func Search(runs []trace.Access) Result {
-	return SearchWeighted(runs, DefaultWeights())
-}
-
-// SearchWeighted picks the optBlk under explicit cost weights. Ties
-// prefer the larger block (fewer MACs to compute on-chip).
-//
-// The access slice is summarized into a RunSet once and every
-// candidate is scored against the summary, instead of the legacy
-// rescan of the full slice per candidate. The Result — chosen block,
-// cost breakdown, and per-candidate scores — is bit-identical to the
-// legacy scan (all cost components are integer sums, so dedup
-// multiplication and evaluation order cannot change a single bit; the
-// randomized property test pins it).
-func SearchWeighted(runs []trace.Access, w Weights) Result {
-	if len(runs) == 0 {
-		return Result{Best: Cost{Block: MinBlock}}
-	}
-	rs := NewRunSet(runs)
-	return rs.SearchWeighted(w)
-}
-
-// SearchLayer runs the search over a layer's data accesses only
-// (metadata accesses are a scheme artifact, not schedule geometry).
-func SearchLayer(t *trace.Trace) Result {
-	b := newBuilder()
-	for i := range t.Accesses {
-		if a := &t.Accesses[i]; a.Class == trace.Data {
-			b.add(a.Addr, a.Bytes, a.Kind)
-		}
-	}
-	rs := b.finalize(false)
-	return rs.Search()
 }

@@ -21,8 +21,8 @@ func alignedRuns(n int, runBytes uint32) []trace.Access {
 }
 
 func TestEvaluateAlignedRuns(t *testing.T) {
-	runs := alignedRuns(10, 512)
-	c := Evaluate(runs, 512)
+	rs := NewRunSet(alignedRuns(10, 512))
+	c := rs.Evaluate(512)
 	if c.OverFetch != 0 || c.RMWBytes != 0 {
 		t.Errorf("aligned runs: overfetch=%d rmw=%d, want 0/0", c.OverFetch, c.RMWBytes)
 	}
@@ -32,9 +32,9 @@ func TestEvaluateAlignedRuns(t *testing.T) {
 }
 
 func TestEvaluateFinerBlocksMoreMAC(t *testing.T) {
-	runs := alignedRuns(10, 512)
-	c64 := Evaluate(runs, 64)
-	c512 := Evaluate(runs, 512)
+	rs := NewRunSet(alignedRuns(10, 512))
+	c64 := rs.Evaluate(64)
+	c512 := rs.Evaluate(512)
 	if c64.MACBytes <= c512.MACBytes {
 		t.Errorf("64B MAC bytes %d <= 512B %d", c64.MACBytes, c512.MACBytes)
 	}
@@ -42,15 +42,15 @@ func TestEvaluateFinerBlocksMoreMAC(t *testing.T) {
 
 func TestEvaluateMisalignedOverFetch(t *testing.T) {
 	// 300-byte runs: 512B blocks over-fetch, 64B less so.
-	runs := []trace.Access{
+	rs := NewRunSet([]trace.Access{
 		{Addr: 0, Bytes: 300, Kind: trace.Read},
 		{Addr: 300, Bytes: 300, Kind: trace.Read},
-	}
-	c512 := Evaluate(runs, 512)
+	})
+	c512 := rs.Evaluate(512)
 	if c512.OverFetch == 0 {
 		t.Error("no over-fetch recorded for misaligned runs")
 	}
-	c64 := Evaluate(runs, 64)
+	c64 := rs.Evaluate(64)
 	if c64.OverFetch >= c512.OverFetch {
 		t.Errorf("finer blocks did not reduce over-fetch: %d vs %d",
 			c64.OverFetch, c512.OverFetch)
@@ -58,8 +58,8 @@ func TestEvaluateMisalignedOverFetch(t *testing.T) {
 }
 
 func TestEvaluateWriteRMW(t *testing.T) {
-	runs := []trace.Access{{Addr: 0, Bytes: 100, Kind: trace.Write}}
-	c := Evaluate(runs, 512)
+	rs := NewRunSet([]trace.Access{{Addr: 0, Bytes: 100, Kind: trace.Write}})
+	c := rs.Evaluate(512)
 	if c.RMWBytes != 412 {
 		t.Errorf("RMW = %d, want 412", c.RMWBytes)
 	}
@@ -96,7 +96,7 @@ func TestSearchPicksAlignedDivisor(t *testing.T) {
 	for i := range runs {
 		runs[i] = trace.Access{Addr: uint64(i) * 768, Bytes: 768, Kind: trace.Read}
 	}
-	res := Search(runs)
+	res := searchRuns(runs, DefaultWeights())
 	if res.Best.Block != 768 {
 		t.Errorf("optBlk = %d, want 768", res.Best.Block)
 	}
@@ -106,7 +106,7 @@ func TestSearchPicksAlignedDivisor(t *testing.T) {
 }
 
 func TestSearchEmptyRunsFallsBack(t *testing.T) {
-	res := Search(nil)
+	res := searchRuns(nil, DefaultWeights())
 	if res.Best.Block != MinBlock {
 		t.Errorf("empty search block = %d, want %d", res.Best.Block, MinBlock)
 	}
@@ -126,9 +126,10 @@ func TestSearchBeatsFixedGranularities(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, lr := range res.Layers {
-			r := SearchLayer(lr.Trace)
-			f64 := Evaluate(lr.Trace.Accesses, 64)
-			f512 := Evaluate(lr.Trace.Accesses, 512)
+			rs := NewRunSet(lr.Trace.Accesses)
+			r := rs.Search()
+			f64 := rs.Evaluate(64)
+			f512 := rs.Evaluate(512)
 			if r.Best.Total() > f64.Total() {
 				t.Errorf("%s/%s: optBlk %d cost %d > fixed-64 cost %d",
 					name, lr.Layer.Name, r.Best.Block, r.Best.Total(), f64.Total())
@@ -145,7 +146,8 @@ func TestSearchLayerIgnoresMetadata(t *testing.T) {
 	tr := &trace.Trace{}
 	tr.Append(trace.Access{Addr: 0, Bytes: 768, Kind: trace.Read, Class: trace.Data})
 	tr.Append(trace.Access{Addr: 1 << 30, Bytes: 8, Kind: trace.Read, Class: trace.MACMeta})
-	res := SearchLayer(tr)
+	runs := CollectLayer(tr)
+	res := runs.IFMap.Search()
 	// The 8-byte metadata access must not drag the optBlk down.
 	if res.Best.Block != 768 {
 		t.Errorf("optBlk = %d, want 768 (metadata leaked into search)", res.Best.Block)
@@ -154,7 +156,7 @@ func TestSearchLayerIgnoresMetadata(t *testing.T) {
 
 func TestScoresCoverAllCandidates(t *testing.T) {
 	runs := alignedRuns(4, 256)
-	res := Search(runs)
+	res := searchRuns(runs, DefaultWeights())
 	if len(res.Scores) == 0 {
 		t.Fatal("no candidate scores recorded")
 	}

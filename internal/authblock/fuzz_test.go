@@ -74,7 +74,7 @@ func FuzzAuthblockEvaluate(f *testing.F) {
 			lens = append(lens, int(a.Bytes))
 		}
 		for _, b := range Candidates(lens) {
-			ref := Evaluate(runs, b)
+			ref := evaluateScan(runs, b)
 			got := rs.Evaluate(b)
 			if got != ref {
 				t.Fatalf("block %d: RunSet cost %+v != reference scan %+v", b, got, ref)
@@ -91,13 +91,13 @@ func FuzzAuthblockEvaluate(f *testing.F) {
 			// misaligned run can straddle a boundary of a larger,
 			// non-multiple block it fit inside at the smaller size.)
 			if b%2 == 0 && b/2 >= MinBlock {
-				if finer := Evaluate(runs, b/2); finer.MACBytes < ref.MACBytes {
+				if finer := evaluateScan(runs, b/2); finer.MACBytes < ref.MACBytes {
 					t.Fatalf("finer block %d has MACBytes %d < block %d's %d",
 						b/2, finer.MACBytes, b, ref.MACBytes)
 				}
 			}
 		}
-		got := SearchWeighted(runs, DefaultWeights())
+		got := searchRuns(runs, DefaultWeights())
 		want := legacySearchWeighted(runs, DefaultWeights())
 		if got.Best != want.Best {
 			t.Fatalf("search diverged: %+v vs %+v", got.Best, want.Best)

@@ -31,8 +31,9 @@ type Run struct {
 //
 // Cost equivalence is exact, not approximate: all cost components are
 // integer sums, so multiplying a run's per-access cost by its count is
-// bit-identical to the legacy access-by-access Evaluate scan
-// (TestSearchWeightedMatchesLegacyScan pins this on randomized sets).
+// bit-identical to an access-by-access scan of the stream (the
+// reference scan in the tests; TestSearchWeightedMatchesLegacyScan
+// pins this on randomized sets).
 type RunSet struct {
 	// Base is the grid anchor the offsets are relative to: the minimum
 	// access address for collected layers, zero for raw sets.

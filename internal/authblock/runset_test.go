@@ -7,13 +7,41 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/scalesim"
+	"repro/internal/tiling"
 	"repro/internal/trace"
 )
 
+// evaluateScan is the reference cost model: it scores one candidate
+// block size against an access slice with a direct per-access scan.
+// RunSet.Evaluate must stay bit-identical to it (the randomized
+// property tests and FuzzAuthblockEvaluate compare against it).
+func evaluateScan(runs []trace.Access, block int) Cost {
+	c := Cost{Block: block}
+	b := uint64(block)
+	for _, a := range runs {
+		n := uint64(a.Bytes)
+		c.MACBytes += tiling.BlocksTouched(a.Addr, n, b) * MACBytes
+		if a.Kind == trace.Read {
+			c.OverFetch += tiling.ReadOverFetch(a.Addr, n, b)
+		} else {
+			c.RMWBytes += tiling.WriteRMWBytes(a.Addr, n, b)
+		}
+	}
+	return c
+}
+
+// searchRuns is the production search over a raw access slice:
+// summarize once with NewRunSet, then score every candidate against
+// the summary.
+func searchRuns(runs []trace.Access, w Weights) Result {
+	rs := NewRunSet(runs)
+	return rs.SearchWeighted(w)
+}
+
 // legacySearchWeighted is the pre-RunSet search, kept verbatim as the
 // reference: distinct lengths collected from the slice, then every
-// candidate scored with the per-access Evaluate scan. The production
-// SearchWeighted must return bit-identical Results.
+// candidate scored with the per-access evaluateScan. The production
+// RunSet.SearchWeighted must return bit-identical Results.
 func legacySearchWeighted(runs []trace.Access, w Weights) Result {
 	if len(runs) == 0 {
 		return Result{Best: Cost{Block: MinBlock}}
@@ -30,7 +58,7 @@ func legacySearchWeighted(runs []trace.Access, w Weights) Result {
 	res := Result{}
 	bestScore := 0.0
 	for _, b := range cands {
-		c := Evaluate(runs, b)
+		c := evaluateScan(runs, b)
 		res.Scores = append(res.Scores, c)
 		s := w.score(c)
 		if res.Best.Block == 0 || s < bestScore ||
@@ -92,7 +120,7 @@ func TestSearchWeightedMatchesLegacyScan(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		runs := genRuns(r)
 		w := weights[i%len(weights)]
-		got := SearchWeighted(runs, w)
+		got := searchRuns(runs, w)
 		want := legacySearchWeighted(runs, w)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("case %d (%d runs): RunSet search diverged\n got %+v\nwant %+v",
@@ -117,7 +145,7 @@ func TestRunSetEvaluateMatchesScan(t *testing.T) {
 	rs := NewRunSet(aligned)
 	for _, b := range Candidates([]int{768}) {
 		got := rs.Evaluate(b)
-		want := Evaluate(aligned, b)
+		want := evaluateScan(aligned, b)
 		if got != want {
 			t.Errorf("block %d: RunSet cost %+v != scan %+v", b, got, want)
 		}
@@ -292,7 +320,7 @@ func TestCandidatesDeterministicOrder(t *testing.T) {
 // block wins the tie) exactly like the legacy path.
 func TestSearchZeroLengthRunsOnly(t *testing.T) {
 	runs := []trace.Access{{Addr: 100, Bytes: 0}, {Addr: 7, Bytes: 0, Kind: trace.Write}}
-	got := Search(runs)
+	got := searchRuns(runs, DefaultWeights())
 	want := legacySearchWeighted(runs, DefaultWeights())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero-length runs: got %+v want %+v", got, want)

@@ -27,11 +27,6 @@
 //     per-request attempt budget: a request never consumes more than
 //     RetryBudget upstream attempts, and only idempotent GET/HEAD
 //     requests are routed at all (the replica API is read-only).
-//   - Optional hedging: when the first attempt has not answered within
-//     HedgeDelay, a second replica gets the same request and the first
-//     success wins — tail latency is bounded by the second-slowest
-//     replica, at the cost of duplicate work the rescache singleflight
-//     absorbs.
 //   - Graceful degradation: when no replica can answer, a cache-only
 //     internal/serve API over the shared disk-cache tier serves
 //     already-published results — marked stale via X-Seda-Stale and a
@@ -90,8 +85,7 @@ type Options struct {
 
 	// RetryBudget caps upstream attempts per request, first try
 	// included — the invariant is "a request never consumes more than
-	// RetryBudget attempts", whether they are retries or hedges.
-	// Default 3.
+	// RetryBudget attempts". Default 3.
 	RetryBudget int
 	// BackoffBase/BackoffMax shape the exponential backoff between
 	// retry waves; the actual wait is uniformly jittered over
@@ -99,11 +93,6 @@ type Options struct {
 	// lockstep. Defaults 25ms and 1s.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeDelay > 0 arms tail-latency hedging: if the current attempt
-	// has not answered within this delay, the next-ranked replica gets
-	// a concurrent attempt. 0 disables hedging. The hedge consumes one
-	// unit of the same attempt budget.
-	HedgeDelay time.Duration
 	// AttemptTimeout bounds each upstream attempt; expiry counts as a
 	// replica timeout (breaker failure) and triggers failover. Default
 	// 3m — it must cover a cold full-suite evaluation on a replica.
@@ -345,9 +334,9 @@ func (rt *Router) admitted(w http.ResponseWriter) bool {
 	return false
 }
 
-// forward runs the retry/hedge machinery and writes the outcome: the
-// first successful upstream response verbatim (plus the X-Seda-Replica
-// tag), else a stale hit from the shared cache tier, else 503.
+// forward runs the retry loop and writes the outcome: the first
+// successful upstream response verbatim (plus the X-Seda-Replica tag),
+// else a stale hit from the shared cache tier, else 503.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, route, key string) {
 	cands := rt.rank(key)
 	var (
@@ -358,7 +347,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, route, key str
 	if len(cands) == 0 {
 		err = errNoReplica
 	} else {
-		resp, idx, err = rt.race(r, cands)
+		resp, idx, err = rt.tryCandidates(r, cands)
 	}
 	if err != nil {
 		if r.Context().Err() != nil {

@@ -59,112 +59,45 @@ func copyEndToEndHeaders(dst, src http.Header) {
 	}
 }
 
-type attemptOutcome struct {
-	resp *bufferedResp
-	err  error
-	idx  int // attempt index, 0 = first choice
-}
-
-// race drives up to RetryBudget attempts against the ranked candidate
-// list and returns the first success. Sequencing:
-//
-//   - Attempt 0 starts immediately against the affinity home.
-//   - A failed attempt schedules the next one after an exponential,
-//     fully-jittered backoff — unless another attempt (a hedge) is
-//     still in flight, in which case the failure just defers to it.
-//   - With hedging armed, a one-shot timer launches the next attempt
-//     early if the current ones have not answered within HedgeDelay.
-//   - More attempts than candidates cycle the ranking again (a replica
-//     may fail one moment and answer the next; the budget, not the
-//     fleet size, is the invariant the client sees).
-//
-// All attempts run under one cancel scope: the first success aborts
-// the losers, and the channel is buffered so late losers never leak a
-// goroutine.
-func (rt *Router) race(r *http.Request, cands []*Replica) (*bufferedResp, int, error) {
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-
+// tryCandidates drives up to RetryBudget attempts, one at a time on
+// the request goroutine, against the ranked candidate list and returns
+// the first success with its attempt index (0 = first choice). A
+// failed attempt waits an exponential, fully-jittered backoff and
+// moves to the next candidate; more attempts than candidates cycle the
+// ranking again (a replica may fail one moment and answer the next —
+// the budget, not the fleet size, is the invariant the client sees).
+// A client that goes away during the wait gets no further attempt.
+func (rt *Router) tryCandidates(r *http.Request, cands []*Replica) (*bufferedResp, int, error) {
+	ctx := r.Context()
 	budget := rt.opts.RetryBudget
-	outcomes := make(chan attemptOutcome, budget)
-	launched, inflight := 0, 0
-	launch := func() bool {
-		if launched >= budget {
-			return false
-		}
-		rep := cands[launched%len(cands)]
-		idx := launched
-		launched++
-		inflight++
-		rt.metrics.attempts.Inc()
-		go func() {
-			resp, err := rt.attempt(ctx, r, rep)
-			outcomes <- attemptOutcome{resp: resp, err: err, idx: idx}
-		}()
-		return true
-	}
-	launch()
-
-	var hedgeC <-chan time.Time
-	if rt.opts.HedgeDelay > 0 {
-		t := time.NewTimer(rt.opts.HedgeDelay)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-	var retryC <-chan time.Time
-	var retryT *time.Timer
-	defer func() {
-		if retryT != nil {
-			retryT.Stop()
-		}
-	}()
-
 	delay := rt.opts.BackoffBase
-	hedged := false
-	var lastErr error
-	for {
-		select {
-		case out := <-outcomes:
-			inflight--
-			if out.err == nil {
-				if hedged && out.idx > 0 {
-					rt.metrics.hedgeWins.Inc()
-				}
-				return out.resp, out.idx, nil
-			}
-			lastErr = out.err
-			rt.log.Debug("attempt failed", "id", obs.RequestID(ctx),
-				"attempt", out.idx, "of", budget, "err", out.err)
-			if inflight > 0 {
-				continue // a hedge is still running; let it finish
-			}
-			if launched >= budget {
-				return nil, 0, lastErr
-			}
-			if retryC == nil {
-				// Full jitter: wait uniform(0, delay], then double the
-				// ceiling for the next wave up to BackoffMax.
-				wait := time.Duration(1 + rand.Int64N(int64(delay)))
-				retryT = time.NewTimer(wait)
-				retryC = retryT.C
-				if delay *= 2; delay > rt.opts.BackoffMax {
-					delay = rt.opts.BackoffMax
-				}
-			}
-		case <-retryC:
-			retryC = nil
-			rt.metrics.retries.Inc()
-			launch()
-		case <-hedgeC:
-			hedgeC = nil
-			if inflight > 0 && launched < budget {
-				hedged = true
-				rt.metrics.hedges.Inc()
-				launch()
-			}
-		case <-ctx.Done():
+	for idx := 0; ; idx++ {
+		rt.metrics.attempts.Inc()
+		resp, err := rt.attempt(ctx, r, cands[idx%len(cands)])
+		if err == nil {
+			return resp, idx, nil
+		}
+		if ctx.Err() != nil {
 			return nil, 0, ctx.Err()
 		}
+		rt.log.Debug("attempt failed", "id", obs.RequestID(ctx),
+			"attempt", idx, "of", budget, "err", err)
+		if idx+1 >= budget {
+			return nil, 0, err
+		}
+		// Full jitter: wait uniform(0, delay], then double the ceiling
+		// for the next retry up to BackoffMax.
+		t := time.NewTimer(time.Duration(1 + rand.Int64N(int64(delay))))
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, 0, ctx.Err()
+		}
+		if delay *= 2; delay > rt.opts.BackoffMax {
+			delay = rt.opts.BackoffMax
+		}
+		rt.metrics.retries.Inc()
 	}
 }
 

@@ -20,8 +20,6 @@ type routerMetrics struct {
 	attempts           *obs.Counter
 	retries            *obs.Counter
 	failover           *obs.Counter
-	hedges             *obs.Counter
-	hedgeWins          *obs.Counter
 	staleServed        *obs.Counter
 	unserved           *obs.Counter
 	admitRejected      *obs.Counter
@@ -42,15 +40,11 @@ func newRouterMetrics() *routerMetrics {
 		panics: r.Counter("seda_router_panics_total",
 			"router handler panics recovered by the middleware"),
 		attempts: r.Counter("seda_router_attempts_total",
-			"upstream attempts launched (first tries + retries + hedges)"),
+			"upstream attempts launched (first tries + retries)"),
 		retries: r.Counter("seda_router_retries_total",
 			"upstream attempts launched because a previous attempt failed"),
 		failover: r.Counter("seda_router_failover_total",
 			"requests answered by a replica other than the first-ranked candidate"),
-		hedges: r.Counter("seda_router_hedges_total",
-			"hedged attempts launched because the first answer was slow"),
-		hedgeWins: r.Counter("seda_router_hedge_wins_total",
-			"requests where the hedged attempt answered first"),
 		staleServed: r.Counter("seda_router_stale_served_total",
 			"requests served stale from the shared cache tier with no replica available"),
 		unserved: r.Counter("seda_router_unserved_total",

@@ -269,35 +269,41 @@ func TestBreakerOpensAndExcludes(t *testing.T) {
 	}
 }
 
-// TestHedging: a slow affinity home is hedged onto the next replica
-// after HedgeDelay; the client gets the fast answer.
-func TestHedging(t *testing.T) {
-	rt, fakes := fakeFleet(t, 3, Options{
-		HedgeDelay:  20 * time.Millisecond,
+// TestCancelDuringBackoffStopsRetries: a client that goes away while
+// the router waits out the backoff after a failed attempt gets no
+// further upstream attempt, and the request returns at once instead of
+// sleeping the rest of the (hour-long) backoff.
+func TestCancelDuringBackoffStopsRetries(t *testing.T) {
+	defer failpoint.Reset()
+	rt, _ := fakeFleet(t, 2, Options{
 		RetryBudget: 3,
+		BackoffBase: time.Hour,
+		BackoffMax:  time.Hour,
 	})
 	h := rt.Handler()
 
-	home := get(t, h, sweepURL, nil).Header().Get("X-Seda-Replica")
-	fakeByAddr(fakes, home).set("slow", 600*time.Millisecond)
-
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	failpoint.EnableFunc(FailpointDial, func(context.Context) error {
+		time.AfterFunc(20*time.Millisecond, cancel)
+		return errors.New("dial refused")
+	})
+	req := httptest.NewRequest(http.MethodGet, sweepURL, nil).WithContext(ctx)
 	start := time.Now()
-	rec := get(t, h, sweepURL, nil)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("hedged request: %d", rec.Code)
+	h.ServeHTTP(httptest.NewRecorder(), req)
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("cancelled request returned after %v, want promptly", d)
 	}
-	if d := time.Since(start); d > 500*time.Millisecond {
-		t.Fatalf("hedged request took %v, want well under the 600ms slow replica", d)
-	}
-	if got := rec.Header().Get("X-Seda-Replica"); got == home {
-		t.Fatalf("slow home %q still answered", got)
-	}
+
 	fams := scrape(t, h)
-	if v := counterValue(t, fams, "seda_router_hedges_total"); v < 1 {
-		t.Fatalf("hedges_total = %v, want >= 1", v)
+	if v := counterValue(t, fams, "seda_router_attempts_total"); v != 1 {
+		t.Fatalf("attempts_total = %v, want 1 (no attempt after the cancel)", v)
 	}
-	if v := counterValue(t, fams, "seda_router_hedge_wins_total"); v < 1 {
-		t.Fatalf("hedge_wins_total = %v, want >= 1", v)
+	if v := counterValue(t, fams, "seda_router_retries_total"); v != 0 {
+		t.Fatalf("retries_total = %v, want 0", v)
+	}
+	if v := counterValue(t, fams, "seda_router_unserved_total"); v != 0 {
+		t.Fatalf("unserved_total = %v, want 0 (a gone client is not answered)", v)
 	}
 }
 
@@ -420,7 +426,7 @@ func TestRouterSurfaces(t *testing.T) {
 		"seda_router_replica_up", "seda_router_replica_ready",
 		"seda_router_replica_inflight", "seda_router_breaker_state",
 		"seda_router_failover_total", "seda_router_retries_total",
-		"seda_router_hedges_total", "seda_router_stale_served_total",
+		"seda_router_stale_served_total",
 		"seda_build_info",
 	} {
 		if fams[name] == nil {

@@ -296,7 +296,9 @@ func parse(spec string) (*point, error) {
 		if paren := strings.IndexByte(spec, '('); paren < 0 || star < paren {
 			raw := spec[:star]
 			p, err := strconv.ParseFloat(raw, 64)
-			if err != nil || p <= 0 || p > 1 {
+			// Written as a range check so NaN (for which every
+			// comparison is false) fails it too.
+			if err != nil || !(p > 0 && p <= 1) {
 				return nil, fmt.Errorf("probability %q in spec %q must be a number in (0, 1]", raw, full)
 			}
 			prob = p

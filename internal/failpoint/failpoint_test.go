@@ -193,7 +193,7 @@ func TestProbabilityParse(t *testing.T) {
 		}
 		Disable("p")
 	}
-	for _, spec := range []string{"0*error", "-0.5*error", "1.1*error", "x*error", "*error", "0.5*explode"} {
+	for _, spec := range []string{"0*error", "-0.5*error", "1.1*error", "x*error", "*error", "0.5*explode", "NaN*error(x)", "nan*error", "Inf*error", "-Inf*error"} {
 		if err := Enable("p", spec); err == nil {
 			t.Errorf("spec %q: expected parse error", spec)
 			Disable("p")

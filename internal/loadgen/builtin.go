@@ -15,8 +15,8 @@ import (
 //   - hot-mix: Zipf-skewed hot configs under an open-loop arrival
 //     stream with revalidation, CSV negotiation and an explore grid
 //     riding along — the realistic-traffic capacity scenario.
-//   - capacity: a single open-loop phase over the hot sweep mix; the
-//     step-load SLO search uses its mix as the template.
+//   - capacity: a closed-loop warmup, then one open-loop phase over
+//     the hot sweep mix at a fixed offered rate.
 //   - chaos: one long closed-loop phase against a fixed hot config —
 //     the router kill-window regression runs this while a replica dies
 //     and asserts zero client-visible errors.

@@ -7,14 +7,13 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"time"
 
 	"repro/internal/obs"
 )
 
 // ReportVersion is bumped whenever the report schema changes shape, so
-// BENCH_SERVE.json rows name the schema they were produced under.
+// a report names the schema it was produced under.
 const ReportVersion = "1"
 
 // Counts is the response taxonomy. Every finished request lands in
@@ -135,7 +134,6 @@ type Report struct {
 	ScheduleDigest string        `json:"schedule_digest"`
 	Phases         []PhaseReport `json:"phases"`
 	Totals         Summary       `json:"totals"`
-	Search         *SearchReport `json:"search,omitempty"`
 	Warnings       []string      `json:"warnings,omitempty"`
 }
 
@@ -189,7 +187,7 @@ func Plan(sc *Scenario, seed uint64) *Report {
 // exposition parser and returns counter-family totals summed across
 // endpoints and label sets. Endpoints are base URLs; the /metrics path
 // is appended. One unreachable or malformed endpoint fails the scrape
-// — a capacity report attributing deltas to half a fleet would lie.
+// — a report attributing deltas to half a fleet would lie.
 func ScrapeCounters(ctx context.Context, client *http.Client, endpoints []string) (map[string]float64, error) {
 	if client == nil {
 		client = http.DefaultClient
@@ -232,112 +230,4 @@ func deltaCounters(before, after map[string]float64) map[string]float64 {
 		return nil
 	}
 	return d
-}
-
-// BenchRow is one BENCH_SERVE.json topology row: the measured capacity
-// shape of one serving topology under one scenario, the trajectory
-// format next to BENCH_PIPELINE.json.
-type BenchRow struct {
-	Topology    string  `json:"topology"`
-	Scenario    string  `json:"scenario"`
-	Seed        uint64  `json:"seed"`
-	Phase       string  `json:"phase"` // the phase the row's numbers come from
-	OfferedRPS  float64 `json:"offered_rps"`
-	AchievedRPS float64 `json:"achieved_rps"`
-	P50Seconds  float64 `json:"p50_seconds"`
-	P95Seconds  float64 `json:"p95_seconds"`
-	P99Seconds  float64 `json:"p99_seconds"`
-	// Rates attributed from the /metrics counter deltas of the row's
-	// phase: hit rate over cache lookups (memory + disk hits over
-	// lookups incl. fresh computes), shed and stale rates over client
-	// requests.
-	HitRate   float64 `json:"hit_rate"`
-	ShedRate  float64 `json:"shed_rate"`
-	StaleRate float64 `json:"stale_rate"`
-	Errors    uint64  `json:"errors"`
-	// MaxSustainableRPS is filled when the step-load SLO search ran.
-	MaxSustainableRPS float64 `json:"max_sustainable_rps,omitempty"`
-	SLO               string  `json:"slo,omitempty"`
-	Note              string  `json:"note,omitempty"`
-}
-
-// Row derives the bench row for one phase (by name; "" = last phase).
-func (r *Report) Row(topology, phase, note string) (BenchRow, error) {
-	if len(r.Phases) == 0 {
-		return BenchRow{}, fmt.Errorf("report has no phases")
-	}
-	pr := &r.Phases[len(r.Phases)-1]
-	if phase != "" {
-		pr = nil
-		for i := range r.Phases {
-			if r.Phases[i].Name == phase {
-				pr = &r.Phases[i]
-			}
-		}
-		if pr == nil {
-			return BenchRow{}, fmt.Errorf("no phase %q in the report", phase)
-		}
-	}
-	md := pr.MetricsDelta
-	hits := md["seda_cache_hits_total"] + md["seda_cache_disk_hits_total"]
-	lookups := hits + md["seda_cache_misses_total"]
-	row := BenchRow{
-		Topology:    topology,
-		Scenario:    r.Scenario,
-		Seed:        r.Seed,
-		Phase:       pr.Name,
-		OfferedRPS:  pr.OfferedRPS,
-		AchievedRPS: pr.AchievedRPS,
-		P50Seconds:  pr.Latency.P50,
-		P95Seconds:  pr.Latency.P95,
-		P99Seconds:  pr.Latency.P99,
-		ShedRate:    pr.ShedRate,
-		StaleRate:   pr.StaleRate,
-		Errors:      pr.Status.Errors(),
-		Note:        note,
-	}
-	if lookups > 0 {
-		row.HitRate = math.Round(hits/lookups*1e6) / 1e6
-	}
-	if r.Search != nil {
-		row.MaxSustainableRPS = r.Search.MaxSustainableRPS
-		row.SLO = r.Search.SLO
-	}
-	return row, nil
-}
-
-// benchFile is the BENCH_SERVE.json document shape.
-type benchFile struct {
-	Description string              `json:"description"`
-	Environment map[string]any      `json:"environment,omitempty"`
-	Rows        map[string]BenchRow `json:"rows"`
-}
-
-// UpsertBenchRow inserts or replaces the labeled row in the bench file
-// at path, creating the file (with the given description) when absent.
-// Rows marshal under sorted labels, so the file diffs cleanly.
-func UpsertBenchRow(path, label, description string, env map[string]any, row BenchRow) error {
-	doc := benchFile{Rows: map[string]BenchRow{}}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &doc); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	if doc.Description == "" {
-		doc.Description = description
-	}
-	if env != nil {
-		doc.Environment = env
-	}
-	if doc.Rows == nil {
-		doc.Rows = map[string]BenchRow{}
-	}
-	doc.Rows[label] = row
-	b, err := json.MarshalIndent(&doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
 }

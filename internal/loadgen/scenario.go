@@ -1,14 +1,12 @@
-// Package loadgen is the synthetic traffic harness and capacity model
-// for the serving stack: it replays declarative scenario mixes against
-// a seda-serve replica or the seda-router fleet, measures client-side
-// latency percentiles on HDR-style log-bucketed histograms
+// Package loadgen is the synthetic traffic harness for the serving
+// stack: it replays declarative scenario mixes against a seda-serve
+// replica or the seda-router fleet, measures client-side latency
+// percentiles on HDR-style log-bucketed histograms
 // (coordinated-omission-corrected for open-loop arrivals), classifies
 // every response into an error/shed/stale taxonomy, scrapes /metrics
 // before and after each phase to attribute cache and router counter
 // deltas to the traffic that caused them, and emits a machine-readable
-// capacity report (BENCH_SERVE.json rows). A step-load search mode
-// ramps offered RPS until the p99 SLO or the shed-rate threshold
-// breaks and bisects to the maximum sustainable throughput.
+// report.
 //
 // Everything the generator sends is derived deterministically from
 // (scenario, seed): the same seed replays a byte-identical request
@@ -18,7 +16,7 @@
 // has — the integration tests assert the serving invariants (warm
 // reruns compute nothing, revalidation answers 304 under load, a
 // replica kill behind the router costs zero client-visible errors)
-// through the same executor the capacity numbers come from.
+// through the same executor every measured report comes from.
 package loadgen
 
 import (
@@ -197,6 +195,12 @@ func (p *Phase) validate() error {
 	case "open":
 		if p.Rate <= 0 {
 			return fmt.Errorf("open loop needs rate > 0 (offered requests/second)")
+		}
+		// The schedule clock counts whole nanoseconds (phaseStream.next
+		// computes the gap exactly so): a mean gap that truncates to
+		// zero never advances it, and the phase would never end.
+		if time.Duration(1/p.Rate*float64(time.Second)) < 1 {
+			return fmt.Errorf("rate %g/s puts the mean arrival gap below the 1ns schedule clock", p.Rate)
 		}
 		if p.Clients != 0 {
 			return fmt.Errorf("clients is a closed-loop knob (open loop launches per arrival)")

@@ -163,6 +163,8 @@ func TestScenarioErrors(t *testing.T) {
 			`rate is an open-loop knob`},
 		{"open without rate", `{"name":"x","phases":[{"name":"p","mode":"open","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
 			`open loop needs rate > 0`},
+		{"rate above clock resolution", `{"name":"x","phases":[{"name":"p","mode":"open","rate":1e10,"arrival":"uniform","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
+			`rate 1e+10/s puts the mean arrival gap below the 1ns schedule clock`},
 		{"open with clients", `{"name":"x","phases":[{"name":"p","mode":"open","rate":5,"clients":3,"duration":"1s","mix":[{"kind":"catalog"}]}]}`,
 			`clients is a closed-loop knob`},
 		{"bad arrival", `{"name":"x","phases":[{"name":"p","mode":"open","rate":5,"arrival":"bursty","duration":"1s","mix":[{"kind":"catalog"}]}]}`,

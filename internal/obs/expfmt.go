@@ -114,7 +114,10 @@ func parseMeta(line string, fams map[string]*PromFamily) error {
 		if len(fam.Samples) > 0 {
 			return fmt.Errorf("TYPE for %s after samples", name)
 		}
-		typ := fields[3]
+		typ := ""
+		if len(fields) == 4 {
+			typ = fields[3]
+		}
 		switch typ {
 		case "counter", "gauge", "histogram", "summary", "untyped":
 		default:

@@ -60,6 +60,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 		{"sample without family", "seda_x_total 1\n", "no declared family"},
 		{"sample before TYPE", "# HELP seda_x_total h\nseda_x_total 1\n", "missing HELP or TYPE"},
 		{"unknown type", "# HELP x h\n# TYPE x banana\n", "unknown TYPE"},
+		{"missing type", "# HELP x h\n# TYPE x\n", `unknown TYPE "" for x`},
 		{"repeated HELP", "# HELP x h\n# HELP x h\n", "repeated HELP"},
 		{"duplicate series", "# HELP x_total h\n# TYPE x_total counter\nx_total 1\nx_total 2\n", "duplicate series"},
 		{"bad value", "# HELP x h\n# TYPE x gauge\nx pony\n", "bad value"},

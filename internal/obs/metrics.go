@@ -32,8 +32,9 @@ type Label struct{ Name, Value string }
 // gauges and fixed-bucket histograms, each series carrying optional
 // constant labels, written in exposition format 0.0.4 with one
 // HELP/TYPE block per family. Registration panics on misuse
-// (programmer error: invalid name, type conflict, duplicate series);
-// observation methods are lock-free atomics safe for concurrent use.
+// (programmer error: invalid name, blank HELP, type conflict,
+// duplicate series); observation methods are lock-free atomics safe
+// for concurrent use.
 type Registry struct {
 	mu   sync.Mutex
 	fams map[string]*family
@@ -221,6 +222,11 @@ func (r *Registry) register(name, help, typ string, labels []Label) *series {
 func (r *Registry) mustFamily(name, help, typ string) *family {
 	if !validMetricName(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
+	}
+	// A blank HELP line ("" or a lone "\r" a line reader strips) does
+	// not parse back, and LintProm requires HELP on every family.
+	if strings.TrimSpace(help) == "" {
+		panic("obs: " + name + " needs HELP text")
 	}
 	if typ == "counter" && !strings.HasSuffix(name, "_total") {
 		panic("obs: counter " + name + " must end in _total")

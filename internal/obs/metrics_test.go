@@ -75,6 +75,7 @@ func TestRegistrationPanics(t *testing.T) {
 		"type conflict":       func() { r.Counter("seda_a_total", "h"); r.Gauge("seda_a_total", "h") },
 		"help conflict":       func() { r.Gauge("seda_b", "h1"); r.Gauge("seda_b", "h2") },
 		"bad label name":      func() { r.Gauge("seda_c", "h", Label{"__bad", "v"}) },
+		"blank help":          func() { r.Gauge("seda_e", " \r") },
 		"descending buckets":  func() { r.Histogram("seda_d_seconds", "h", []float64{2, 1}) },
 	} {
 		func() {
