@@ -4,10 +4,8 @@
 // The public API lives in repro/seda (experiment pipeline and NPU
 // configurations). The substrates are internal packages:
 //
-//	internal/aesx      AES-128/192/256 + CTR + bandwidth-aware OTPs (B-AES)
-//	internal/sha256x   SHA-256, HMAC, truncated block MACs
-//	internal/xormac    XOR-MAC aggregation, layer & model MACs
-//	internal/merkle    Merkle and Bonsai-Merkle integrity trees
+//	internal/aesx      B-AES key schedule and OTPs over crypto/aes
+//	internal/xormac    truncated HMAC-SHA256 MACs, XOR-MAC aggregation, layer & model MACs
 //	internal/cache     set-associative LRU metadata-cache simulator
 //	internal/trace     DRAM access-trace representation
 //	internal/dram      multi-channel DDR timing simulator

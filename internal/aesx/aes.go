@@ -1,19 +1,17 @@
-// Package aesx implements the AES block cipher (FIPS-197) with an
-// exported key schedule, counter-mode keystream generation, and the
-// bandwidth-aware OTP derivation (B-AES) used by SeDA's Crypt Engine.
+// Package aesx provides the AES engine of SeDA's Crypt Engine: the
+// FIPS-197 key schedule, counter-mode keystream generation, and the
+// bandwidth-aware OTP derivation (B-AES).
 //
-// The standard library's crypto/aes is deliberately not used: SeDA's
-// bandwidth-aware encryption derives per-segment one-time pads by XORing
-// the base OTP with the round keys produced by the engine's KeyExpansion
-// module, and the standard library does not expose its key schedule.
-//
-// The implementation is a straightforward table-free software model of
-// the hardware datapath in Fig. 2(b) of the paper: AddRoundKey,
-// SubBytes, ShiftRows, MixColumns and KeyExpansion, operating on a
-// 4x4 column-major state.
+// The block cipher itself is the standard library's crypto/aes. The
+// KeyExpansion routine stays in-house because B-AES derives one pad
+// per 128-bit segment by XORing the base OTP with the round keys of
+// the engine's key schedule (Fig. 2(b), §III-B), and crypto/aes does
+// not expose its round keys.
 package aesx
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 )
@@ -21,37 +19,23 @@ import (
 // BlockSize is the AES block size in bytes (128 bits).
 const BlockSize = 16
 
-// Key sizes in bytes supported by the engine.
-const (
-	KeySize128 = 16
-	KeySize192 = 24
-	KeySize256 = 32
-)
-
 // Engine is a single AES engine instance with a fixed expanded key
 // schedule. It models the hardware unit in Fig. 2(b): one engine
-// en/decrypts one 128-bit block at a time.
+// encrypts one 128-bit block at a time.
 type Engine struct {
+	block     cipher.Block
 	rounds    int        // 10, 12 or 14
 	roundKeys [][16]byte // rounds+1 round keys of 16 bytes each
 }
 
 // NewEngine expands key (16, 24 or 32 bytes) and returns an engine.
 func NewEngine(key []byte) (*Engine, error) {
-	var rounds int
-	switch len(key) {
-	case KeySize128:
-		rounds = 10
-	case KeySize192:
-		rounds = 12
-	case KeySize256:
-		rounds = 14
-	default:
+	block, err := aes.NewCipher(key)
+	if err != nil {
 		return nil, fmt.Errorf("aesx: invalid key size %d (want 16, 24 or 32)", len(key))
 	}
-	e := &Engine{rounds: rounds}
-	e.roundKeys = expandKey(key, rounds)
-	return e, nil
+	rounds := len(key)/4 + 6 // Nr = Nk + 6 (FIPS-197 Fig. 4)
+	return &Engine{block: block, rounds: rounds, roundKeys: expandKey(key, rounds)}, nil
 }
 
 // Rounds returns the number of AES rounds (10 for AES-128, 12 for
@@ -72,111 +56,12 @@ func (e *Engine) RoundKey(i int) [16]byte {
 func (e *Engine) NumRoundKeys() int { return e.rounds + 1 }
 
 // EncryptBlock encrypts one 16-byte block src into dst. dst and src
-// may overlap.
+// may be the same slice.
 func (e *Engine) EncryptBlock(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aesx: EncryptBlock buffers must be at least 16 bytes")
 	}
-	var s state
-	s.load(src)
-	s.addRoundKey(&e.roundKeys[0])
-	for r := 1; r < e.rounds; r++ {
-		s.subBytes()
-		s.shiftRows()
-		s.mixColumns()
-		s.addRoundKey(&e.roundKeys[r])
-	}
-	s.subBytes()
-	s.shiftRows()
-	s.addRoundKey(&e.roundKeys[e.rounds])
-	s.store(dst)
-}
-
-// DecryptBlock decrypts one 16-byte block src into dst. dst and src
-// may overlap. It is provided for completeness and for validating the
-// datapath; AES-CTR mode (used by SeDA) only ever runs the forward
-// cipher.
-func (e *Engine) DecryptBlock(dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aesx: DecryptBlock buffers must be at least 16 bytes")
-	}
-	var s state
-	s.load(src)
-	s.addRoundKey(&e.roundKeys[e.rounds])
-	for r := e.rounds - 1; r > 0; r-- {
-		s.invShiftRows()
-		s.invSubBytes()
-		s.addRoundKey(&e.roundKeys[r])
-		s.invMixColumns()
-	}
-	s.invShiftRows()
-	s.invSubBytes()
-	s.addRoundKey(&e.roundKeys[0])
-	s.store(dst)
-}
-
-// state is the AES 4x4 byte state in column-major order: state[r][c]
-// holds byte 4*c+r of the block, matching FIPS-197 Fig. 3.
-type state [4][4]byte
-
-func (s *state) load(b []byte) {
-	for c := 0; c < 4; c++ {
-		for r := 0; r < 4; r++ {
-			s[r][c] = b[4*c+r]
-		}
-	}
-}
-
-func (s *state) store(b []byte) {
-	for c := 0; c < 4; c++ {
-		for r := 0; r < 4; r++ {
-			b[4*c+r] = s[r][c]
-		}
-	}
-}
-
-func (s *state) addRoundKey(rk *[16]byte) {
-	for c := 0; c < 4; c++ {
-		for r := 0; r < 4; r++ {
-			s[r][c] ^= rk[4*c+r]
-		}
-	}
-}
-
-func (s *state) subBytes() {
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			s[r][c] = sbox[s[r][c]]
-		}
-	}
-}
-
-func (s *state) invSubBytes() {
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			s[r][c] = invSbox[s[r][c]]
-		}
-	}
-}
-
-func (s *state) shiftRows() {
-	for r := 1; r < 4; r++ {
-		var tmp [4]byte
-		for c := 0; c < 4; c++ {
-			tmp[c] = s[r][(c+r)%4]
-		}
-		s[r] = tmp
-	}
-}
-
-func (s *state) invShiftRows() {
-	for r := 1; r < 4; r++ {
-		var tmp [4]byte
-		for c := 0; c < 4; c++ {
-			tmp[(c+r)%4] = s[r][c]
-		}
-		s[r] = tmp
-	}
+	e.block.Encrypt(dst, src)
 }
 
 // xtime multiplies by x (i.e. {02}) in GF(2^8) with the AES polynomial.
@@ -185,39 +70,6 @@ func xtime(b byte) byte {
 		return (b << 1) ^ 0x1b
 	}
 	return b << 1
-}
-
-// gmul multiplies two bytes in GF(2^8).
-func gmul(a, b byte) byte {
-	var p byte
-	for i := 0; i < 8; i++ {
-		if b&1 != 0 {
-			p ^= a
-		}
-		a = xtime(a)
-		b >>= 1
-	}
-	return p
-}
-
-func (s *state) mixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[0][c], s[1][c], s[2][c], s[3][c]
-		s[0][c] = xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3
-		s[1][c] = a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3
-		s[2][c] = a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3)
-		s[3][c] = (xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3)
-	}
-}
-
-func (s *state) invMixColumns() {
-	for c := 0; c < 4; c++ {
-		a0, a1, a2, a3 := s[0][c], s[1][c], s[2][c], s[3][c]
-		s[0][c] = gmul(a0, 0x0e) ^ gmul(a1, 0x0b) ^ gmul(a2, 0x0d) ^ gmul(a3, 0x09)
-		s[1][c] = gmul(a0, 0x09) ^ gmul(a1, 0x0e) ^ gmul(a2, 0x0b) ^ gmul(a3, 0x0d)
-		s[2][c] = gmul(a0, 0x0d) ^ gmul(a1, 0x09) ^ gmul(a2, 0x0e) ^ gmul(a3, 0x0b)
-		s[3][c] = gmul(a0, 0x0b) ^ gmul(a1, 0x0d) ^ gmul(a2, 0x09) ^ gmul(a3, 0x0e)
-	}
 }
 
 // expandKey implements the FIPS-197 KeyExpansion routine and packs the

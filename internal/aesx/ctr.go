@@ -33,74 +33,24 @@ func (e *Engine) OTP(c Counter) [16]byte {
 	return out
 }
 
-// ctrBatch is how many counter blocks XORKeyStreamCTR encrypts per
-// keystream pass. Walking the round loop once for a batch of states
-// amortizes the round-key loads across the batch, the software
-// analogue of a wide T-table datapath pass.
-const ctrBatch = 8
-
 // XORKeyStreamCTR applies the textbook AES-CTR keystream to src,
 // writing to dst, starting from counter c and incrementing the VN
-// field per 16-byte segment. It is the T-AES reference behaviour where
-// each 128-bit segment gets an independent AES keystream block; used
-// as a cross-check for the bandwidth-aware path and by the T-AES cost
-// model. len(dst) must be >= len(src); anything shorter would silently
-// truncate the ciphertext, so it panics.
-//
-// Counter blocks are encrypted ctrBatch at a time: each round key is
-// loaded once per batch instead of once per block, which is what makes
-// the T-AES baseline in BenchmarkBAESvsTAESPads fair. The keystream is
-// identical to the one-block-at-a-time reference (NIST SP 800-38A
-// vectors, TestCTRBatchMatchesBlockwise).
+// field per 16-byte segment; VN wraps without carrying into PA. It is
+// the T-AES reference behaviour where each 128-bit segment gets an
+// independent AES keystream block; used as a cross-check for the
+// bandwidth-aware path and by the T-AES cost model. len(dst) must be
+// >= len(src); anything shorter would silently truncate the
+// ciphertext, so it panics.
 func (e *Engine) XORKeyStreamCTR(dst, src []byte, c Counter) {
 	if len(dst) < len(src) {
 		panic(fmt.Sprintf("aesx: XORKeyStreamCTR dst length %d < src length %d", len(dst), len(src)))
 	}
-	var pads [ctrBatch * BlockSize]byte
-	for off := 0; off < len(src); off += ctrBatch * BlockSize {
-		remain := len(src) - off
-		nb := (remain + BlockSize - 1) / BlockSize
-		if nb > ctrBatch {
-			nb = ctrBatch
+	for off := 0; off < len(src); off += BlockSize {
+		pad := e.OTP(c)
+		c.VN++
+		end := min(off+BlockSize, len(src))
+		for i := off; i < end; i++ {
+			dst[i] = src[i] ^ pad[i-off]
 		}
-		e.encryptCounterBlocks(pads[:nb*BlockSize], c)
-		c.VN += uint64(nb)
-		n := remain
-		if n > nb*BlockSize {
-			n = nb * BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ pads[i]
-		}
-	}
-}
-
-// encryptCounterBlocks fills pads (a multiple of BlockSize, at most
-// ctrBatch blocks) with AES(PA ‖ VN+b) for b = 0.. — the counter
-// keystream — applying each round to every state in the batch before
-// advancing to the next round key.
-func (e *Engine) encryptCounterBlocks(pads []byte, c Counter) {
-	nb := len(pads) / BlockSize
-	var sts [ctrBatch]state
-	for b := 0; b < nb; b++ {
-		blk := Counter{PA: c.PA, VN: c.VN + uint64(b)}.Bytes()
-		sts[b].load(blk[:])
-		sts[b].addRoundKey(&e.roundKeys[0])
-	}
-	for r := 1; r < e.rounds; r++ {
-		rk := &e.roundKeys[r]
-		for b := 0; b < nb; b++ {
-			sts[b].subBytes()
-			sts[b].shiftRows()
-			sts[b].mixColumns()
-			sts[b].addRoundKey(rk)
-		}
-	}
-	last := &e.roundKeys[e.rounds]
-	for b := 0; b < nb; b++ {
-		sts[b].subBytes()
-		sts[b].shiftRows()
-		sts[b].addRoundKey(last)
-		sts[b].store(pads[b*BlockSize:])
 	}
 }

@@ -2,28 +2,17 @@ package aesx
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"testing"
 )
 
-// blockwiseCTR is the pre-batching reference: one independent AES
-// invocation per 16-byte segment.
-func blockwiseCTR(e *Engine, dst, src []byte, c Counter) {
-	for off := 0; off < len(src); off += BlockSize {
-		pad := e.OTP(c)
-		n := len(src) - off
-		if n > BlockSize {
-			n = BlockSize
-		}
-		for i := 0; i < n; i++ {
-			dst[off+i] = src[off+i] ^ pad[i]
-		}
-		c.VN++
-	}
-}
-
-// TestCTRBatchMatchesBlockwise: the batched keystream is identical to
-// the one-block-at-a-time reference at every length around the batch
-// boundaries, including partial final segments.
+// TestCTRBatchMatchesBlockwise checks XORKeyStreamCTR against
+// crypto/cipher's CTR mode at every length around the block
+// boundaries, including partial final segments, for all three key
+// sizes. A counter whose VN wraps mid-stream is checked block by block
+// instead: the standard CTR carries into PA there, while VN wraps on
+// its own.
 func TestCTRBatchMatchesBlockwise(t *testing.T) {
 	for _, keyLen := range []int{16, 24, 32} {
 		key := make([]byte, keyLen)
@@ -34,7 +23,12 @@ func TestCTRBatchMatchesBlockwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := Counter{PA: 0xdead_beef_0000_0000, VN: 0xfffffffffffffffd} // VN wraps mid-stream
+		block, err := aes.NewCipher(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := Counter{PA: 0xdead_beef_0000_0000, VN: 0x1234}
+		wrap := Counter{PA: c.PA, VN: 0xffff_ffff_ffff_fffd}
 		for _, n := range []int{0, 1, 15, 16, 17, 127, 128, 129, 255, 256, 640, 1000} {
 			src := make([]byte, n)
 			for i := range src {
@@ -42,10 +36,24 @@ func TestCTRBatchMatchesBlockwise(t *testing.T) {
 			}
 			got := make([]byte, n)
 			want := make([]byte, n)
+			iv := c.Bytes()
 			e.XORKeyStreamCTR(got, src, c)
-			blockwiseCTR(e, want, src, c)
+			cipher.NewCTR(block, iv[:]).XORKeyStream(want, src)
 			if !bytes.Equal(got, want) {
-				t.Fatalf("key%d len=%d: batched CTR differs from blockwise reference", keyLen*8, n)
+				t.Fatalf("key%d len=%d: CTR differs from crypto/cipher", keyLen*8, n)
+			}
+
+			e.XORKeyStreamCTR(got, src, wrap)
+			for off := 0; off < n; off += BlockSize {
+				var pad [BlockSize]byte
+				ctr := Counter{PA: wrap.PA, VN: wrap.VN + uint64(off/BlockSize)}.Bytes()
+				e.EncryptBlock(pad[:], ctr[:])
+				for i := off; i < min(off+BlockSize, n); i++ {
+					want[i] = src[i] ^ pad[i-off]
+				}
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("key%d len=%d: wrapping CTR differs from per-block reference", keyLen*8, n)
 			}
 		}
 	}
@@ -85,8 +93,7 @@ func TestCTRDstLongerThanSrc(t *testing.T) {
 	}
 }
 
-// BenchmarkXORKeyStreamCTR tracks the batched T-AES keystream rate
-// (the ROADMAP item: amortize round-key loads over 8 counter blocks).
+// BenchmarkXORKeyStreamCTR tracks the T-AES keystream rate.
 func BenchmarkXORKeyStreamCTR(b *testing.B) {
 	e, err := NewEngine([]byte("0123456789abcdef"))
 	if err != nil {

@@ -20,7 +20,6 @@ import (
 	"bytes"
 
 	"repro/internal/aesx"
-	"repro/internal/sha256x"
 	"repro/internal/xormac"
 )
 
@@ -136,7 +135,7 @@ func (r RePAResult) AttackSucceeded() bool {
 // detected).
 func RunRePA(key []byte, blocks [][]byte, perm []int, positionBound bool) RePAResult {
 	layerID := uint32(7)
-	mac := func(blk []byte, idx int) sha256x.MAC {
+	mac := func(blk []byte, idx int) xormac.MAC {
 		if positionBound {
 			return xormac.BlockMAC(key, blk, xormac.BlockPos{
 				PA:      uint64(idx) * 512,

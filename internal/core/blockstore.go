@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/sha256x"
 	"repro/internal/xormac"
 )
 
@@ -43,7 +42,7 @@ func (u *Unit) WriteFmapWithBlockMACs(id FmapID, addr, macAddr uint64, data []by
 
 		mac := xormac.BlockMAC(u.macKey, ct, u.blockPos(id, blkAddr, blkIdx, vn))
 		mb := mac.Bytes()
-		u.mem.Write(macAddr+uint64(blkIdx)*sha256x.MACSize, mb[:])
+		u.mem.Write(macAddr+uint64(blkIdx)*xormac.MACSize, mb[:])
 		lm.Agg.Add(mac)
 	}
 	u.layerMACs[id] = lm
@@ -66,10 +65,10 @@ func (u *Unit) ReadBlockVerified(id FmapID, addr, macAddr uint64, blkIdx uint32,
 	blkAddr := addr + uint64(blkIdx)*uint64(optBlk)
 	ct := u.mem.Read(blkAddr, n)
 
-	want := u.mem.Read(macAddr+uint64(blkIdx)*sha256x.MACSize, sha256x.MACSize)
+	want := u.mem.Read(macAddr+uint64(blkIdx)*xormac.MACSize, xormac.MACSize)
 	got := xormac.BlockMAC(u.macKey, ct, u.blockPos(id, blkAddr, blkIdx, vn))
 	gb := got.Bytes()
-	for i := 0; i < sha256x.MACSize; i++ {
+	for i := 0; i < xormac.MACSize; i++ {
 		if gb[i] != want[i] {
 			return nil, &IntegrityError{Fmap: id, Got: got, Want: macFromBytes(want)}
 		}
@@ -79,10 +78,10 @@ func (u *Unit) ReadBlockVerified(id FmapID, addr, macAddr uint64, blkIdx uint32,
 	return out, nil
 }
 
-func macFromBytes(b []byte) sha256x.MAC {
+func macFromBytes(b []byte) xormac.MAC {
 	var v uint64
-	for i := 0; i < sha256x.MACSize && i < len(b); i++ {
+	for i := 0; i < xormac.MACSize && i < len(b); i++ {
 		v = v<<8 | uint64(b[i])
 	}
-	return sha256x.MAC(v)
+	return xormac.MAC(v)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/aesx"
-	"repro/internal/sha256x"
 	"repro/internal/xormac"
 )
 
@@ -29,7 +28,7 @@ type Unit struct {
 	vns       map[blockKey]uint64
 	layerMACs map[FmapID]*xormac.LayerMAC
 	modelMAC  *xormac.ModelMAC
-	sealed    map[FmapID]sha256x.MAC // layer MACs folded into the model MAC
+	sealed    map[FmapID]xormac.MAC // layer MACs folded into the model MAC
 }
 
 type blockKey struct {
@@ -56,7 +55,7 @@ func NewUnit(encKey, macKey []byte, mem *Memory) (*Unit, error) {
 		vns:       make(map[blockKey]uint64),
 		layerMACs: make(map[FmapID]*xormac.LayerMAC),
 		modelMAC:  xormac.NewModelMAC(mk),
-		sealed:    make(map[FmapID]sha256x.MAC),
+		sealed:    make(map[FmapID]xormac.MAC),
 	}, nil
 }
 
@@ -117,8 +116,8 @@ func (u *Unit) WriteFmap(id FmapID, addr uint64, data []byte, optBlk int) error 
 // Any tamper, swap or replay in untrusted memory yields an
 // *IntegrityError.
 func (u *Unit) ReadFmap(id FmapID, addr uint64, n int, optBlk int) ([]byte, error) {
-	if optBlk <= 0 {
-		return nil, fmt.Errorf("core: optBlk %d must be positive", optBlk)
+	if err := checkGeometry(n, optBlk); err != nil {
+		return nil, err
 	}
 	want, ok := u.layerMACs[id]
 	if !ok {
@@ -144,6 +143,18 @@ func (u *Unit) ReadFmap(id FmapID, addr uint64, n int, optBlk int) ([]byte, erro
 		return nil, &IntegrityError{Fmap: id, Got: agg.Sum(), Want: want.Agg.Sum()}
 	}
 	return out, nil
+}
+
+// checkGeometry rejects an fmap read of n bytes in optBlk-byte blocks
+// that the block loop cannot walk.
+func checkGeometry(n, optBlk int) error {
+	if optBlk <= 0 {
+		return fmt.Errorf("core: optBlk %d must be positive", optBlk)
+	}
+	if n < 0 {
+		return fmt.Errorf("core: fmap length %d must not be negative", n)
+	}
+	return nil
 }
 
 // SealFmap folds an fmap's layer MAC into the on-chip model MAC. Used
@@ -172,6 +183,9 @@ func (u *Unit) VerifyModel(fetch func(FmapID) (addr uint64, n, optBlk int)) erro
 	check := xormac.NewModelMAC(u.macKey)
 	for id := range u.sealed {
 		addr, n, optBlk := fetch(id)
+		if err := checkGeometry(n, optBlk); err != nil {
+			return err
+		}
 		lm := &xormac.LayerMAC{LayerID: id.Layer}
 		for off := 0; off < n; off += optBlk {
 			end := off + optBlk
@@ -194,7 +208,7 @@ func (u *Unit) VerifyModel(fetch func(FmapID) (addr uint64, n, optBlk int)) erro
 
 // LayerMACSum returns the on-chip layer MAC for an fmap (for tests and
 // the attack demos).
-func (u *Unit) LayerMACSum(id FmapID) (sha256x.MAC, bool) {
+func (u *Unit) LayerMACSum(id FmapID) (xormac.MAC, bool) {
 	lm, ok := u.layerMACs[id]
 	if !ok {
 		return 0, false
@@ -205,8 +219,8 @@ func (u *Unit) LayerMACSum(id FmapID) (sha256x.MAC, bool) {
 // IntegrityError reports a failed verification.
 type IntegrityError struct {
 	Fmap  FmapID
-	Got   sha256x.MAC
-	Want  sha256x.MAC
+	Got   xormac.MAC
+	Want  xormac.MAC
 	Model bool
 }
 

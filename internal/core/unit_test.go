@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -185,6 +187,39 @@ func TestBadOptBlkRejected(t *testing.T) {
 	u.WriteFmap(FmapID{}, 0, []byte{1}, 64) //nolint:errcheck
 	if _, err := u.ReadFmap(FmapID{}, 0, 1, -1); err == nil {
 		t.Error("optBlk -1 accepted on read")
+	}
+}
+
+// TestBadGeometryRejected: ReadFmap and VerifyModel return a core
+// geometry error, rather than panicking or reporting a MAC mismatch,
+// for a non-positive optBlk or a negative length.
+func TestBadGeometryRejected(t *testing.T) {
+	id := FmapID{Layer: 1, Fmap: 2}
+	for _, tc := range []struct {
+		name      string
+		n, optBlk int
+	}{
+		{"optBlk 0", 64, 0},
+		{"optBlk -1", 64, -1},
+		{"n -1", -1, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u := newUnit(t)
+			if err := u.WriteFmap(id, 0, make([]byte, 64), 64); err != nil {
+				t.Fatal(err)
+			}
+			if err := u.SealFmap(id); err != nil {
+				t.Fatal(err)
+			}
+			_, readErr := u.ReadFmap(id, 0, tc.n, tc.optBlk)
+			verifyErr := u.VerifyModel(func(FmapID) (uint64, int, int) { return 0, tc.n, tc.optBlk })
+			for fn, err := range map[string]error{"ReadFmap": readErr, "VerifyModel": verifyErr} {
+				var ie *IntegrityError
+				if err == nil || errors.As(err, &ie) || !strings.HasPrefix(err.Error(), "core: ") {
+					t.Errorf("%s err = %v, want a core: geometry error", fn, err)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,8 @@
 // (Bellare–Guérin–Rogaway style) that SeDA's Integ Engine uses to fold
 // per-block optBlk MACs into a single layer MAC, plus the model MAC
 // accumulator and the position-bound MAC construction that defends
-// against the Re-Permutation Attack (paper §III-C, Algorithm 2).
+// against the Re-Permutation Attack (paper §III-C, Algorithm 2). The
+// MACs it folds are 64-bit truncations of HMAC-SHA256 (TruncMAC).
 //
 // XOR aggregation is parallelizable and incremental: a block rewrite
 // updates the aggregate by XORing out the old MAC and XORing in the
@@ -15,10 +16,35 @@
 package xormac
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
 	"encoding/binary"
-
-	"repro/internal/sha256x"
 )
+
+// MACSize is the width of the truncated per-block message
+// authentication codes carried as security metadata (8 bytes, matching
+// the paper's 64-bit MACs).
+const MACSize = 8
+
+// MAC is a truncated 64-bit block MAC, represented as a uint64 so the
+// XOR-MAC aggregation is a single machine op.
+type MAC uint64
+
+// TruncMAC computes the 64-bit truncated HMAC-SHA256 of msg under key:
+// the first 8 bytes of the tag, read big-endian.
+func TruncMAC(key, msg []byte) MAC {
+	h := hmac.New(sha256.New, key)
+	h.Write(msg) //nolint:errcheck // hash writes cannot fail
+	return MAC(binary.BigEndian.Uint64(h.Sum(nil)))
+}
+
+// Bytes returns the big-endian byte representation of the MAC, the
+// form in which it is stored in off-chip metadata space.
+func (m MAC) Bytes() [MACSize]byte {
+	var b [MACSize]byte
+	binary.BigEndian.PutUint64(b[:], uint64(m))
+	return b
+}
 
 // BlockPos identifies a protection block's position inside a DNN
 // model, the tuple hashed into the MAC by Algorithm 2 line 8.
@@ -46,37 +72,37 @@ func appendPos(dst []byte, p BlockPos) []byte {
 //	MAC_i = H_Kh(blk ‖ PA ‖ VN ‖ layer_id ‖ fmap_idx ‖ blk_idx)
 //
 // truncated to 64 bits.
-func BlockMAC(key, blk []byte, pos BlockPos) sha256x.MAC {
+func BlockMAC(key, blk []byte, pos BlockPos) MAC {
 	msg := make([]byte, 0, len(blk)+28)
 	msg = append(msg, blk...)
 	msg = appendPos(msg, pos)
-	return sha256x.TruncMAC(key, msg)
+	return TruncMAC(key, msg)
 }
 
 // NaiveBlockMAC computes the MAC the paper attacks: the hash of the
 // ciphertext alone, with no position binding. Shuffling blocks that
 // carry naive MACs leaves the XOR aggregate unchanged (RePA,
 // Algorithm 2 lines 1-6).
-func NaiveBlockMAC(key, blk []byte) sha256x.MAC {
-	return sha256x.TruncMAC(key, blk)
+func NaiveBlockMAC(key, blk []byte) MAC {
+	return TruncMAC(key, blk)
 }
 
 // Aggregate is an order-independent XOR accumulator over 64-bit MACs.
 // The zero value is an empty aggregate.
 type Aggregate struct {
-	sum sha256x.MAC
+	sum MAC
 	n   int
 }
 
 // Add folds a MAC into the aggregate.
-func (a *Aggregate) Add(m sha256x.MAC) {
+func (a *Aggregate) Add(m MAC) {
 	a.sum ^= m
 	a.n++
 }
 
 // Remove cancels a previously added MAC (XOR is its own inverse),
 // enabling the incremental update used when a block is rewritten.
-func (a *Aggregate) Remove(m sha256x.MAC) {
+func (a *Aggregate) Remove(m MAC) {
 	a.sum ^= m
 	if a.n > 0 {
 		a.n--
@@ -84,19 +110,19 @@ func (a *Aggregate) Remove(m sha256x.MAC) {
 }
 
 // Update replaces old with new in one step.
-func (a *Aggregate) Update(oldMAC, newMAC sha256x.MAC) {
+func (a *Aggregate) Update(oldMAC, newMAC MAC) {
 	a.sum ^= oldMAC ^ newMAC
 }
 
 // Sum returns the current aggregate MAC.
-func (a *Aggregate) Sum() sha256x.MAC { return a.sum }
+func (a *Aggregate) Sum() MAC { return a.sum }
 
 // Len returns the number of MACs currently folded in (adds minus
 // removes).
 func (a *Aggregate) Len() int { return a.n }
 
 // AggregateOf folds a slice of MACs, in any order, into one value.
-func AggregateOf(macs []sha256x.MAC) sha256x.MAC {
+func AggregateOf(macs []MAC) MAC {
 	var a Aggregate
 	for _, m := range macs {
 		a.Add(m)
@@ -138,12 +164,12 @@ func (m *ModelMAC) RemoveLayer(l *LayerMAC) {
 	m.agg.Remove(m.bind(l))
 }
 
-func (m *ModelMAC) bind(l *LayerMAC) sha256x.MAC {
+func (m *ModelMAC) bind(l *LayerMAC) MAC {
 	var b [12]byte
 	binary.BigEndian.PutUint32(b[0:], l.LayerID)
 	binary.BigEndian.PutUint64(b[4:], uint64(l.Agg.Sum()))
-	return sha256x.TruncMAC(m.key, b[:])
+	return TruncMAC(m.key, b[:])
 }
 
 // Sum returns the model MAC.
-func (m *ModelMAC) Sum() sha256x.MAC { return m.agg.Sum() }
+func (m *ModelMAC) Sum() MAC { return m.agg.Sum() }

@@ -1,11 +1,14 @@
 package xormac
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/sha256x"
 )
 
 var testKey = []byte("integ-engine-test-key")
@@ -23,13 +26,13 @@ func TestAggregateOrderIndependence(t *testing.T) {
 	// The defining property of XOR-MAC aggregation (and the root of
 	// the RePA vulnerability): any permutation yields the same sum.
 	f := func(macs []uint64, seed int64) bool {
-		ms := make([]sha256x.MAC, len(macs))
+		ms := make([]MAC, len(macs))
 		for i, m := range macs {
-			ms[i] = sha256x.MAC(m)
+			ms[i] = MAC(m)
 		}
 		forward := AggregateOf(ms)
 		r := rand.New(rand.NewSource(seed))
-		shuffled := make([]sha256x.MAC, len(ms))
+		shuffled := make([]MAC, len(ms))
 		copy(shuffled, ms)
 		r.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
@@ -44,7 +47,7 @@ func TestAggregateOrderIndependence(t *testing.T) {
 func TestAggregateIncrementalUpdateEqualsRecompute(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	blocks := randBlocks(r, 16, 64)
-	macs := make([]sha256x.MAC, len(blocks))
+	macs := make([]MAC, len(blocks))
 	var agg Aggregate
 	for i, b := range blocks {
 		macs[i] = NaiveBlockMAC(testKey, b)
@@ -65,11 +68,11 @@ func TestAggregateAddRemoveCancels(t *testing.T) {
 	f := func(ms []uint64) bool {
 		var agg Aggregate
 		for _, m := range ms {
-			agg.Add(sha256x.MAC(m))
+			agg.Add(MAC(m))
 		}
 		before := agg.Sum()
-		agg.Add(sha256x.MAC(0xdeadbeef))
-		agg.Remove(sha256x.MAC(0xdeadbeef))
+		agg.Add(MAC(0xdeadbeef))
+		agg.Remove(MAC(0xdeadbeef))
 		return agg.Sum() == before
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -238,7 +241,7 @@ func TestModelMACInsertionOrderIrrelevantForSameLayers(t *testing.T) {
 		{LayerID: 0}, {LayerID: 1}, {LayerID: 2}, {LayerID: 3},
 	}
 	for i, l := range layers {
-		l.Agg.Add(sha256x.MAC(0x1000 + i))
+		l.Agg.Add(MAC(0x1000 + i))
 	}
 	m1 := NewModelMAC(testKey)
 	for _, l := range layers {
@@ -250,5 +253,88 @@ func TestModelMACInsertionOrderIrrelevantForSameLayers(t *testing.T) {
 	}
 	if m1.Sum() != m2.Sum() {
 		t.Error("model MAC depends on fold order of identical layer set")
+	}
+}
+
+// TestHMACVectors pins TruncMAC to the first 8 bytes, big-endian, of the
+// RFC 4231 HMAC-SHA256 test cases 1, 2 and 6 (the last uses a 131-byte
+// key, longer than the SHA-256 block).
+func TestHMACVectors(t *testing.T) {
+	cases := []struct {
+		key, msg []byte
+		want     string
+	}{
+		{
+			bytes.Repeat([]byte{0x0b}, 20),
+			[]byte("Hi There"),
+			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
+		},
+		{
+			[]byte("Jefe"),
+			[]byte("what do ya want for nothing?"),
+			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
+		},
+		{
+			bytes.Repeat([]byte{0xaa}, 131),
+			[]byte("Test Using Larger Than Block-Size Key - Hash Key First"),
+			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+		},
+	}
+	for i, tc := range cases {
+		full, err := hex.DecodeString(tc.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := TruncMAC(tc.key, tc.msg)
+		if want := MAC(binary.BigEndian.Uint64(full)); got != want {
+			t.Errorf("case %d: TruncMAC = %#x, want %#x", i, uint64(got), uint64(want))
+		}
+		if b := got.Bytes(); !bytes.Equal(b[:], full[:MACSize]) {
+			t.Errorf("case %d: Bytes() = %x, want prefix %x", i, b, full[:MACSize])
+		}
+	}
+}
+
+// TestTruncMACIsHMACPrefix checks TruncMAC against the full HMAC-SHA256
+// digest for arbitrary keys and messages.
+func TestTruncMACIsHMACPrefix(t *testing.T) {
+	f := func(key, msg []byte) bool {
+		h := hmac.New(sha256.New, key)
+		h.Write(msg)
+		full := h.Sum(nil)
+		b := TruncMAC(key, msg).Bytes()
+		return bytes.Equal(b[:], full[:MACSize])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	if !f([]byte("integ-engine-key"), []byte("data block ‖ PA ‖ VN ‖ layer ‖ fmap ‖ blk")) {
+		t.Error("TruncMAC is not the HMAC-SHA256 prefix")
+	}
+}
+
+func TestTruncMACKeySensitivity(t *testing.T) {
+	msg := []byte("block contents")
+	if TruncMAC([]byte("key-a"), msg) == TruncMAC([]byte("key-b"), msg) {
+		t.Error("MACs under different keys collide")
+	}
+	if TruncMAC([]byte("key-a"), msg) != TruncMAC([]byte("key-a"), msg) {
+		t.Error("MAC not deterministic")
+	}
+}
+
+func TestTruncMACMessageSensitivity(t *testing.T) {
+	key := []byte("k")
+	f := func(a, b []byte) bool {
+		if bytes.Equal(a, b) {
+			return TruncMAC(key, a) == TruncMAC(key, b)
+		}
+		// Distinct messages should (with overwhelming probability)
+		// have distinct MACs; a collision in random testing indicates
+		// a broken hash.
+		return TruncMAC(key, a) != TruncMAC(key, b)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
