@@ -1,16 +1,16 @@
 // Command seda-loadgen is the synthetic traffic harness for the
-// serving stack. It replays a declarative scenario (a built-in name or
-// a JSON file) against one seda-serve replica or the seda-router
-// fleet, measures client-side latency on HDR-style log-bucketed
-// histograms (coordinated-omission-corrected for open-loop phases),
-// classifies every response into an ok/stale/304/shed/error taxonomy,
-// scrapes /metrics at every phase boundary to attribute cache and
-// router counter deltas to the traffic that caused them, and writes a
-// machine-readable report.
+// serving stack. It replays a declarative closed-loop scenario (a
+// built-in name or a JSON file) against one seda-serve replica or the
+// seda-router fleet, measures client-side latency on obs.Histogram
+// (the log-bucket layout the servers' /metrics expose, so client and
+// server buckets share bounds), classifies every response into an
+// ok/stale/304/shed/error taxonomy, scrapes /metrics at every phase
+// boundary to attribute cache and router counter deltas to the traffic
+// that caused them, and writes a machine-readable report.
 //
 // Everything sent is a pure function of (scenario, seed): the same
 // -seed replays a byte-identical request schedule (dump it with
-// -plan), and the report embeds the schedule's SHA-256 digest so a
+// -schedule-out), and the report embeds the schedule's SHA-256 digest so a
 // measurement names its workload exactly.
 //
 // Modes:
@@ -46,9 +46,7 @@ func main() {
 	scheduleOut := flag.String("schedule-out", "", "write the request schedule dump to this file (\"-\" = stdout) and exit without sending traffic")
 	reportOut := flag.String("report", "-", "write the report JSON here (\"-\" = stdout)")
 	scrape := flag.String("scrape", "", "comma-separated extra /metrics base URLs (default: the target). Behind a router, list the router and every replica so cache counters attribute")
-	scaleDuration := flag.Float64("scale-duration", 1, "multiply every phase duration (CI runs long scenarios briefly; request counts are untouched)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
-	maxInflight := flag.Int("max-inflight", 512, "open-loop concurrency cap; arrivals past it are counted dropped, not queued")
 	quiet := flag.Bool("quiet", false, "suppress per-phase progress lines on stderr")
 	version := flag.Bool("version", false, "print build identity and exit")
 	flag.Parse()
@@ -64,7 +62,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	sc.ScaleDurations(*scaleDuration)
 	useSeed := *seed
 	if useSeed == 0 {
 		useSeed = sc.Seed
@@ -110,7 +107,6 @@ func main() {
 		Seed:           useSeed,
 		Target:         *target,
 		RequestTimeout: *timeout,
-		MaxInflight:    *maxInflight,
 	}
 	if *scrape != "" {
 		for _, ep := range strings.Split(*scrape, ",") {

@@ -3,12 +3,11 @@
 // config-fingerprint affinity (rendezvous hashing over the same
 // canonical fingerprints the result cache is keyed by, so identical
 // configs always land on the replica whose rescache is warm), with
-// least-loaded failover, token-bucket admission at the front door,
-// active /readyz health checking, per-replica circuit breakers,
-// bounded retry with exponential backoff + jitter, and graceful
-// degradation: when every replica is down, a cache-only view of the
-// shared disk-cache tier serves already-published results (marked
-// X-Seda-Stale) before the router answers 503.
+// least-loaded failover, active /readyz health checking, per-replica
+// circuit breakers, bounded retry with exponential backoff + jitter,
+// and graceful degradation: when every replica is down, a cache-only
+// view of the shared disk-cache tier serves already-published results
+// (marked X-Seda-Stale) before the router answers 503.
 //
 // A minimal three-replica deployment, sharing one disk cache:
 //
@@ -58,8 +57,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker blocks traffic before half-opening")
 	healthInterval := flag.Duration("health-interval", time.Second, "active /readyz probe interval")
 	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "per-probe deadline")
-	admitRate := flag.Float64("admit-rate", 0, "token-bucket admission rate for evaluation routes, requests/second (0 = unlimited)")
-	admitBurst := flag.Int("admit-burst", 0, "token-bucket burst capacity (0 = max(1, admit-rate))")
 	maxExplorePoints := flag.Int("max-explore-points", serve.DefaultMaxExplorePoints, "largest grid the stale tier's /v1/explore accepts")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "full-request read timeout")
 	writeTimeout := flag.Duration("write-timeout", 4*time.Minute, "response write timeout (must cover attempt retries of a cold evaluation)")
@@ -118,8 +115,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		HealthInterval:   *healthInterval,
 		HealthTimeout:    *healthTimeout,
-		AdmitRate:        *admitRate,
-		AdmitBurst:       *admitBurst,
 		Degraded:         degraded,
 		Log:              logger,
 	})

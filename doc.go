@@ -37,8 +37,9 @@
 // same cache fingerprints), health-checked failover, per-replica
 // circuit breakers, budgeted retry with backoff, and graceful
 // degradation from a shared disk-cache tier. cmd/seda-loadgen drives
-// the stack: deterministic scenario replay, coordinated-omission-
-// corrected latency, and per-phase /metrics attribution.
+// the stack: deterministic closed-loop scenario replay, latency on the
+// same histogram layout the servers expose, and per-phase /metrics
+// attribution.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and

@@ -13,9 +13,6 @@
 //
 // The robustness core, in the order a request meets it:
 //
-//   - Token-bucket admission at the front door (429 + Retry-After when
-//     demand exceeds the configured rate; the fleet's bounded compute
-//     capacity is never the queue).
 //   - Per-replica circuit breakers (closed → open on consecutive
 //     transport failures/timeouts, open → half-open on a cooldown,
 //     half-open → closed on one success) exclude broken replicas from
@@ -110,12 +107,6 @@ type Options struct {
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 
-	// AdmitRate/AdmitBurst configure token-bucket admission for the
-	// evaluation routes (sweep + explore). Rate is requests/second;
-	// 0 disables admission control. Burst defaults to max(1, rate).
-	AdmitRate  float64
-	AdmitBurst int
-
 	// MaxBodyBytes caps a buffered upstream response. Default 64 MiB.
 	MaxBodyBytes int64
 
@@ -164,7 +155,6 @@ type Router struct {
 	opts     Options
 	replicas []*Replica
 	client   *http.Client
-	admit    *tokenBucket
 	degraded http.Handler // non-nil iff opts.Degraded is
 
 	metrics *routerMetrics
@@ -214,7 +204,6 @@ func New(opts Options) (*Router, error) {
 		opts:     opts,
 		replicas: replicas,
 		client:   &http.Client{Transport: opts.Transport},
-		admit:    newTokenBucket(opts.AdmitRate, opts.AdmitBurst),
 		metrics:  m,
 		log:      log,
 		build:    obs.ReadBuild(),
@@ -253,9 +242,6 @@ func (rt *Router) Handler() http.Handler {
 // fails to resolve forwards without affinity and lets the replica
 // answer the 400, so error wording never drifts between tiers.
 func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if !rt.admitted(w) {
-		return
-	}
 	q := r.URL.Query()
 	key := ""
 	if npu, nets, err := serve.ResolveSweep(q.Get("fig"), q.Get("npu"), q.Get("workloads")); err == nil {
@@ -265,9 +251,6 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
-	if !rt.admitted(w) {
-		return
-	}
 	rt.forward(w, r, "/v1/explore", exploreAffinity(r.URL.Query()))
 }
 
@@ -318,20 +301,6 @@ func (rt *Router) catalog(route string) http.HandlerFunc {
 		}
 		rt.forward(w, r, route, "")
 	}
-}
-
-// admitted applies token-bucket admission; a rejected request is
-// answered 429 with backoff advice and never reaches the fleet.
-func (rt *Router) admitted(w http.ResponseWriter) bool {
-	ok, retryAfter := rt.admit.take()
-	if ok {
-		return true
-	}
-	rt.metrics.admitRejected.Inc()
-	secs := int(retryAfter/time.Second) + 1
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	http.Error(w, "request rate exceeds the router's admission capacity", http.StatusTooManyRequests)
-	return false
 }
 
 // forward runs the retry loop and writes the outcome: the first

@@ -22,7 +22,6 @@ type routerMetrics struct {
 	failover           *obs.Counter
 	staleServed        *obs.Counter
 	unserved           *obs.Counter
-	admitRejected      *obs.Counter
 	breakerTransitions *obs.Counter
 
 	runtime *obs.RuntimeGauges
@@ -33,7 +32,7 @@ func newRouterMetrics() *routerMetrics {
 	m := &routerMetrics{
 		reg: r,
 		reqDur: r.HistogramVec("seda_router_request_duration_seconds",
-			"router request latency by route (admission to last client byte)", "route", obs.DurationBuckets),
+			"router request latency by route (arrival to last client byte)", "route"),
 
 		reqs: r.Counter("seda_router_requests_total",
 			"requests received by the router"),
@@ -49,8 +48,6 @@ func newRouterMetrics() *routerMetrics {
 			"requests served stale from the shared cache tier with no replica available"),
 		unserved: r.Counter("seda_router_unserved_total",
 			"requests answered 503 after the retry budget and the stale tier both failed"),
-		admitRejected: r.Counter("seda_router_admission_rejected_total",
-			"requests rejected 429 by token-bucket admission"),
 		breakerTransitions: r.Counter("seda_router_breaker_transitions_total",
 			"circuit-breaker transitions into the open state"),
 

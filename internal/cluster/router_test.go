@@ -352,33 +352,6 @@ func TestBadRequestPassesThrough(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl: the token bucket rejects excess demand with
-// 429 + Retry-After before any replica sees it.
-func TestAdmissionControl(t *testing.T) {
-	rt, fakes := fakeFleet(t, 1, Options{AdmitRate: 0.001, AdmitBurst: 2})
-	h := rt.Handler()
-	codes := make(map[int]int)
-	for range 3 {
-		codes[get(t, h, sweepURL, nil).Code]++
-	}
-	if codes[http.StatusOK] != 2 || codes[http.StatusTooManyRequests] != 1 {
-		t.Fatalf("admission codes: %v", codes)
-	}
-	if fakes[0].hits.Load() != 2 {
-		t.Fatalf("replica saw %d requests, want the 2 admitted", fakes[0].hits.Load())
-	}
-	fams := scrape(t, h)
-	if v := counterValue(t, fams, "seda_router_admission_rejected_total"); v != 1 {
-		t.Fatalf("admission_rejected_total = %v, want 1", v)
-	}
-	// Health and metrics surfaces are never rate limited.
-	for _, url := range []string{"/healthz", "/readyz", "/metrics"} {
-		if rec := get(t, h, url, nil); rec.Code != http.StatusOK {
-			t.Fatalf("%s rate-limited: %d", url, rec.Code)
-		}
-	}
-}
-
 // TestRouterSurfaces: healthz lists the fleet, readyz degrades as
 // replicas die, method discipline holds, and the metrics exposition is
 // well-formed under the strict parser + linter.

@@ -14,7 +14,7 @@ import (
 
 // ReportVersion is bumped whenever the report schema changes shape, so
 // a report names the schema it was produced under.
-const ReportVersion = "1"
+const ReportVersion = "2"
 
 // Counts is the response taxonomy. Every finished request lands in
 // exactly one bucket; Errors() is the "client-visible failure" rollup
@@ -24,16 +24,15 @@ type Counts struct {
 	OK             uint64 `json:"ok"`              // 200 without a stale marker
 	Stale          uint64 `json:"stale"`           // 200 with X-Seda-Stale (degraded tier)
 	NotModified    uint64 `json:"not_modified"`    // 304 revalidation
-	Rejected       uint64 `json:"rejected"`        // 429 admission control
+	Rejected       uint64 `json:"rejected"`        // 429 rate limiting, from whatever the target is
 	Shed           uint64 `json:"shed"`            // 503 capacity/availability shed
 	Timeout        uint64 `json:"timeout"`         // 504 deadline
 	ClientError    uint64 `json:"client_error"`    // other 4xx
 	ServerError    uint64 `json:"server_error"`    // other 5xx
 	TransportError uint64 `json:"transport_error"` // connect/read failures
-	Dropped        uint64 `json:"dropped"`         // open loop: harness inflight cap hit
 }
 
-// Total counts every finished request (dropped ones never ran).
+// Total counts every finished request.
 func (c Counts) Total() uint64 {
 	return c.OK + c.Stale + c.NotModified + c.Rejected + c.Shed +
 		c.Timeout + c.ClientError + c.ServerError + c.TransportError
@@ -54,50 +53,45 @@ func (c *Counts) add(o Counts) {
 	c.ClientError += o.ClientError
 	c.ServerError += o.ServerError
 	c.TransportError += o.TransportError
-	c.Dropped += o.Dropped
 }
 
 // LatencySummary is the report shape of one histogram. Values are
 // seconds rounded to the microsecond, matching the histogram's floor
 // resolution, so reports are stable to re-marshal.
 type LatencySummary struct {
-	Unit      string  `json:"unit"` // always "seconds"
-	Count     uint64  `json:"count"`
-	Mean      float64 `json:"mean"`
-	P50       float64 `json:"p50"`
-	P90       float64 `json:"p90"`
-	P95       float64 `json:"p95"`
-	P99       float64 `json:"p99"`
-	Max       float64 `json:"max"`
-	Corrected bool    `json:"coordinated_omission_corrected"`
+	Unit  string  `json:"unit"` // always "seconds"
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean"`
+	P50   float64 `json:"p50"`
+	P90   float64 `json:"p90"`
+	P95   float64 `json:"p95"`
+	P99   float64 `json:"p99"`
+	Max   float64 `json:"max"`
 }
 
-func summarizeHist(h *Hist, corrected bool) LatencySummary {
+func summarizeHist(h *obs.Histogram) LatencySummary {
 	sec := func(d time.Duration) float64 {
 		return math.Round(d.Seconds()*1e6) / 1e6
 	}
 	return LatencySummary{
-		Unit:      "seconds",
-		Count:     h.Count(),
-		Mean:      sec(h.Mean()),
-		P50:       sec(h.Quantile(0.50)),
-		P90:       sec(h.Quantile(0.90)),
-		P95:       sec(h.Quantile(0.95)),
-		P99:       sec(h.Quantile(0.99)),
-		Max:       sec(h.Max()),
-		Corrected: corrected,
+		Unit:  "seconds",
+		Count: h.Count(),
+		Mean:  sec(h.Mean()),
+		P50:   sec(h.Quantile(0.50)),
+		P90:   sec(h.Quantile(0.90)),
+		P95:   sec(h.Quantile(0.95)),
+		P99:   sec(h.Quantile(0.99)),
+		Max:   sec(h.Max()),
 	}
 }
 
 // PhaseReport is one phase's measured outcome.
 type PhaseReport struct {
 	Name    string `json:"name"`
-	Mode    string `json:"mode"`
 	Clients int    `json:"clients,omitempty"`
 	// PlannedRequests is the deterministic schedule size (0 when the
-	// phase is bounded by wall clock in closed loop).
+	// phase is bounded by wall clock).
 	PlannedRequests int     `json:"planned_requests,omitempty"`
-	OfferedRPS      float64 `json:"offered_rps,omitempty"` // open loop
 	DurationSeconds float64 `json:"duration_seconds"`
 	AchievedRPS     float64 `json:"achieved_rps"`
 
@@ -167,17 +161,13 @@ func Plan(sc *Scenario, seed uint64) *Report {
 		Plan:           true,
 		ScheduleDigest: sc.ScheduleDigest(seed),
 	}
-	for i := range sc.Phases {
-		p := &sc.Phases[i]
-		pr := PhaseReport{
+	for _, p := range sc.Phases {
+		rep.Phases = append(rep.Phases, PhaseReport{
 			Name:            p.Name,
-			Mode:            p.Mode,
 			Clients:         p.Clients,
-			PlannedRequests: p.plannedRequests(seed, i),
-			OfferedRPS:      p.describeOffered(),
-			Latency:         LatencySummary{Unit: "seconds", Corrected: p.Mode == "open"},
-		}
-		rep.Phases = append(rep.Phases, pr)
+			PlannedRequests: p.Requests,
+			Latency:         LatencySummary{Unit: "seconds"},
+		})
 	}
 	rep.Totals.Latency = LatencySummary{Unit: "seconds"}
 	return rep

@@ -11,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // RunOptions configures one measured run.
@@ -29,10 +31,6 @@ type RunOptions struct {
 	Client *http.Client
 	// RequestTimeout bounds one request (default 30s).
 	RequestTimeout time.Duration
-	// MaxInflight caps open-loop concurrency; arrivals past the cap are
-	// counted Dropped instead of queueing (queueing would silently turn
-	// the open loop closed). Default 512.
-	MaxInflight int
 	// Logf, when set, receives one progress line per phase.
 	Logf func(format string, args ...any)
 }
@@ -65,10 +63,6 @@ func Run(ctx context.Context, opts RunOptions) (*Report, error) {
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	maxInflight := opts.MaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 512
-	}
 	scrape := opts.Scrape
 	if len(scrape) == 0 {
 		scrape = []string{target}
@@ -93,7 +87,7 @@ func Run(ctx context.Context, opts RunOptions) (*Report, error) {
 		bodies:  make(map[string]string),
 	}
 
-	var totalHist Hist
+	var totalHist obs.Histogram
 	var totalDur time.Duration
 	for i := range sc.Phases {
 		p := &sc.Phases[i]
@@ -103,7 +97,7 @@ func Run(ctx context.Context, opts RunOptions) (*Report, error) {
 			before = nil
 		}
 
-		pr, err := ex.runPhase(ctx, p, seed, i, maxInflight)
+		pr, err := ex.runPhase(ctx, p, seed, i, &totalHist)
 		if err != nil {
 			return nil, fmt.Errorf("phase %s: %w", p.Name, err)
 		}
@@ -113,22 +107,20 @@ func Run(ctx context.Context, opts RunOptions) (*Report, error) {
 			if err != nil {
 				rep.Warnings = append(rep.Warnings, fmt.Sprintf("phase %s: post-scrape: %v", p.Name, err))
 			} else {
-				pr.report.MetricsDelta = deltaCounters(before, after)
+				pr.MetricsDelta = deltaCounters(before, after)
 			}
 		}
-		pr.report.PlannedRequests = p.plannedRequests(seed, i)
-		rep.Phases = append(rep.Phases, pr.report)
-		rep.Totals.Status.add(pr.report.Status)
-		totalHist.Merge(&pr.hist)
-		totalDur += time.Duration(pr.report.DurationSeconds * float64(time.Second))
+		rep.Phases = append(rep.Phases, pr)
+		rep.Totals.Status.add(pr.Status)
+		totalDur += time.Duration(pr.DurationSeconds * float64(time.Second))
 		logf("phase %s: %d requests in %.2fs (%.1f rps), p99=%s, errors=%d",
-			p.Name, pr.report.Status.Total(), pr.report.DurationSeconds,
-			pr.report.AchievedRPS, time.Duration(pr.report.Latency.P99*float64(time.Second)).Round(time.Microsecond),
-			pr.report.Status.Errors())
+			p.Name, pr.Status.Total(), pr.DurationSeconds,
+			pr.AchievedRPS, time.Duration(pr.Latency.P99*float64(time.Second)).Round(time.Microsecond),
+			pr.Status.Errors())
 	}
 
 	rep.Totals.Requests = rep.Totals.Status.Total()
-	rep.Totals.Latency = summarizeHist(&totalHist, false)
+	rep.Totals.Latency = summarizeHist(&totalHist)
 	rep.Totals.ShedRate = rate(rep.Totals.Status.Shed+rep.Totals.Status.Rejected, rep.Totals.Status.Total())
 	rep.Totals.StaleRate = rate(rep.Totals.Status.Stale, rep.Totals.Status.Total())
 	if s := totalDur.Seconds(); s > 0 {
@@ -165,21 +157,19 @@ type executor struct {
 	bodies map[string]string
 }
 
-// phaseResult pairs the JSON-facing report with the mergeable hist.
-type phaseResult struct {
-	report PhaseReport
-	hist   Hist
-}
-
-// collector accumulates one phase's measurements.
+// collector accumulates one phase's measurements. Every latency goes
+// into the phase's histogram and the run's total alike.
 type collector struct {
+	hist, total *obs.Histogram
+
 	mu     sync.Mutex
-	hist   Hist
 	counts Counts
 	div    uint64
 }
 
 func (c *collector) record(d time.Duration, out outcome, diverged bool) {
+	c.hist.Observe(d)
+	c.total.Observe(d)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if diverged {
@@ -205,7 +195,6 @@ func (c *collector) record(d time.Duration, out outcome, diverged bool) {
 	case outTransportError:
 		c.counts.TransportError++
 	}
-	c.hist.Observe(d)
 }
 
 type outcome int
@@ -222,46 +211,13 @@ const (
 	outTransportError
 )
 
-func (ex *executor) runPhase(ctx context.Context, p *Phase, seed uint64, idx, maxInflight int) (*phaseResult, error) {
+// runPhase drives the phase's Clients workers, each holding at most
+// one request open, pulling from the shared deterministic stream until
+// the stream (counted) or the deadline (duration-bounded) ends it.
+func (ex *executor) runPhase(ctx context.Context, p *Phase, seed uint64, idx int, total *obs.Histogram) (PhaseReport, error) {
 	st := newPhaseStream(p, seed, idx)
-	col := &collector{}
+	col := &collector{hist: new(obs.Histogram), total: total}
 	start := time.Now()
-
-	var err error
-	if p.Mode == "open" {
-		err = ex.runOpen(ctx, p, st, col, start, maxInflight)
-	} else {
-		err = ex.runClosed(ctx, p, st, col, start)
-	}
-	if err != nil {
-		return nil, err
-	}
-
-	elapsed := time.Since(start)
-	pr := &phaseResult{hist: col.hist}
-	total := col.counts.Total()
-	pr.report = PhaseReport{
-		Name:            p.Name,
-		Mode:            p.Mode,
-		Clients:         p.Clients,
-		OfferedRPS:      p.describeOffered(),
-		DurationSeconds: math.Round(elapsed.Seconds()*1000) / 1000,
-		Latency:         summarizeHist(&col.hist, p.Mode == "open"),
-		Status:          col.counts,
-		ShedRate:        rate(col.counts.Shed+col.counts.Rejected, total),
-		StaleRate:       rate(col.counts.Stale, total),
-		BodyDivergence:  col.div,
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		pr.report.AchievedRPS = math.Round(float64(total)/s*100) / 100
-	}
-	return pr, nil
-}
-
-// runClosed drives Clients workers, each holding at most one request
-// open, pulling from the shared deterministic stream until the stream
-// (counted) or the deadline (duration-bounded) ends the phase.
-func (ex *executor) runClosed(ctx context.Context, p *Phase, st *phaseStream, col *collector, start time.Time) error {
 	var deadline time.Time
 	if p.Duration > 0 {
 		deadline = start.Add(time.Duration(p.Duration))
@@ -292,54 +248,27 @@ func (ex *executor) runClosed(ctx context.Context, p *Phase, st *phaseStream, co
 		}()
 	}
 	wg.Wait()
-	return ctx.Err()
-}
-
-// runOpen fires requests at their scheduled arrival offsets regardless
-// of completions. Latency is measured from the *scheduled* arrival, not
-// the actual send — the coordinated-omission correction: when the
-// target (or the harness) stalls, the queueing delay a punctual client
-// would have suffered stays in the numbers instead of vanishing.
-func (ex *executor) runOpen(ctx context.Context, p *Phase, st *phaseStream, col *collector, start time.Time, maxInflight int) error {
-	sem := make(chan struct{}, maxInflight)
-	var wg sync.WaitGroup
-	var dropped uint64
-	var droppedMu sync.Mutex
-	for {
-		req, ok := st.next()
-		if !ok {
-			break
-		}
-		scheduled := start.Add(req.At)
-		if d := time.Until(scheduled); d > 0 {
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				wg.Wait()
-				return ctx.Err()
-			}
-		}
-		select {
-		case sem <- struct{}{}:
-		default:
-			droppedMu.Lock()
-			dropped++
-			droppedMu.Unlock()
-			continue
-		}
-		wg.Add(1)
-		go func(req Req, scheduled time.Time) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out, div := ex.do(ctx, req)
-			col.record(time.Since(scheduled), out, div)
-		}(req, scheduled)
+	if err := ctx.Err(); err != nil {
+		return PhaseReport{}, err
 	}
-	wg.Wait()
-	col.mu.Lock()
-	col.counts.Dropped = dropped
-	col.mu.Unlock()
-	return ctx.Err()
+
+	elapsed := time.Since(start)
+	n := col.counts.Total()
+	pr := PhaseReport{
+		Name:            p.Name,
+		Clients:         p.Clients,
+		PlannedRequests: p.Requests,
+		DurationSeconds: math.Round(elapsed.Seconds()*1000) / 1000,
+		Latency:         summarizeHist(col.hist),
+		Status:          col.counts,
+		ShedRate:        rate(col.counts.Shed+col.counts.Rejected, n),
+		StaleRate:       rate(col.counts.Stale, n),
+		BodyDivergence:  col.div,
+	}
+	if s := elapsed.Seconds(); s > 0 {
+		pr.AchievedRPS = math.Round(float64(n)/s*100) / 100
+	}
+	return pr, nil
 }
 
 // do executes one planned request and classifies the response. The

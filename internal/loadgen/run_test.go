@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/rescache"
 	"repro/internal/serve"
@@ -38,9 +37,9 @@ func warmColdScenario(t *testing.T) *Scenario {
 	doc := `{
 	  "name": "warm-rerun",
 	  "phases": [
-	    {"name": "cold", "mode": "closed", "clients": 2, "requests": 6,
+	    {"name": "cold", "clients": 2, "requests": 6,
 	     "mix": [{"kind": "sweep", "figs": ["5b"], "workloads": ["let,ncf"]}]},
-	    {"name": "warm", "mode": "closed", "clients": 4, "requests": 40,
+	    {"name": "warm", "clients": 4, "requests": 40,
 	     "mix": [{"kind": "sweep", "figs": ["5b"], "workloads": ["let,ncf"], "csv": 0.25, "revalidate": 0.6}]}
 	  ]
 	}`
@@ -130,7 +129,7 @@ func TestRunTaxonomy(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	doc := `{"name":"taxonomy","phases":[{"name":"p","mode":"closed","clients":1,"requests":16,"mix":[{"kind":"catalog"}]}]}`
+	doc := `{"name":"taxonomy","phases":[{"name":"p","clients":1,"requests":16,"mix":[{"kind":"catalog"}]}]}`
 	sc, err := ParseScenario(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +167,7 @@ func TestRunBodyDivergence(t *testing.T) {
 		mu.Unlock()
 	}))
 	defer srv.Close()
-	doc := `{"name":"diverge","phases":[{"name":"p","mode":"closed","clients":1,"requests":6,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["let"]}]}]}`
+	doc := `{"name":"diverge","phases":[{"name":"p","clients":1,"requests":6,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["let"]}]}]}`
 	sc, err := ParseScenario(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
@@ -190,98 +189,11 @@ func TestRunBodyDivergence(t *testing.T) {
 	}
 }
 
-// TestRunOpenLoopCoordinatedOmission pins the correction: against a
-// serialized target (one request at a time, fixed service time), an
-// open-loop phase must report queueing delay — latency measured from
-// the scheduled arrival grows far beyond the service time.
-func TestRunOpenLoopCoordinatedOmission(t *testing.T) {
-	const service = 20 * time.Millisecond
-	var gate sync.Mutex
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics" {
-			return
-		}
-		gate.Lock()
-		time.Sleep(service)
-		gate.Unlock()
-		w.Write([]byte("ok")) //nolint:errcheck
-	}))
-	defer srv.Close()
-	// Offered 100/s uniform for 400ms = 40 arrivals; the target drains
-	// 50/s, so the queue grows by ~1 request every 20ms.
-	doc := `{"name":"co","phases":[{"name":"p","mode":"open","rate":100,"arrival":"uniform","duration":"400ms","mix":[{"kind":"catalog"}]}]}`
-	sc, err := ParseScenario(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), RunOptions{Scenario: sc, Seed: 1, Target: srv.URL})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rep.Phases[0]
-	if !p.Latency.Corrected {
-		t.Fatal("open-loop phase must be flagged coordinated_omission_corrected")
-	}
-	if p.Status.OK < 30 {
-		t.Fatalf("only %d arrivals completed", p.Status.OK)
-	}
-	maxLat := time.Duration(p.Latency.Max * float64(time.Second))
-	if maxLat < 5*service {
-		t.Fatalf("max latency %s shows no queueing delay (service time %s): the correction is lost", maxLat, service)
-	}
-}
-
-// TestRunOpenLoopInflightCap: when arrivals outpace the inflight cap,
-// the surplus must be counted dropped, not silently queued.
-func TestRunOpenLoopInflightCap(t *testing.T) {
-	block := make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/metrics" {
-			return
-		}
-		<-block
-	}))
-	defer srv.Close()
-	defer close(block)
-	doc := `{"name":"cap","phases":[{"name":"p","mode":"open","rate":200,"arrival":"uniform","duration":"200ms","mix":[{"kind":"catalog"}]}]}`
-	sc, err := ParseScenario(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan *Report, 1)
-	go func() {
-		rep, err := Run(context.Background(), RunOptions{
-			Scenario: sc, Seed: 1, Target: srv.URL,
-			MaxInflight: 4, RequestTimeout: 300 * time.Millisecond,
-		})
-		if err != nil {
-			t.Error(err)
-		}
-		done <- rep
-	}()
-	select {
-	case rep := <-done:
-		if rep == nil {
-			t.Fatal("run failed")
-		}
-		p := rep.Phases[0]
-		if p.Status.Dropped == 0 {
-			t.Fatalf("no arrivals dropped at cap 4: %+v", p.Status)
-		}
-		// The 4 admitted requests hang past their timeout.
-		if p.Status.TransportError == 0 {
-			t.Fatalf("expected timed-out admitted requests: %+v", p.Status)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("run wedged")
-	}
-}
-
 // TestRunScrapeWarnings: an unscrapable endpoint degrades to a warning
 // (the traffic numbers survive; only the attribution is lost).
 func TestRunScrapeWarnings(t *testing.T) {
 	srv := testServer(t)
-	doc := `{"name":"w","phases":[{"name":"p","mode":"closed","clients":1,"requests":2,"mix":[{"kind":"catalog"}]}]}`
+	doc := `{"name":"w","phases":[{"name":"p","clients":1,"requests":2,"mix":[{"kind":"catalog"}]}]}`
 	sc, err := ParseScenario(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)

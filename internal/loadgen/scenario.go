@@ -1,12 +1,11 @@
 // Package loadgen is the synthetic traffic harness for the serving
-// stack: it replays declarative scenario mixes against a seda-serve
-// replica or the seda-router fleet, measures client-side latency
-// percentiles on HDR-style log-bucketed histograms
-// (coordinated-omission-corrected for open-loop arrivals), classifies
-// every response into an error/shed/stale taxonomy, scrapes /metrics
-// before and after each phase to attribute cache and router counter
-// deltas to the traffic that caused them, and emits a machine-readable
-// report.
+// stack: it replays declarative closed-loop scenario mixes against a
+// seda-serve replica or the seda-router fleet, measures client-side
+// latency percentiles on obs.Histogram (the same log-bucket layout the
+// servers expose on /metrics), classifies every response into an
+// error/shed/stale taxonomy, scrapes /metrics before and after each
+// phase to attribute cache and router counter deltas to the traffic
+// that caused them, and emits a machine-readable report.
 //
 // Everything the generator sends is derived deterministically from
 // (scenario, seed): the same seed replays a byte-identical request
@@ -32,7 +31,7 @@ import (
 )
 
 // Scenario is one declarative traffic description: an ordered list of
-// phases, each with a loop mode and a weighted request mix. Scenarios
+// phases, each with a client count and a weighted request mix. Scenarios
 // load from JSON (LoadScenario) or come built in (Builtin).
 type Scenario struct {
 	Name string `json:"name"`
@@ -43,26 +42,19 @@ type Scenario struct {
 }
 
 // Phase is one load segment, executed after the previous phase fully
-// completes (the barrier is where the /metrics deltas are cut).
+// completes (the barrier is where the /metrics deltas are cut). Every
+// phase is a closed loop: Clients workers each hold at most one request
+// open, so throughput self-limits to the target's service rate and
+// latencies are service times. (A fixed-rate open loop on a shared
+// host measures its own timer wake-ups more than the fleet; the
+// benchmark keeps its own open-loop generator for that lag.)
 type Phase struct {
-	Name string `json:"name"`
-	// Mode selects the loop law. "closed": Clients workers each hold at
-	// most one request open — throughput self-limits to the target's
-	// service rate, latencies are service times. "open": requests fire
-	// at scheduled arrival times regardless of completions — offered
-	// load is independent of the target, and latency is measured from
-	// the scheduled arrival (coordinated-omission corrected).
-	Mode    string `json:"mode"`
-	Clients int    `json:"clients,omitempty"` // closed loop; default 1
-	// Rate is the open-loop offered arrival rate, requests/second.
-	Rate float64 `json:"rate,omitempty"`
-	// Arrival shapes open-loop inter-arrival gaps: "poisson" (default,
-	// exponential gaps) or "uniform" (evenly spaced).
-	Arrival string `json:"arrival,omitempty"`
+	Name    string `json:"name"`
+	Clients int    `json:"clients,omitempty"` // default 1
 	// Requests bounds the phase by count; Duration bounds it by wall
 	// clock. At least one is required. A counted phase has a fully
-	// deterministic schedule; a closed duration-bounded phase consumes
-	// the (deterministic) request stream for as long as the clock runs.
+	// deterministic schedule; a duration-bounded phase consumes the
+	// (deterministic) request stream for as long as the clock runs.
 	Requests int      `json:"requests,omitempty"`
 	Duration Duration `json:"duration,omitempty"`
 	Mix      []Mix    `json:"mix"`
@@ -181,41 +173,11 @@ func (sc *Scenario) validate() error {
 }
 
 func (p *Phase) validate() error {
-	switch p.Mode {
-	case "closed":
-		if p.Clients == 0 {
-			p.Clients = 1
-		}
-		if p.Clients < 0 {
-			return fmt.Errorf("clients %d must be positive", p.Clients)
-		}
-		if p.Rate != 0 {
-			return fmt.Errorf("rate is an open-loop knob (closed loop is paced by completions)")
-		}
-	case "open":
-		if p.Rate <= 0 {
-			return fmt.Errorf("open loop needs rate > 0 (offered requests/second)")
-		}
-		// The schedule clock counts whole nanoseconds (phaseStream.next
-		// computes the gap exactly so): a mean gap that truncates to
-		// zero never advances it, and the phase would never end.
-		if time.Duration(1/p.Rate*float64(time.Second)) < 1 {
-			return fmt.Errorf("rate %g/s puts the mean arrival gap below the 1ns schedule clock", p.Rate)
-		}
-		if p.Clients != 0 {
-			return fmt.Errorf("clients is a closed-loop knob (open loop launches per arrival)")
-		}
-		switch p.Arrival {
-		case "":
-			p.Arrival = "poisson"
-		case "poisson", "uniform":
-		default:
-			return fmt.Errorf("arrival %q (want poisson or uniform)", p.Arrival)
-		}
-	case "":
-		return fmt.Errorf("missing mode (closed or open)")
-	default:
-		return fmt.Errorf("mode %q (want closed or open)", p.Mode)
+	if p.Clients == 0 {
+		p.Clients = 1
+	}
+	if p.Clients < 0 {
+		return fmt.Errorf("clients %d must be positive", p.Clients)
 	}
 	if p.Requests < 0 {
 		return fmt.Errorf("requests %d must not be negative", p.Requests)

@@ -13,13 +13,13 @@ import (
 // re-marshals to a document that parses again to the same value: the
 // validated, defaulted form is a fixed point.
 func FuzzParseScenario(f *testing.F) {
-	if b, err := os.ReadFile("testdata/capacity_probe.json"); err == nil {
+	if b, err := os.ReadFile("testdata/mixed.json"); err == nil {
 		f.Add(string(b))
 	}
 	for _, seed := range []string{
 		`{"name":"x","phases":[{"name":"p","mode":"open","rate":1e10,"arrival":"uniform","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
 		`{"name":"x","phases":[{"name":"p","mode":"open","rate":1e9,"duration":"1ms","mix":[{"kind":"catalog","weight":-0}]}]}`,
-		`{"name":"NaN*error(x)","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["let, ncf",""]}]}]}`,
+		`{"name":"NaN*error(x)","phases":[{"name":"p","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["let, ncf",""]}]}]}`,
 	} {
 		f.Add(seed)
 	}

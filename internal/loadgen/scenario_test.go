@@ -3,7 +3,6 @@ package loadgen
 import (
 	"bytes"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -46,9 +45,9 @@ func TestScheduleByteIdentical(t *testing.T) {
 // same -seed → byte-identical plan report JSON.
 func TestPlanReportByteIdentical(t *testing.T) {
 	render := func() []byte {
-		sc, ok := Builtin("hot-mix")
+		sc, ok := Builtin("smoke")
 		if !ok {
-			t.Fatal("missing built-in hot-mix")
+			t.Fatal("missing built-in smoke")
 		}
 		var buf bytes.Buffer
 		if err := Plan(sc, 99).WriteJSON(&buf); err != nil {
@@ -66,46 +65,58 @@ func TestPlanReportByteIdentical(t *testing.T) {
 }
 
 // TestScheduleShape spot-checks the dump grammar: header line, one
-// tab-separated record per request, open-loop arrivals monotonic.
+// tab-separated record per request, and a truncation note ending each
+// duration-bounded phase.
 func TestScheduleShape(t *testing.T) {
-	sc, _ := Builtin("capacity")
+	sc, _ := Builtin("smoke")
 	var buf bytes.Buffer
 	if _, err := sc.WriteSchedule(&buf, 3); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if !strings.HasPrefix(lines[0], "# seda-loadgen schedule v1 scenario=capacity seed=3") {
+	if !strings.HasPrefix(lines[0], "# seda-loadgen schedule v2 scenario=smoke seed=3") {
 		t.Fatalf("bad header: %q", lines[0])
 	}
-	lastAt := int64(-1)
-	var closed, open int
+	perPhase := map[string]int{}
 	for _, ln := range lines[1:] {
 		if strings.HasPrefix(ln, "#") {
 			continue
 		}
 		f := strings.Split(ln, "\t")
-		if len(f) != 6 {
-			t.Fatalf("want 6 fields, got %d: %q", len(f), ln)
+		if len(f) != 5 || f[1] != "GET" {
+			t.Fatalf("want 5 fields (phase GET path accept reval), got %q", ln)
 		}
-		if !strings.HasPrefix(f[3], "/v1/") {
-			t.Fatalf("path %q not under /v1/", f[3])
+		if !strings.HasPrefix(f[2], "/v1/") {
+			t.Fatalf("path %q not under /v1/", f[2])
 		}
-		if f[1] == "-" {
-			closed++
-			continue
-		}
-		open++
-		at, err := strconv.ParseInt(f[1], 10, 64)
-		if err != nil {
-			t.Fatalf("arrival %q: %v", f[1], err)
-		}
-		if at < lastAt {
-			t.Fatalf("arrivals not monotonic: %d after %d", at, lastAt)
-		}
-		lastAt = at
+		perPhase[f[0]]++
 	}
-	if closed == 0 || open == 0 {
-		t.Fatalf("want both closed (%d) and open (%d) records", closed, open)
+	if perPhase["warm"] != 24 || perPhase["steady"] != 160 || perPhase["sustain"] != planCap {
+		t.Fatalf("records per phase: %v", perPhase)
+	}
+	if last := lines[len(lines)-1]; last != "# phase sustain: unbounded stream truncated at 512 planned requests" {
+		t.Fatalf("last line %q", last)
+	}
+}
+
+// TestScheduleDigestGolden pins the request sequences of the two
+// built-ins CI replays. Each position's phase, path, Accept and
+// revalidation flag match the schema-1 dumps (which also carried an
+// arrival column); a change here changes the traffic every report
+// measured.
+func TestScheduleDigestGolden(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		seed   uint64
+		digest string
+	}{
+		{"smoke", 7, "9dbd3867bd2168cdaf1ab929ffc5b072ab615de4e5eafb06e0d37a124b261b0c"},
+		{"chaos", 1, "44e9cab7d02781ceade8911d0c521554c7f3e12b5ff38c3d6060e0edcfcc10b8"},
+	} {
+		sc, _ := Builtin(c.name)
+		if got := sc.ScheduleDigest(c.seed); got != c.digest {
+			t.Errorf("%s seed %d: schedule digest %s, want %s", c.name, c.seed, got, c.digest)
+		}
 	}
 }
 
@@ -113,7 +124,7 @@ func TestScheduleShape(t *testing.T) {
 // the decoded shape (the file documents the grammar; drifting it or
 // the parser shows up here).
 func TestGoldenScenarioParse(t *testing.T) {
-	f, err := os.Open("testdata/capacity_probe.json")
+	f, err := os.Open("testdata/mixed.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,21 +133,20 @@ func TestGoldenScenarioParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Name != "capacity-probe" || sc.Seed != 42 || len(sc.Phases) != 2 {
+	if sc.Name != "mixed" || sc.Seed != 42 || len(sc.Phases) != 2 {
 		t.Fatalf("decoded header: %+v", sc)
 	}
-	warm, offered := sc.Phases[0], sc.Phases[1]
-	if warm.Mode != "closed" || warm.Clients != 2 || warm.Requests != 16 {
+	warm, mixed := sc.Phases[0], sc.Phases[1]
+	if warm.Clients != 2 || warm.Requests != 16 {
 		t.Fatalf("warm phase: %+v", warm)
 	}
-	if offered.Mode != "open" || offered.Rate != 40 || offered.Arrival != "uniform" ||
-		time.Duration(offered.Duration) != 2*time.Second || len(offered.Mix) != 3 {
-		t.Fatalf("offered phase: %+v", offered)
+	if mixed.Clients != 4 || time.Duration(mixed.Duration) != 2*time.Second || len(mixed.Mix) != 3 {
+		t.Fatalf("mixed phase: %+v", mixed)
 	}
-	if m := offered.Mix[0]; m.Zipf != 1.1 || m.CSV != 0.25 || m.Revalidate != 0.5 || m.Weight != 6 {
+	if m := mixed.Mix[0]; m.Zipf != 1.1 || m.CSV != 0.25 || m.Revalidate != 0.5 || m.Weight != 6 {
 		t.Fatalf("sweep mix: %+v", m)
 	}
-	if got := sc.Phases[1].Mix[2].Weight; got != 1 {
+	if got := mixed.Mix[2].Weight; got != 1 {
 		t.Fatalf("catalog default weight = %v, want 1", got)
 	}
 	// The file must also produce a stable schedule under its own seed.
@@ -153,44 +163,44 @@ func TestScenarioErrors(t *testing.T) {
 		doc  string
 		want string
 	}{
-		{"unknown field", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mixx":[]}]}`,
+		{"unknown field", `{"name":"x","phases":[{"name":"p","requests":1,"mixx":[]}]}`,
 			`unknown field "mixx"`},
-		{"missing mode", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"catalog"}]}]}`,
-			`phase "p": missing mode (closed or open)`},
+		// Open-loop phases of report schema 1 are rejected, never run
+		// as closed loops: mode, rate and arrival are unknown fields.
 		{"bad mode", `{"name":"x","phases":[{"name":"p","mode":"bursty","requests":1,"mix":[{"kind":"catalog"}]}]}`,
-			`phase "p": mode "bursty" (want closed or open)`},
-		{"closed with rate", `{"name":"x","phases":[{"name":"p","mode":"closed","rate":5,"requests":1,"mix":[{"kind":"catalog"}]}]}`,
-			`rate is an open-loop knob`},
+			`unknown field "mode"`},
+		{"closed with rate", `{"name":"x","phases":[{"name":"p","rate":5,"requests":1,"mix":[{"kind":"catalog"}]}]}`,
+			`unknown field "rate"`},
 		{"open without rate", `{"name":"x","phases":[{"name":"p","mode":"open","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
-			`open loop needs rate > 0`},
+			`unknown field "mode"`},
 		{"rate above clock resolution", `{"name":"x","phases":[{"name":"p","mode":"open","rate":1e10,"arrival":"uniform","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
-			`rate 1e+10/s puts the mean arrival gap below the 1ns schedule clock`},
+			`unknown field "mode"`},
 		{"open with clients", `{"name":"x","phases":[{"name":"p","mode":"open","rate":5,"clients":3,"duration":"1s","mix":[{"kind":"catalog"}]}]}`,
-			`clients is a closed-loop knob`},
-		{"bad arrival", `{"name":"x","phases":[{"name":"p","mode":"open","rate":5,"arrival":"bursty","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
-			`arrival "bursty" (want poisson or uniform)`},
-		{"unbounded", `{"name":"x","phases":[{"name":"p","mode":"closed","mix":[{"kind":"catalog"}]}]}`,
+			`unknown field "mode"`},
+		{"bad arrival", `{"name":"x","phases":[{"name":"p","arrival":"bursty","duration":"1s","mix":[{"kind":"catalog"}]}]}`,
+			`unknown field "arrival"`},
+		{"unbounded", `{"name":"x","phases":[{"name":"p","mix":[{"kind":"catalog"}]}]}`,
 			`needs requests or duration to bound it`},
-		{"bad fig", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"sweep","figs":["9z"]}]}]}`,
+		{"bad fig", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"sweep","figs":["9z"]}]}]}`,
 			`mix entry 0 (sweep): unknown fig "9z" (want 5a, 5b, 6a or 6b)`},
-		{"bad workload", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["nope"]}]}]}`,
+		{"bad workload", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"workloads":["nope"]}]}]}`,
 			`unknown workload "nope"`},
-		{"bad zipf", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"zipf":11}]}]}`,
+		{"bad zipf", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"zipf":11}]}]}`,
 			`zipf exponent 11 outside [0, 10)`},
-		{"bad fraction", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"csv":1.5}]}]}`,
+		{"bad fraction", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"sweep","figs":["5b"],"csv":1.5}]}]}`,
 			`csv fraction 1.5 outside [0, 1]`},
-		{"bad spec", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"explore","specs":["rows="]}]}]}`,
+		{"bad spec", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"explore","specs":["rows="]}]}]}`,
 			`spec "rows="`},
-		{"explore with workloads", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"explore","specs":["rows=16"],"workloads":["let"]}]}]}`,
+		{"explore with workloads", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"explore","specs":["rows=16"],"workloads":["let"]}]}]}`,
 			`figs/workloads/zipf/csv/revalidate are sweep knobs`},
-		{"bad kind", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"mystery"}]}]}`,
+		{"bad kind", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"mystery"}]}]}`,
 			`unknown kind "mystery" (want sweep, explore or catalog)`},
-		{"duplicate phase", `{"name":"x","phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"catalog"}]},{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"catalog"}]}]}`,
+		{"duplicate phase", `{"name":"x","phases":[{"name":"p","requests":1,"mix":[{"kind":"catalog"}]},{"name":"p","requests":1,"mix":[{"kind":"catalog"}]}]}`,
 			`phase "p": duplicate phase name`},
-		{"bad duration", `{"name":"x","phases":[{"name":"p","mode":"closed","duration":"fast","mix":[{"kind":"catalog"}]}]}`,
+		{"bad duration", `{"name":"x","phases":[{"name":"p","duration":"fast","mix":[{"kind":"catalog"}]}]}`,
 			`invalid duration`},
 		{"no phases", `{"name":"x","phases":[]}`, `no phases`},
-		{"no name", `{"phases":[{"name":"p","mode":"closed","requests":1,"mix":[{"kind":"catalog"}]}]}`,
+		{"no name", `{"phases":[{"name":"p","requests":1,"mix":[{"kind":"catalog"}]}]}`,
 			`missing name`},
 	}
 	for _, tc := range cases {
@@ -210,30 +220,11 @@ func TestLoadScenario(t *testing.T) {
 	if sc, err := LoadScenario("smoke"); err != nil || sc.Name != "smoke" {
 		t.Fatalf("built-in smoke: %v %+v", err, sc)
 	}
-	if sc, err := LoadScenario("testdata/capacity_probe.json"); err != nil || sc.Name != "capacity-probe" {
+	if sc, err := LoadScenario("testdata/mixed.json"); err != nil || sc.Name != "mixed" {
 		t.Fatalf("file scenario: %v %+v", err, sc)
 	}
 	_, err := LoadScenario("no-such-scenario")
-	if err == nil || !strings.Contains(err.Error(), "built-ins: capacity, chaos, hot-mix, smoke") {
+	if err == nil || !strings.Contains(err.Error(), "built-ins: chaos, smoke") {
 		t.Fatalf("missing-scenario error should list built-ins, got %v", err)
-	}
-}
-
-// TestScaleDurations confirms scaling only touches durations (counted
-// phases keep their deterministic schedules).
-func TestScaleDurations(t *testing.T) {
-	sc, _ := Builtin("smoke")
-	before := sc.ScheduleDigest(1)
-	sc.ScaleDurations(0.25)
-	if time.Duration(sc.Phases[2].Duration) != 1250*time.Millisecond {
-		t.Fatalf("sustain duration = %s", time.Duration(sc.Phases[2].Duration))
-	}
-	if sc.Phases[0].Requests != 24 {
-		t.Fatal("scaling changed a request count")
-	}
-	// Counted phases dominate the digest prefix; the truncated
-	// unbounded phase is unchanged too (same seed, same draws).
-	if after := sc.ScheduleDigest(1); after != before {
-		t.Fatalf("scaling durations changed the schedule digest: %s -> %s", before, after)
 	}
 }

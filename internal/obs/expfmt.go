@@ -35,8 +35,9 @@ type PromSample struct {
 // ParseProm parses Prometheus text exposition format 0.0.4 strictly:
 // every family must declare HELP and TYPE before its samples, sample
 // names must belong to a declared family, duplicate series are
-// errors, and histogram bucket series must be cumulative,
-// +Inf-terminated and consistent with _count. It returns families
+// errors, and histogram bucket series must have strictly ascending,
+// non-NaN bounds and be cumulative, +Inf-terminated and consistent
+// with _count. It returns families
 // keyed by name.
 func ParseProm(r io.Reader) (map[string]*PromFamily, error) {
 	fams := make(map[string]*PromFamily)
@@ -261,8 +262,10 @@ func parseValue(raw string) (float64, error) {
 }
 
 // checkHistogram validates one histogram family: per label set, the
-// bucket counts must be cumulative and non-decreasing, the last
-// bucket must be le="+Inf", and its count must equal _count.
+// bounds must be strictly ascending and never NaN (so one bound
+// spelled twice, le="1" and le="1.0", is a duplicate), the bucket
+// counts must be cumulative and non-decreasing, the last bucket must
+// be le="+Inf", and its count must equal _count.
 func checkHistogram(fam *PromFamily) error {
 	type hist struct {
 		bounds []float64 // parsed le values, in sample order
@@ -316,8 +319,13 @@ func checkHistogram(fam *PromFamily) error {
 		if len(h.bounds) == 0 || !h.hasSum || !h.hasCnt {
 			return fmt.Errorf("%s%s: incomplete histogram", fam.Name, key)
 		}
-		if !sort.Float64sAreSorted(h.bounds) {
-			return fmt.Errorf("%s%s: bucket bounds out of order", fam.Name, key)
+		for i, b := range h.bounds {
+			if math.IsNaN(b) {
+				return fmt.Errorf("%s%s: NaN bucket bound", fam.Name, key)
+			}
+			if i > 0 && b <= h.bounds[i-1] {
+				return fmt.Errorf("%s%s: bucket bounds not strictly ascending", fam.Name, key)
+			}
 		}
 		if !math.IsInf(h.bounds[len(h.bounds)-1], 1) {
 			return fmt.Errorf("%s%s: missing le=\"+Inf\" bucket", fam.Name, key)

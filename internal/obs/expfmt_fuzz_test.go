@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParseProm checks the exposition parser, which reads other
@@ -17,6 +18,8 @@ func FuzzParseProm(f *testing.F) {
 	f.Add("# HELP g G.\n# TYPE g gauge\ng NaN\n", "Level.", "NaN*error(x)", uint64(0), 1e10)
 	f.Add("# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
 		"multi\nline \\ help", "a\"b\\c\nd", uint64(1<<63), -1.5)
+	f.Add(boundSpelledTwice, "Events.", "v", uint64(1), 0.0)
+	f.Add(nanBound, "Events.", "v", uint64(1), 0.0)
 	f.Fuzz(func(t *testing.T, scrape, help, label string, n uint64, v float64) {
 		if fams, err := ParseProm(strings.NewReader(scrape)); err == nil {
 			LintProm(fams)
@@ -30,7 +33,7 @@ func FuzzParseProm(f *testing.F) {
 		lbl := Label{Name: "k", Value: label}
 		r.Counter("fuzz_events_total", help, lbl).Add(n)
 		r.Gauge("fuzz_level", help, lbl).Set(v)
-		r.Histogram("fuzz_latency_seconds", help, DurationBuckets, lbl).Observe(v)
+		r.Histogram("fuzz_latency_seconds", help, lbl).Observe(time.Duration(n))
 		var buf strings.Builder
 		if err := r.WriteProm(&buf); err != nil {
 			t.Fatal(err)

@@ -87,6 +87,8 @@ h_seconds_bucket{le="+Inf"} 2
 h_seconds_sum 1
 h_seconds_count 3
 `, "!= count"},
+		{"bound spelled twice", boundSpelledTwice, "not strictly ascending"},
+		{"NaN bound", nanBound, "NaN bucket bound"},
 		{"incomplete histogram", `# HELP h_seconds h
 # TYPE h_seconds histogram
 h_seconds_bucket{le="+Inf"} 2
@@ -96,6 +98,26 @@ h_seconds_bucket{le="+Inf"} 2
 		t.Run(c.name, func(t *testing.T) { mustFail(t, c.text, c.wantSub) })
 	}
 }
+
+// Two histograms whose bounds are not strictly ascending numbers: one
+// bound under two spellings, and an le that is not a number at all.
+const (
+	boundSpelledTwice = `# HELP h_seconds h
+# TYPE h_seconds histogram
+h_seconds_bucket{le="1"} 1
+h_seconds_bucket{le="1.0"} 1
+h_seconds_bucket{le="+Inf"} 1
+h_seconds_sum 1
+h_seconds_count 1
+`
+	nanBound = `# HELP h_seconds h
+# TYPE h_seconds histogram
+h_seconds_bucket{le="NaN"} 1
+h_seconds_bucket{le="+Inf"} 1
+h_seconds_sum 1
+h_seconds_count 1
+`
+)
 
 func TestParseEscapedLabels(t *testing.T) {
 	fams := parse(t, `# HELP seda_build_info b

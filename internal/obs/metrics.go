@@ -4,32 +4,24 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // PromContentType is the Content-Type of the Prometheus text
 // exposition format this registry writes.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// DurationBuckets are the fixed histogram bounds (seconds) shared by
-// the request/stage/compute duration histograms: half a millisecond
-// (a warm cache hit) through a minute (a cold full-suite sweep on the
-// edge NPU takes ~4 s; explore confirmation loops can run tens of
-// seconds), roughly 2.5x apart.
-var DurationBuckets = []float64{
-	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-	0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
-}
-
 // Label is one name="value" pair on a series.
 type Label struct{ Name, Value string }
 
 // Registry is a minimal Prometheus-text metric registry: counters,
-// gauges and fixed-bucket histograms, each series carrying optional
+// gauges and latency histograms, each series carrying optional
 // constant labels, written in exposition format 0.0.4 with one
 // HELP/TYPE block per family. Registration panics on misuse
 // (programmer error: invalid name, blank HELP, type conflict,
@@ -90,36 +82,103 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is a fixed-bucket distribution. Observations are three
-// atomic adds; no locks on the observe path.
+// Histogram is the one latency histogram: HDR-style log buckets with a
+// single fixed layout shared by every /metrics family and by the load
+// generator. Bucket 0 holds d ≤ 1µs; each later bucket's upper bound is
+// 2^(1/8) (~9.05%) above the previous one, 8 per octave across 30
+// octaves (1µs .. 2^30µs ≈ 17.9min, 241 finite bounds), and one
+// overflow bucket holds everything beyond full scale. Buckets are
+// upper-inclusive (Prometheus le semantics) and membership comes from
+// the one bound table, so Observe and the exposition cannot disagree.
+// The sum and maximum are kept exactly in nanoseconds. Observations are
+// lock-free atomics; the zero value is ready to use.
 type Histogram struct {
-	bounds   []float64 // ascending upper bounds, +Inf implicit
-	counts   []atomic.Uint64
-	count    atomic.Uint64
-	sumMicro atomic.Int64 // sum in micro-units to keep the hot path lock-free
+	counts [histBounds + 1]atomic.Uint64 // last slot: beyond full scale
+	sum    atomic.Int64                  // nanoseconds
+	max    atomic.Int64                  // nanoseconds
 }
 
-// Observe records v (must be >= 0 for sane bucket semantics).
-func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v, i.e. v <= le
+const (
+	histSub      = 8 // buckets per octave: resolution factor 2^(1/8)
+	histOctaves  = 30
+	histBounds   = histOctaves*histSub + 1
+	histMinBound = time.Microsecond
+)
+
+// histBound is the bound table: histBound[i] is bucket i's inclusive
+// upper bound, 1µs·2^(i/8) rounded down to whole nanoseconds (a
+// duration is an integer, so d ≤ the floor iff d ≤ the exact bound).
+// Every 8th entry is exactly 2^k µs.
+var histBound = func() (b [histBounds]time.Duration) {
+	for i := range b {
+		b[i] = time.Duration(math.Floor(float64(histMinBound) * math.Pow(2, float64(i)/histSub)))
+	}
+	return b
+}()
+
+// Observe records one duration; negative durations count as zero.
+func (h *Histogram) Observe(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	i, _ := slices.BinarySearch(histBound[:], d) // first bound ≥ d, i.e. d ≤ le
 	h.counts[i].Add(1)
-	h.count.Add(1)
-	h.sumMicro.Add(int64(math.Round(v * 1e6)))
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of observations (micro-unit precision).
-func (h *Histogram) Sum() float64 { return float64(h.sumMicro.Load()) / 1e6 }
-
-func newHistogram(bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram bounds must be strictly ascending")
+	h.sum.Add(int64(d))
+	for cur := h.max.Load(); int64(d) > cur; cur = h.max.Load() {
+		if h.max.CompareAndSwap(cur, int64(d)) {
+			break
 		}
 	}
-	return &Histogram{bounds: bounds, counts: make([]atomic.Uint64, len(bounds)+1)}
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
+
+// Sum returns the exact sum of observations.
+func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
+
+// Max returns the exact largest observation (0 when empty).
+func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
+
+// Mean returns the exact mean, truncated to the nanosecond (0 when
+// empty).
+func (h *Histogram) Mean() time.Duration {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return h.Sum() / time.Duration(n)
+}
+
+// Quantile returns the duration at quantile q in [0, 1]: the upper
+// bound of the bucket holding the rank-⌈q·count⌉ observation, capped
+// at the exact maximum (q ≥ 1 returns the maximum). The result never
+// understates the true quantile and, between 1µs and full scale,
+// overstates it by less than one bucket (2^(1/8)−1 ≈ 9.05%); past full
+// scale it is the maximum. Zero observations return 0.
+func (h *Histogram) Quantile(q float64) time.Duration {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	top := h.Max()
+	if q >= 1 {
+		return top
+	}
+	rank := max(uint64(math.Ceil(max(q, 0)*float64(n))), 1)
+	var cum uint64
+	for i := 0; i < histBounds; i++ {
+		if cum += h.counts[i].Load(); cum >= rank {
+			return min(histBound[i], top)
+		}
+	}
+	return top
 }
 
 // Counter registers (or returns the existing) counter series name
@@ -153,12 +212,12 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return s.g
 }
 
-// Histogram registers (or returns the existing) histogram series with
-// the given bucket upper bounds (a +Inf bucket is implicit).
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
+// Histogram registers (or returns the existing) latency histogram
+// series. Observations are durations; the exposition is in seconds.
+func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	s := r.register(name, help, "histogram", labels)
 	if s.h == nil {
-		s.h = newHistogram(bounds)
+		s.h = new(Histogram)
 	}
 	return s.h
 }
@@ -167,21 +226,19 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // series created on first use. Keep the label's value set bounded
 // (endpoint paths, stage names) — every value is a live series.
 type HistogramVec struct {
-	r      *Registry
-	name   string
-	help   string
-	label  string
-	bounds []float64
+	r     *Registry
+	name  string
+	help  string
+	label string
 
 	mu sync.RWMutex
 	m  map[string]*Histogram
 }
 
 // HistogramVec registers a histogram family with one variable label.
-func (r *Registry) HistogramVec(name, help, label string, bounds []float64) *HistogramVec {
+func (r *Registry) HistogramVec(name, help, label string) *HistogramVec {
 	r.mustFamily(name, help, "histogram")
-	return &HistogramVec{r: r, name: name, help: help, label: label,
-		bounds: bounds, m: make(map[string]*Histogram)}
+	return &HistogramVec{r: r, name: name, help: help, label: label, m: make(map[string]*Histogram)}
 }
 
 // With returns the histogram for the given label value, creating the
@@ -198,7 +255,7 @@ func (v *HistogramVec) With(value string) *Histogram {
 	if h, ok = v.m[value]; ok {
 		return h
 	}
-	h = v.r.Histogram(v.name, v.help, v.bounds, Label{v.label, value})
+	h = v.r.Histogram(v.name, v.help, Label{v.label, value})
 	v.m[value] = h
 	return h
 }
@@ -345,16 +402,21 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return err
 }
 
+// writeHistogram exposes every 8th bound of the layout, le = 2^k µs
+// for k = 0…30, plus +Inf; each line counts all observations ≤ le.
+// _count is the +Inf total, so the two always agree.
 func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 	var cum uint64
-	for i, bound := range h.bounds {
+	for i := range h.counts {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, formatFloat(bound)), cum)
+		if i < histBounds && i%histSub == 0 {
+			le := formatFloat(float64(histBound[i]) / 1e9)
+			fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, le), cum)
+		}
 	}
-	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, "+Inf"), cum)
-	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, h.count.Load())
+	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatFloat(float64(h.Sum())/1e9))
+	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, cum)
 }
 
 // bucketLabels splices le="bound" into an existing label set.

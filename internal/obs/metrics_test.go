@@ -1,10 +1,10 @@
 package obs
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // roundTrip writes the registry and re-reads it through the strict
@@ -76,7 +76,6 @@ func TestRegistrationPanics(t *testing.T) {
 		"help conflict":       func() { r.Gauge("seda_b", "h1"); r.Gauge("seda_b", "h2") },
 		"bad label name":      func() { r.Gauge("seda_c", "h", Label{"__bad", "v"}) },
 		"blank help":          func() { r.Gauge("seda_e", " \r") },
-		"descending buckets":  func() { r.Histogram("seda_d_seconds", "h", []float64{2, 1}) },
 	} {
 		func() {
 			defer func() {
@@ -91,15 +90,18 @@ func TestRegistrationPanics(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("seda_test_duration_seconds", "Test durations.", []float64{0.01, 0.1, 1})
-	for _, v := range []float64{0.005, 0.01, 0.05, 0.5, 2} {
-		h.Observe(v)
+	h := r.Histogram("seda_test_duration_seconds", "Test durations.")
+	for _, d := range []time.Duration{
+		500 * time.Microsecond, 1024 * time.Microsecond, 5 * time.Millisecond,
+		500 * time.Millisecond, 2 * time.Hour,
+	} {
+		h.Observe(d)
 	}
 	if h.Count() != 5 {
 		t.Fatalf("count = %d", h.Count())
 	}
-	if math.Abs(h.Sum()-2.565) > 1e-6 {
-		t.Fatalf("sum = %v", h.Sum())
+	if want := 2*time.Hour + 506524*time.Microsecond; h.Sum() != want {
+		t.Fatalf("sum = %s, want %s", h.Sum(), want)
 	}
 
 	fams := roundTrip(t, r)
@@ -107,12 +109,13 @@ func TestHistogramBuckets(t *testing.T) {
 	if fam.Type != "histogram" {
 		t.Fatalf("type = %s", fam.Type)
 	}
-	// Cumulative: le=0.01 holds 2 (0.005 and the boundary 0.01),
-	// le=0.1 holds 3, le=1 holds 4, +Inf holds all 5.
+	// Cumulative: le=2^9µs holds 1, le=2^10µs holds 2 (its bound is
+	// inclusive), le=2^13µs holds 3, le=2^19µs holds 4, and only +Inf
+	// holds the observation past full scale (2^30µs ≈ 17.9 min).
 	for _, want := range []struct {
 		le string
 		n  float64
-	}{{"0.01", 2}, {"0.1", 3}, {"1", 4}, {"+Inf", 5}} {
+	}{{"0.000512", 1}, {"0.001024", 2}, {"0.008192", 3}, {"0.524288", 4}, {"1073.741824", 4}, {"+Inf", 5}} {
 		v, err := fam.Value("seda_test_duration_seconds_bucket", map[string]string{"le": want.le})
 		if err != nil || v != want.n {
 			t.Fatalf("bucket le=%s: v=%v err=%v, want %v", want.le, v, err, want.n)
@@ -125,10 +128,10 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	hv := r.HistogramVec("seda_stage_duration_seconds", "Stage durations.", "stage", DurationBuckets)
-	hv.With(StageDRAM).Observe(0.002)
-	hv.With(StageDRAM).Observe(0.004)
-	hv.With(StageProtect).Observe(0.5)
+	hv := r.HistogramVec("seda_stage_duration_seconds", "Stage durations.", "stage")
+	hv.With(StageDRAM).Observe(2 * time.Millisecond)
+	hv.With(StageDRAM).Observe(4 * time.Millisecond)
+	hv.With(StageProtect).Observe(500 * time.Millisecond)
 	if hv.With(StageDRAM) != hv.With(StageDRAM) {
 		t.Fatal("With is not stable")
 	}
@@ -158,7 +161,7 @@ func TestLabelEscaping(t *testing.T) {
 
 func TestConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("seda_conc_seconds", "h", DurationBuckets)
+	h := r.Histogram("seda_conc_seconds", "h")
 	c := r.Counter("seda_conc_total", "h")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -166,7 +169,7 @@ func TestConcurrentObserve(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
-				h.Observe(0.001)
+				h.Observe(time.Duration(j) * time.Microsecond)
 				c.Inc()
 			}
 		}()
@@ -174,6 +177,9 @@ func TestConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if h.Count() != 8000 || c.Value() != 8000 {
 		t.Fatalf("count=%d counter=%d", h.Count(), c.Value())
+	}
+	if h.Max() != 999*time.Microsecond || h.Sum() != 8*499500*time.Microsecond {
+		t.Fatalf("max=%s sum=%s", h.Max(), h.Sum())
 	}
 	roundTrip(t, r)
 }

@@ -63,7 +63,7 @@ func (m *Middleware) Wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 				http.Error(aw, fmt.Sprintf("internal error (request %s)", rid), http.StatusInternalServerError)
 			}
 			d := time.Since(start)
-			m.Duration.With(route).Observe(d.Seconds())
+			m.Duration.With(route).Observe(d)
 			m.Log.LogAttrs(context.Background(), slog.LevelInfo, "request",
 				slog.String("id", rid),
 				slog.String("method", r.Method),

@@ -15,7 +15,7 @@ func testMiddleware(logBuf *bytes.Buffer) (*Middleware, *obs.Registry) {
 	return &Middleware{
 		Requests: reg.Counter("test_requests_total", "requests"),
 		Panics:   reg.Counter("test_panics_total", "panics"),
-		Duration: reg.HistogramVec("test_request_duration_seconds", "latency", "route", obs.DurationBuckets),
+		Duration: reg.HistogramVec("test_request_duration_seconds", "latency", "route"),
 		Log:      slog.New(slog.NewJSONHandler(logBuf, nil)),
 	}, reg
 }

@@ -50,11 +50,11 @@ func newServerMetrics(build obs.Build) *serverMetrics {
 	m := &serverMetrics{
 		reg: r,
 		reqDur: r.HistogramVec("seda_request_duration_seconds",
-			"HTTP request latency by route", "route", obs.DurationBuckets),
+			"HTTP request latency by route", "route"),
 		stageDur: r.HistogramVec("seda_stage_duration_seconds",
-			"pipeline stage latency by stage (span durations)", "stage", obs.DurationBuckets),
+			"pipeline stage latency by stage (span durations)", "stage"),
 		computeDur: r.Histogram("seda_compute_duration_seconds",
-			"result-cache compute execution latency (cold pipeline evaluations)", obs.DurationBuckets),
+			"result-cache compute execution latency (cold pipeline evaluations)"),
 
 		httpReqs: r.Counter("seda_http_requests_total",
 			"HTTP requests received"),
@@ -90,8 +90,8 @@ func newServerMetrics(build obs.Build) *serverMetrics {
 // pipeline evaluations inside the result cache) additionally feed the
 // dedicated compute histogram the capacity alerts watch.
 func (s *API) observeStage(name string, d time.Duration) {
-	s.metrics.stageDur.With(name).Observe(d.Seconds())
+	s.metrics.stageDur.With(name).Observe(d)
 	if name == obs.StageCompute {
-		s.metrics.computeDur.Observe(d.Seconds())
+		s.metrics.computeDur.Observe(d)
 	}
 }
