@@ -21,23 +21,29 @@
 // for channels × burstsPerRow consecutive bursts), and the scheduler
 // expands spans lazily into a WindowSize ring, so the per-burst queue
 // the seed materialized — gigabytes of request structs on a full sweep
-// — never exists. Within drainChannel a fast path takes the window
-// head outright when it is an issued row hit on a ready bank (the
-// common case on streaming traces); otherwise the FR-FCFS pick comes
-// from per-bank knowledge: each bank tracks the oldest in-window
-// request targeting its open row, so the "oldest ready row hit, else
-// oldest ready, else time-jump" decision does not rescan the window
-// per burst. Both tiers remain bit-identical to the window-scanning
-// scheduler they replaced (TestFRFCFSGoldenPickOrder pins the pick
-// order). Span buffers are recycled across runs — within one
-// simulator, or across the several simulators of a workload sweep via
-// a shared Arena. RunOverlayCtx consumes a protection scheme's
-// spine+overlay stream pair merged in anchor order, so the
-// scheme-independent data stream is never duplicated per scheme.
-// Channels are fully independent after the explode step and drain one
-// after another on the calling goroutine: callers already run one
-// simulator per protection scheme concurrently, and per-channel
-// goroutines measured no faster on top of that while allocating more.
+// — never exists. Within drainChannel a run step consumes a stream of
+// row hits in one go: when the window head is an issued request for
+// its bank's open row, it counts the same-row bursts behind it and
+// takes, in closed form, as many as the per-burst scheduler would pick
+// back to back — each starting max(TBurst, TCL) after the last, until
+// the stream ends, a refresh or cancellation poll falls due, or (while
+// the bank is still busy) another bank could offer a row hit. The
+// picks it leaves resolve one burst at a time: the window head when it
+// is an issued row hit on a ready bank, else the "oldest ready row
+// hit, else oldest ready, else time-jump" decision from per-bank
+// candidate caches, so the window is not rescanned per burst. The
+// drain is bit-identical to the per-burst scheduler, which the tests
+// keep as an oracle (TestFRFCFSGoldenPickOrder pins the pick order,
+// and a differential test and a fuzz target compare Stats). Span
+// buffers are recycled across runs — within one simulator, or across
+// the several simulators of a workload sweep via a shared Arena.
+// RunOverlayCtx consumes a protection scheme's spine+overlay stream
+// pair merged in anchor order, so the scheme-independent data stream
+// is never duplicated per scheme. Channels are fully independent after
+// the explode step and drain one after another on the calling
+// goroutine: callers already run one simulator per protection scheme
+// concurrently, and per-channel goroutines measured no faster on top
+// of that while allocating more.
 package dram
 
 import (
@@ -84,6 +90,11 @@ func (c Config) Validate() error {
 	}
 	if c.RowBytes < c.BurstBytes {
 		return fmt.Errorf("dram: row size %d below burst size %d", c.RowBytes, c.BurstBytes)
+	}
+	if c.TRefi > 0 && c.TRfc >= c.TRefi {
+		// Each refresh stalls TRfc but schedules the next only TRefi
+		// later, so the drain would refresh forever.
+		return fmt.Errorf("dram: refresh duration %d not below refresh interval %d", c.TRfc, c.TRefi)
 	}
 	return nil
 }
@@ -423,16 +434,20 @@ func (s *Simulator) bursts(bytes uint32) int {
 func (s *Simulator) RunOverlayCtx(ctx context.Context, spine *trace.Trace, deltas *trace.Overlay) (Stats, error) {
 	return s.run(ctx, func(yield func(*trace.Access)) {
 		trace.ForEachMerged(spine, deltas, yield)
-	})
+	}, (*Simulator).drainChannel)
 }
+
+// drainFunc schedules one exploded channel: drainChannel, or in the
+// tests the per-burst oracle it must agree with.
+type drainFunc func(*Simulator, *channel, <-chan struct{}) chanResult
 
 // run drains whatever access stream iter yields (twice: a counting
 // pass and a fill pass — iter must replay identically). Cancellation
 // is checked between the explode passes and periodically inside each
 // channel drain; an uncancellable context (Done() == nil, e.g.
 // context.Background) adds no work to the hot loop beyond one nil
-// compare per check.
-func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access))) (Stats, error) {
+// compare per check. drain schedules each channel.
+func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access)), drain drainFunc) (Stats, error) {
 	// One span per drain, opened before the explode passes: the span
 	// machinery must stay out of the per-pick loops (an earlier
 	// per-pick ctx poll cost ~20% on BenchmarkRunTrace; see PR 6).
@@ -581,7 +596,7 @@ func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access)
 	// as it finishes. Channels share no state after the explode, and
 	// every field is a sum or max of per-channel values.
 	for ci := range chans {
-		r := s.drainChannel(&chans[ci], done)
+		r := drain(s, &chans[ci], done)
 		if r.aborted {
 			return Stats{}, ctx.Err()
 		}
@@ -615,6 +630,149 @@ func rescanHits(wq []request, mask, head, win int, b int32, row int64) int32 {
 	return hitNone
 }
 
+// spanCursor expands a channel's span queue into window slots: cur is
+// the request value of the span being expanded, rem its unexpanded
+// burst count (0 once the queue is exhausted) and si the index of the
+// next span.
+type spanCursor struct {
+	spans []span
+	cur   request
+	rem   int32
+	si    int
+}
+
+// load moves the cursor to the next span, if there is one.
+func (c *spanCursor) load() {
+	if c.si < len(c.spans) {
+		sp := &c.spans[c.si]
+		c.cur = request{issue: sp.issue, row: sp.row, bank: sp.bank}
+		c.rem = sp.count
+		c.si++
+	}
+}
+
+// next returns the next burst of the queue.
+func (c *spanCursor) next() request {
+	w := c.cur
+	c.rem--
+	if c.rem == 0 {
+		c.load()
+	}
+	return w
+}
+
+// skip consumes n bursts of the current span; n must not exceed rem.
+func (c *spanCursor) skip(n int32) {
+	c.rem -= n
+	if c.rem == 0 {
+		c.load()
+	}
+}
+
+// advance consumes m bursts without expanding them; the queue must
+// hold at least m.
+func (c *spanCursor) advance(m int) {
+	for m > 0 {
+		k := min(m, int(c.rem))
+		c.skip(int32(k))
+		m -= k
+	}
+}
+
+// runPicks returns how many back-to-back picks of one row-hit stream,
+// at most limit, fit before the cycle stop: pick 0 starts at start and
+// is always taken, and pick j >= 1 is made at now_j = start + (j-1)·p
+// + tBurst, which must fall before stop.
+func runPicks(start, stop, tBurst, p uint64, limit int) int {
+	if limit <= 1 || start+tBurst >= stop {
+		return min(limit, 1)
+	}
+	if m := (stop - 1 - start - tBurst) / p; m < uint64(limit-1) {
+		return int(m) + 2
+	}
+	return limit
+}
+
+// sameRun counts, up to limit, the consecutive queue slots from head
+// that target (b, row) and are issued by now: the window slots first,
+// then the bursts still waiting in the span queue.
+func sameRun(wq []request, mask, head, win int, q *spanCursor, b int32, row int64, now uint64, limit int) int {
+	k := 0
+	for i := head; i < win; i++ {
+		if k == limit {
+			return k
+		}
+		if r := &wq[i&mask]; r.bank != b || r.row != row || r.issue > now {
+			return k
+		}
+		k++
+	}
+	if q.rem == 0 {
+		return k
+	}
+	if r := q.cur; r.bank != b || r.row != row || r.issue > now {
+		return k
+	}
+	k += int(q.rem)
+	for si := q.si; k < limit && si < len(q.spans); si++ {
+		sp := &q.spans[si]
+		if sp.bank != b || sp.row != row || sp.issue > now {
+			break
+		}
+		k += int(sp.count)
+	}
+	return min(k, limit)
+}
+
+// Rule-1 bounds. The run step needs tOther, the earliest cycle at
+// which FR-FCFS rule 1 can find a row hit on a bank other than the
+// run's bank b: the minimum of max(issue, readyAt) over requests for
+// another bank's open row. Only bank b is picked while a run lasts, so
+// no other bank's open row or readyAt moves, and a request counts from
+// the cycle both its issue time and its bank have arrived. Covering
+// more slots than a run will see only makes the bound earlier.
+
+// windowReady bounds tOther over the window slots [head, win).
+func windowReady(banks []bank, wq []request, mask, head, win int, b int32) uint64 {
+	t := ^uint64(0)
+	for i := head; i < win; i++ {
+		r := &wq[i&mask]
+		if r.bank == b {
+			continue
+		}
+		if bk := &banks[r.bank]; bk.openRow == r.row {
+			t = min(t, max(r.issue, bk.readyAt))
+		}
+	}
+	return t
+}
+
+// queueReady bounds tOther over the next ahead bursts of the span
+// queue, the requests that enter the window while a run consumes it.
+func queueReady(banks []bank, q *spanCursor, b int32, ahead int) uint64 {
+	t := ^uint64(0)
+	if q.rem == 0 {
+		return t
+	}
+	if r := q.cur; r.bank != b {
+		if bk := &banks[r.bank]; bk.openRow == r.row {
+			t = max(r.issue, bk.readyAt)
+		}
+	}
+	ahead -= int(q.rem)
+	for si := q.si; ahead > 0 && si < len(q.spans); si++ {
+		sp := &q.spans[si]
+		ahead -= int(sp.count)
+		if sp.bank == b {
+			continue
+		}
+		if bk := &banks[sp.bank]; bk.openRow == sp.row {
+			t = min(t, max(sp.issue, bk.readyAt))
+		}
+	}
+	return t
+}
+
 // drainChannel schedules one channel's queue FR-FCFS and returns the
 // channel's private statistics, including the cycle at which its last
 // burst finishes. The queue arrives run-length encoded (channel.spans)
@@ -623,17 +781,26 @@ func rescanHits(wq []request, mask, head, win int, b int32, row int64) int32 {
 // index slot&mask, so the scheduler's state fits in the cache while
 // the per-burst queue is never materialized. The selected request is
 // swapped to the window head and the head advances, so removal is
-// O(1). Picks resolve in two tiers: a fast path takes the window head
-// outright when it is an issued row hit on a ready bank — the head is
-// the lowest slot any rule can return, so nothing can beat it — which
-// covers the long same-row streaks streaming traces are made of.
-// Otherwise the FR-FCFS "oldest ready row hit" comes from per-bank
-// knowledge (channel.hits): each bank caches the oldest in-window
-// request targeting its open row, the caches are updated as requests
-// enter the window, get picked, or flip the open row, and the winning
-// candidate is the minimum slot over the ready banks — exactly the
-// request the window-scanning scheduler used to find (the golden
-// pick-order test pins the equivalence).
+// O(1).
+//
+// Picks resolve in three tiers. The run step consumes a whole stream
+// of row hits at once: when the head is an issued request for its
+// bank's open row, the per-burst scheduler would pick it and the
+// same-row slots behind it back to back, each start P = max(TBurst,
+// TCL) after the last, until the stream ends, a pause falls due, or
+// (when the bank is not ready at a pick) another bank offers a rule-1
+// row hit. The step counts those picks and advances the clock, the
+// bus, the bank and the counters in closed form. Otherwise a fast
+// path takes the window head outright when it is an issued row hit on
+// a ready bank — the head is the lowest slot any rule can return, so
+// nothing can beat it. Otherwise the FR-FCFS "oldest ready row hit"
+// comes from per-bank knowledge (channel.hits): each bank caches the
+// oldest in-window request targeting its open row, the caches are
+// updated as requests enter the window, get picked, or flip the open
+// row, and the winning candidate is the minimum slot over the ready
+// banks — exactly the request the window-scanning scheduler used to
+// find. The golden pick-order test pins the equivalence, and the
+// per-burst drain this replaced stays in the tests as the oracle.
 //
 // done, when non-nil, is the run context's cancellation channel. The
 // poll rides the refresh compare the loop already pays: nextPause is
@@ -646,12 +813,13 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 	var res chanResult
 	var now uint64
 	var lastDone uint64
-	spans := ch.spans
 	total := ch.total
 	wq := ch.window
 	mask := len(wq) - 1
 	hits := ch.hits
 	head := 0
+	tBurst, tCL := s.cfg.TBurst, s.cfg.TCL
+	period := max(tBurst, tCL)
 	// candMask has bit b set iff hits[b] != hitNone, so the rule-1
 	// sweep visits only banks that might contribute a candidate — on
 	// bank-latency-limited streams (one active bank, its candidate
@@ -661,18 +829,8 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 	useCandMask := len(ch.banks) <= 64
 	var candMask uint64
 
-	// Expansion cursor: cur is the request value of the span currently
-	// being expanded, rem its unexpanded burst count, si the index of
-	// the *next* span. Caching the expanded value keeps the slide step
-	// at one store, one decrement and one branch per burst.
-	si := 0
-	var cur request
-	rem := int32(0)
-	if len(spans) > 0 {
-		cur = request{issue: spans[0].issue, row: spans[0].row, bank: spans[0].bank}
-		rem = spans[0].count
-		si = 1
-	}
+	q := spanCursor{spans: ch.spans}
+	q.load()
 	win := s.cfg.WindowSize
 	if win > total {
 		win = total
@@ -693,14 +851,7 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 	// Banks start closed (openRow -1 matches no request), so the
 	// initial window registers no candidates and hits[*] == hitNone.
 	for i := 0; i < win; i++ {
-		wq[i] = cur
-		rem--
-		if rem == 0 && si < len(spans) {
-			sp := &spans[si]
-			cur = request{issue: sp.issue, row: sp.row, bank: sp.bank}
-			rem = sp.count
-			si++
-		}
+		wq[i] = q.next()
 	}
 	for head < total {
 		if now >= nextPause {
@@ -734,16 +885,86 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 			nextPause = min(nextRef, nextPoll)
 		}
 
+		// Run step: the head is an issued request for its bank's open
+		// row. Pick 0 starts once the bank is ready; each later pick j
+		// is made at now_j = start_{j-1} + TBurst and starts at
+		// max(now_j, start_{j-1} + TCL), i.e. P after the last. A pick
+		// made on a ready bank is the fast path's, unconditionally;
+		// one made before the bank is ready (pick 0 when readyAt > now,
+		// every later pick when TCL > TBurst) is rule 2's, and only if
+		// rule 1 finds no row hit on another bank — before tOther.
+		if hd := wq[head&mask]; hd.issue <= now && ch.banks[hd.bank].openRow == hd.row {
+			bk := &ch.banks[hd.bank]
+			start := max(now, bk.readyAt)
+			n := runPicks(start, nextPause, tBurst, period, total-head)
+			if n > 1 {
+				n = sameRun(wq, mask, head, win, &q, hd.bank, hd.row, now, n)
+			}
+			if n > 1 && (bk.readyAt > now || tCL > tBurst) {
+				tOther := queueReady(ch.banks, &q, hd.bank, n)
+				// A clear candMask bit means the bank has no open-row
+				// request in the window, so most runs skip the scan.
+				if !useCandMask || candMask&^(1<<uint(hd.bank)) != 0 {
+					tOther = min(tOther, windowReady(ch.banks, wq, mask, head, win, hd.bank))
+				}
+				if bk.readyAt > now && tOther <= now {
+					n = 0
+				} else if tCL > tBurst {
+					n = runPicks(start, min(nextPause, tOther), tBurst, period, n)
+				}
+			}
+			if n > 1 {
+				last := start + uint64(n-1)*period
+				res.rowHits += uint64(n)
+				end := min(win+n, total)
+				head += n
+				// Run slots still in the span queue are consumed without
+				// entering the ring.
+				if win < head {
+					q.advance(head - win)
+					win = head
+				}
+				// Bank b's candidate is its first open-row slot left in
+				// the old window, else the first to enter below; setting
+				// it here spares the rule-1 sweep a full-window rescan.
+				h := rescanHits(wq, mask, head, win, hd.bank, hd.row)
+				hits[hd.bank] = h
+				if h == hitNone {
+					candMask &^= 1 << uint(hd.bank)
+				}
+				// Slide the window to end, registering each entering span
+				// segment as its bank's candidate exactly as the
+				// per-burst slide below would register its first burst.
+				for win < end {
+					r := q.cur
+					c := min(end-win, int(q.rem))
+					for i := win; i < win+c; i++ {
+						wq[i&mask] = r
+					}
+					if hits[r.bank] == hitNone && ch.banks[r.bank].openRow == r.row {
+						hits[r.bank] = int32(win)
+						candMask |= 1 << uint(r.bank)
+					}
+					win += c
+					q.skip(int32(c))
+				}
+				ch.busFree = max(last+tCL+tBurst, ch.busFree+uint64(n)*tBurst)
+				ch.busy += uint64(n) * tBurst
+				lastDone = max(lastDone, ch.busFree)
+				bk.readyAt = last + tCL
+				now = last + tBurst
+				continue
+			}
+		}
+
 		// Fast path: the window head is the lowest slot any rule can
 		// return, so if it is an issued row hit on a ready bank it wins
 		// rule 1 outright — no candidate across the other banks can
 		// have a smaller slot, and rules 2/3 only apply when rule 1
-		// finds nothing. Streaming traces spend most picks here (a row
-		// span is burstsPerRow back-to-back hits on one bank), skipping
-		// the per-bank candidate sweep entirely. The cached candidates
-		// of other banks are left untouched: stale entries resolve
-		// lazily on their next use, exactly as the slow path leaves
-		// them when a bank is skipped for not being ready.
+		// finds nothing. The cached candidates of other banks are left
+		// untouched: stale entries resolve lazily on their next use,
+		// exactly as the slow path leaves them when a bank is skipped
+		// for not being ready.
 		pick := -1
 		if h := &wq[head&mask]; h.issue <= now {
 			if bk := &ch.banks[h.bank]; bk.openRow == h.row && bk.readyAt <= now {
@@ -854,10 +1075,10 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		switch {
 		case b.openRow == req.row:
 			res.rowHits++
-			svc = s.cfg.TCL
+			svc = tCL
 		case b.openRow == int64(-1):
 			res.rowEmpty++
-			svc = s.cfg.TRCD + s.cfg.TCL
+			svc = s.cfg.TRCD + tCL
 			b.activeAt = start
 			hits[req.bank] = hitStale // open row changed
 			candMask |= 1 << uint(req.bank)
@@ -867,7 +1088,7 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 			if b.activeAt+s.cfg.TRAS > start {
 				start = b.activeAt + s.cfg.TRAS
 			}
-			svc = s.cfg.TRP + s.cfg.TRCD + s.cfg.TCL
+			svc = s.cfg.TRP + s.cfg.TRCD + tCL
 			b.activeAt = start + s.cfg.TRP
 			hits[req.bank] = hitStale // open row changed
 			candMask |= 1 << uint(req.bank)
@@ -880,14 +1101,7 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		// bank has none cached; a lower cached slot or a stale marker
 		// both take precedence.
 		if win < total {
-			w := cur
-			rem--
-			if rem == 0 && si < len(spans) {
-				sp := &spans[si]
-				cur = request{issue: sp.issue, row: sp.row, bank: sp.bank}
-				rem = sp.count
-				si++
-			}
+			w := q.next()
 			wq[win&mask] = w
 			if hits[w.bank] == hitNone && ch.banks[w.bank].openRow == w.row {
 				hits[w.bank] = int32(win)
@@ -901,10 +1115,10 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		if ch.busFree > xferStart {
 			xferStart = ch.busFree
 		}
-		doneAt := xferStart + s.cfg.TBurst
+		doneAt := xferStart + tBurst
 		ch.busFree = doneAt
 		b.readyAt = start + svc
-		ch.busy += s.cfg.TBurst
+		ch.busy += tBurst
 
 		if doneAt > lastDone {
 			lastDone = doneAt
@@ -915,7 +1129,7 @@ func (s *Simulator) drainChannel(ch *channel, done <-chan struct{}) chanResult {
 		if start > now {
 			now = start
 		}
-		now += s.cfg.TBurst
+		now += tBurst
 	}
 	if lastDone < now {
 		lastDone = now

@@ -2,7 +2,9 @@ package dram
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -41,6 +43,14 @@ func TestConfigValidation(t *testing.T) {
 		{Channels: 4, BanksPerChan: 8, RowBytes: 2048, BurstBytes: 64, TBurst: 0, WindowSize: 8},
 		{Channels: 4, BanksPerChan: 8, RowBytes: 2048, BurstBytes: 64, TBurst: 4, WindowSize: 0},
 	}
+	// A refresh at least as long as its interval never lets the drain
+	// finish: each one advances the clock TRfc but the next refresh
+	// only TRefi.
+	for _, trfc := range []uint64{150, 100} {
+		cfg := DDR4Like(1)
+		cfg.TRefi, cfg.TRfc = 100, trfc
+		bad = append(bad, cfg)
+	}
 	for _, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("accepted invalid config %+v", cfg)
@@ -48,6 +58,27 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(DDR4Like(4)); err != nil {
 		t.Errorf("rejected DDR4Like: %v", err)
+	}
+}
+
+// TestRefreshJustShorterThanIntervalDrains: Validate refuses TRfc >=
+// TRefi, with which the drain would refresh forever; one cycle less
+// leaves one cycle per interval for bursts, and a trace still drains.
+func TestRefreshJustShorterThanIntervalDrains(t *testing.T) {
+	cfg := DDR4Like(1)
+	cfg.TRefi, cfg.TRfc = 100, 99
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("rejected TRfc=99 with TRefi=100: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	st, err := s.RunOverlayCtx(ctx, seqTrace(1, 0, 64<<10, trace.Read), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reads != 1024 || st.Refreshes == 0 {
+		t.Errorf("reads/refreshes = %d/%d, want 1024/>0", st.Reads, st.Refreshes)
 	}
 }
 
@@ -213,5 +244,49 @@ func TestMixedReadWriteCounts(t *testing.T) {
 	st := drain(s, tr, nil)
 	if st.Reads != 32 || st.Writes != 32 {
 		t.Errorf("reads/writes = %d/%d, want 32/32", st.Reads, st.Writes)
+	}
+}
+
+// TestStatsConservation holds random geometries and traces (refresh
+// always shorter than its interval, as Validate demands) to the
+// accounting identities every drain must keep: each burst has one row
+// outcome and moves one burst of bytes, the busiest channel is the
+// maximum of the per-channel counts and ends no later than the drain,
+// and a channel is busy exactly for its bursts and its refreshes.
+func TestStatsConservation(t *testing.T) {
+	n := 1000
+	if testing.Short() {
+		n = 150
+	}
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < n; i++ {
+		data := make([]byte, 11+4*r.Intn(300))
+		r.Read(data)
+		cfg, tr := decodeCase(data)
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := drain(s, tr, nil)
+		bursts := st.Reads + st.Writes
+		var sum, maxBusy uint64
+		for _, c := range st.ChanCycles {
+			sum += c
+			maxBusy = max(maxBusy, c)
+		}
+		for _, e := range []struct {
+			name string
+			ok   bool
+		}{
+			{"RowHits+RowMisses+RowEmpty == Reads+Writes", st.RowHits+st.RowMisses+st.RowEmpty == bursts},
+			{"BytesMoved == (Reads+Writes)*BurstBytes", st.BytesMoved == bursts*uint64(cfg.BurstBytes)},
+			{"MaxChanBusy == max(ChanCycles)", st.MaxChanBusy == maxBusy},
+			{"Cycles >= MaxChanBusy", st.Cycles >= st.MaxChanBusy},
+			{"sum(ChanCycles) == (Reads+Writes)*TBurst + Refreshes*TRfc", sum == bursts*cfg.TBurst+st.Refreshes*cfg.TRfc},
+		} {
+			if !e.ok {
+				t.Errorf("case %d (config %+v): %s fails: %+v", i, cfg, e.name, st)
+			}
+		}
 	}
 }

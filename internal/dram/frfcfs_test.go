@@ -66,12 +66,15 @@ func conflictTrace(n int) *trace.Trace {
 // mapAddr-per-candidate scheduler produced on conflictTrace. The
 // bank-bucketed drain must reproduce them bit for bit: any change to
 // the pick order moves RowHits/RowMisses and every per-channel cycle
-// count. Regenerate only if the scheduling *semantics* deliberately
-// change (and say so in DESIGN.md).
+// count. The slowbus2 entry came later, from the per-burst drain the
+// run step replaced (legacyDrainChannel in oracle_test.go), recorded
+// before that drain changed. Regenerate only if the scheduling
+// *semantics* deliberately change (and say so in DESIGN.md).
 var goldenStats = map[string]Stats{
-	"ddr4x4":  {Cycles: 70702, Reads: 9413, Writes: 9436, RowHits: 13409, RowMisses: 4966, RowEmpty: 474, Refreshes: 27, BytesMoved: 1206336, ChanCycles: []uint64{25486, 19852, 19760, 19748}, MaxChanBusy: 25486},
-	"odd3x12": {Cycles: 80974, Reads: 9413, Writes: 9436, RowHits: 14261, RowMisses: 4196, RowEmpty: 392, Refreshes: 30, BytesMoved: 1206336, ChanCycles: []uint64{27624, 29172, 29100}, MaxChanBusy: 29172},
-	"narrow1": {Cycles: 263558, Reads: 9413, Writes: 9436, RowHits: 15868, RowMisses: 2472, RowEmpty: 509, Refreshes: 33, BytesMoved: 1206336, ChanCycles: []uint64{86946}, MaxChanBusy: 86946},
+	"ddr4x4":   {Cycles: 70702, Reads: 9413, Writes: 9436, RowHits: 13409, RowMisses: 4966, RowEmpty: 474, Refreshes: 27, BytesMoved: 1206336, ChanCycles: []uint64{25486, 19852, 19760, 19748}, MaxChanBusy: 25486},
+	"odd3x12":  {Cycles: 80974, Reads: 9413, Writes: 9436, RowHits: 14261, RowMisses: 4196, RowEmpty: 392, Refreshes: 30, BytesMoved: 1206336, ChanCycles: []uint64{27624, 29172, 29100}, MaxChanBusy: 29172},
+	"narrow1":  {Cycles: 263558, Reads: 9413, Writes: 9436, RowHits: 15868, RowMisses: 2472, RowEmpty: 509, Refreshes: 33, BytesMoved: 1206336, ChanCycles: []uint64{86946}, MaxChanBusy: 86946},
+	"slowbus2": {Cycles: 419960, Reads: 9413, Writes: 9436, RowHits: 15468, RowMisses: 2247, RowEmpty: 1134, Refreshes: 100, BytesMoved: 1206336, ChanCycles: []uint64{418510, 370450}, MaxChanBusy: 418510},
 }
 
 func goldenConfigs() map[string]Config {
@@ -94,13 +97,20 @@ func goldenConfigs() map[string]Config {
 	}
 	single := DDR4Like(1)
 	single.WindowSize = 4
-	return map[string]Config{"ddr4x4": pow2, "odd3x12": odd, "narrow1": single}
+	// TBurst above TCL, the regime of the edge preset and most
+	// explore geometries: a row hit's bank is ready again before the
+	// bus is, so same-row streams never stall on their own bank.
+	slowBus := DDR4Like(2)
+	slowBus.TBurst = 40
+	slowBus.WindowSize = 16
+	return map[string]Config{"ddr4x4": pow2, "odd3x12": odd, "narrow1": single, "slowbus2": slowBus}
 }
 
 // TestFRFCFSGoldenPickOrder pins the scheduler's exact pick order via
 // full-stats golden values on the conflict-heavy trace, for a
 // power-of-two geometry (shift/mask decode), a non-power-of-two one
-// (division decode) and a single-channel narrow window.
+// (division decode), a single-channel narrow window, and a bus slower
+// than the column latency (TBurst > TCL).
 func TestFRFCFSGoldenPickOrder(t *testing.T) {
 	tr := conflictTrace(4000)
 	for name, cfg := range goldenConfigs() {

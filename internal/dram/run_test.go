@@ -117,28 +117,50 @@ func TestRunTraceAllocGuard(t *testing.T) {
 	}
 }
 
-// BenchmarkRunTrace measures the zero-copy hot path. The seed adapter
-// (accessView copy + growing queues) ran this workload at 79 allocs/op
-// and ~3.4 MB/op; the counted pre-size explode with pooled buffers
-// must stay well under half of that (see BENCH_PIPELINE.json).
+// BenchmarkRunTrace measures the zero-copy hot path and reports host
+// nanoseconds per simulated burst next to ns/op. The seed adapter
+// (accessView copy + growing queues) ran the stream workload at 79
+// allocs/op and ~3.4 MB/op; the counted pre-size explode with pooled
+// buffers must stay well under half of that (see BENCH_PIPELINE.json).
+//
+//   - stream: 4096 staggered 512 B accesses over four channels, 8
+//     bursts each (the workload the benchmark always ran).
+//   - stalled: sixteen contiguous 64 KiB reads on one channel issued
+//     at once, at TCL > TBurst: every row is a 32-burst run of hits
+//     on one bank that waits out TCL per burst, the regime in which
+//     the per-burst drain fell back to the rule-2 pick on every burst.
 func BenchmarkRunTrace(b *testing.B) {
-	tr := &trace.Trace{}
-	tr.Reserve(4096)
+	stream := &trace.Trace{}
+	stream.Reserve(4096)
 	for i := 0; i < 4096; i++ {
-		tr.Append(trace.Access{
+		stream.Append(trace.Access{
 			Cycle: uint64(i) * 4,
 			Addr:  uint64(i) * 512,
 			Bytes: 512,
 			Kind:  trace.Kind(i % 2),
 		})
 	}
-	s, err := New(DDR4Like(4))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		drain(s, tr, nil)
+	stalled := seqTrace(16, 64<<10, 64<<10, trace.Read)
+	for _, bc := range []struct {
+		name     string
+		channels int
+		tr       *trace.Trace
+	}{
+		{"stream", 4, stream},
+		{"stalled", 1, stalled},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := New(DDR4Like(bc.channels))
+			if err != nil {
+				b.Fatal(err)
+			}
+			bursts := drain(s, bc.tr, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				drain(s, bc.tr, nil)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(uint64(b.N)*(bursts.Reads+bursts.Writes)), "ns/burst")
+		})
 	}
 }

@@ -336,3 +336,28 @@ func TestProtectRejectsInvalidScheme(t *testing.T) {
 		t.Error("invalid scheme accepted")
 	}
 }
+
+// TestArenaReleaseDropsOversizedBuffers: an overlay whose backing
+// array is more than twice what its last use filled goes back to the
+// arena empty, so FIFO reuse across networks of different sizes
+// cannot ratchet every pooled buffer up to the largest overlay seen.
+// A buffer its last use needed keeps its capacity.
+func TestArenaReleaseDropsOversizedBuffers(t *testing.T) {
+	overlay := func(n, c int) *trace.Overlay {
+		return &trace.Overlay{Accesses: make([]trace.Access, n, c), Anchors: make([]int32, n, c)}
+	}
+	oversized, fitted, empty := overlay(10, 1000), overlay(600, 1000), overlay(0, 64)
+	a := NewArena()
+	a.Release([]*Result{{Layers: []ProtectedLayer{{Deltas: oversized}, {Deltas: fitted}, {Deltas: empty}}}})
+	if cap(oversized.Accesses) != 0 || cap(oversized.Anchors) != 0 || cap(empty.Accesses) != 0 {
+		t.Errorf("oversized buffers kept: caps %d/%d, empty %d", cap(oversized.Accesses), cap(oversized.Anchors), cap(empty.Accesses))
+	}
+	if cap(fitted.Accesses) != 1000 || cap(fitted.Anchors) != 1000 {
+		t.Errorf("fitted buffer lost its capacity: %d/%d", cap(fitted.Accesses), cap(fitted.Anchors))
+	}
+	for i, want := range []*trace.Overlay{oversized, fitted, empty} {
+		if got := a.get(); got != want || got.Len() != 0 {
+			t.Errorf("get %d: %p (len %d), want %p reset", i, got, got.Len(), want)
+		}
+	}
+}

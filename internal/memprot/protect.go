@@ -25,7 +25,10 @@ import (
 // releases overlays in layer-major (layer, scheme) order, so on
 // repeated evaluations each slot tends to get back a buffer grown to
 // its own previous size — an SGX layer's 100k-entry array is not
-// wasted on a Baseline layer that needs none. The arena holds strong
+// wasted on a Baseline layer that needs none. Release keeps no buffer
+// at more than twice the size its last use filled: evaluations of
+// different networks shift the FIFO, and whole buffers would ratchet
+// up to the largest overlay ever held. The arena holds strong
 // references (unlike sync.Pool), so a GC mid-sweep cannot empty it.
 // Safe for concurrent use.
 //
@@ -93,6 +96,13 @@ func (a *Arena) Release(rs []*Result) {
 			}
 			if ov := r.Layers[i].Deltas; ov != nil {
 				r.Layers[i].Deltas = nil
+				if cap(ov.Accesses) > 2*len(ov.Accesses) {
+					// Oversized for its last use (see Arena): without
+					// this, serving varied networks grew the retained
+					// overlays with every request (~100 MB after 300
+					// single-point explores on one replica).
+					*ov = trace.Overlay{}
+				}
 				a.free = append(a.free, ov)
 			}
 		}
