@@ -86,10 +86,12 @@ func main() {
 		fatal(err)
 	}
 
-	// The degraded tier: a cache-only view of the shared disk cache. It
-	// never evaluates anything — a miss is ErrCacheOnly (503 inside the
-	// API) — so the router stays cheap even while serving stale. It also
-	// answers the static catalog routes authoritatively.
+	// The degraded tier: a cache-only view of the shared disk cache. A
+	// cached-result miss is ErrCacheOnly (503 inside the API), so it
+	// runs no suite evaluation. A /v1/explore is not free, though:
+	// explore.Run calibrates the surrogate and runs its pass in the
+	// router before the first confirmation misses. It also answers the
+	// static catalog routes authoritatively.
 	var degraded *serve.API
 	dir := rescache.ResolveDir(*cacheDir)
 	cache, err := rescache.New(rescache.Options{Dir: dir, CacheOnly: true})

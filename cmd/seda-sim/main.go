@@ -43,14 +43,9 @@ func main() {
 	}
 	defer profiles.Stop() //nolint:errcheck
 
-	var npu seda.NPUConfig
-	switch *npuName {
-	case "server":
-		npu = seda.ServerNPU()
-	case "edge":
-		npu = seda.EdgeNPU()
-	default:
-		fmt.Fprintf(os.Stderr, "seda-sim: unknown npu %q (want server or edge)\n", *npuName)
+	npu, err := seda.NPUByName(*npuName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "seda-sim:", err)
 		os.Exit(1)
 	}
 

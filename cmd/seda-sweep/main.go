@@ -40,9 +40,9 @@ func main() {
 	traceOut := flag.String("trace", "", "write a runtime execution trace to this file (go tool trace)")
 	timing := flag.Bool("timing", false, "print the pipeline span tree (per-stage wall times) to stderr as JSON when done")
 	exploreSpec := flag.String("explore", "", "run a design-space exploration over this grid spec (e.g. 'rows=16:256:2x,channels=2|4') instead of regenerating figures")
-	exploreBase := flag.String("base", "edge", "with -explore: platform preset the grid perturbs")
+	exploreBase := flag.String("base", "", "with -explore: platform preset the grid perturbs (default edge)")
 	exploreWorkloads := flag.String("workloads", "", "with -explore: comma-separated workload subset (default: the full suite)")
-	exploreScheme := flag.String("scheme", "SeDA", "with -explore: protection scheme explored under")
+	exploreScheme := flag.String("scheme", "", "with -explore: protection scheme explored under (default SeDA)")
 	flag.Parse()
 
 	if *table3 {
@@ -169,34 +169,13 @@ func main() {
 // surrogate-pruned exploration, and print either the full JSON wire
 // form (-json) or a frontier table plus a grep-friendly summary line.
 func runExplore(ctx context.Context, cache *rescache.Cache, opts seda.SuiteOptions, rawSpec, baseName, workloads, schemeName string, jsonOut bool) error {
-	spec, err := explore.ParseSpec(rawSpec)
+	req, err := explore.ParseRequest(rawSpec, baseName, workloads, schemeName, "")
 	if err != nil {
 		return err
 	}
-	base, err := seda.NPUByName(baseName)
-	if err != nil {
-		return err
-	}
-	scheme, err := seda.SchemeByName(schemeName)
-	if err != nil {
-		return err
-	}
-	nets := model.All()
-	if workloads != "" {
-		nets = nets[:0:0]
-		for _, name := range strings.Split(workloads, ",") {
-			name = strings.TrimSpace(name)
-			n := model.ByName(name)
-			if n == nil {
-				return fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(model.Names(), ", "))
-			}
-			nets = append(nets, n)
-		}
-	}
-
-	res, err := explore.Run(ctx, spec, base, explore.Options{
-		Workloads: nets,
-		Scheme:    scheme,
+	res, err := explore.Run(ctx, req.Spec, req.Base, explore.Options{
+		Workloads: req.Workloads,
+		Scheme:    req.Scheme,
 		Cache:     cache,
 		Suite:     opts,
 	})

@@ -33,14 +33,9 @@ func main() {
 		fatal(fmt.Errorf("unknown workload %q (known: %s)",
 			*workload, strings.Join(model.Names(), ", ")))
 	}
-	var npu seda.NPUConfig
-	switch *npuName {
-	case "server":
-		npu = seda.ServerNPU()
-	case "edge":
-		npu = seda.EdgeNPU()
-	default:
-		fatal(fmt.Errorf("unknown npu %q", *npuName))
+	npu, err := seda.NPUByName(*npuName)
+	if err != nil {
+		fatal(err)
 	}
 	scheme, err := seda.SchemeByName(*schemeName)
 	if err != nil {

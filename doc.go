@@ -36,7 +36,11 @@
 // config-fingerprint-affinity routing (rendezvous hashing over the
 // same cache fingerprints), health-checked failover, per-replica
 // circuit breakers, budgeted retry with backoff, and graceful
-// degradation from a shared disk-cache tier. cmd/seda-loadgen drives
+// degradation from a shared disk-cache tier. The replica, the router
+// and seda-sweep -explore resolve an exploration's parameters through
+// the one explore.ParseRequest (workload lists through
+// model.ParseList), so every front end agrees on what a request
+// denotes. cmd/seda-loadgen drives
 // the stack: deterministic closed-loop scenario replay, latency on the
 // same histogram layout the servers expose, and per-phase /metrics
 // attribution.

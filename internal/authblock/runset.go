@@ -56,10 +56,6 @@ func (rs *RunSet) Source() int { return rs.source }
 // TotalBytes returns the summed length of all summarized accesses.
 func (rs *RunSet) TotalBytes() uint64 { return rs.totalBytes }
 
-// Lens returns the distinct run lengths, in first-appearance order
-// (Candidates sorts, so only the set matters).
-func (rs *RunSet) Lens() []int { return rs.lens }
-
 // runKey identifies a dedup group during construction.
 type runKey struct {
 	addr  uint64

@@ -4,7 +4,7 @@
 //
 // The routing policy is config-fingerprint affinity: /v1/sweep and
 // /v1/explore requests resolve — with exactly the same code the
-// replica uses (internal/serve.ResolveSweep and friends) — to a
+// replica uses (serve.ResolveSweep, explore.ParseRequest) — to a
 // canonical affinity key, and rendezvous hashing over that key picks
 // the replica whose in-memory rescache almost certainly already holds
 // the result. Failover candidates are ranked least-loaded first, so a
@@ -48,13 +48,11 @@ import (
 	"log/slog"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/explore"
-	"repro/internal/memprot"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/seda"
@@ -250,43 +248,15 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, "/v1/sweep", key)
 }
 
+// handleExplore routes one exploration the same way, resolved through
+// the replica handler's explore.ParseRequest.
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
-	rt.forward(w, r, "/v1/explore", exploreAffinity(r.URL.Query()))
-}
-
-// exploreAffinity mirrors the replica handler's parameter resolution
-// just far enough to derive the affinity key; any resolution failure
-// routes without affinity (the replica owns the error response).
-func exploreAffinity(q url.Values) string {
-	spec, err := explore.ParseSpec(q.Get("spec"))
-	if err != nil {
-		return ""
+	q := r.URL.Query()
+	key := ""
+	if req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"), q.Get("margin")); err == nil {
+		key = serve.ExploreAffinityKey(req)
 	}
-	baseName := q.Get("base")
-	if baseName == "" {
-		baseName = "edge"
-	}
-	base, err := seda.NPUByName(baseName)
-	if err != nil {
-		return ""
-	}
-	scheme := memprot.SchemeSeDA
-	if name := q.Get("scheme"); name != "" {
-		if scheme, err = seda.SchemeByName(name); err != nil {
-			return ""
-		}
-	}
-	nets, err := serve.ParseWorkloads(q.Get("workloads"))
-	if err != nil {
-		return ""
-	}
-	var margin float64
-	if raw := q.Get("margin"); raw != "" {
-		if margin, err = strconv.ParseFloat(raw, 64); err != nil {
-			return ""
-		}
-	}
-	return serve.ExploreAffinityKey(spec, base, nets, scheme, margin)
+	rt.forward(w, r, "/v1/explore", key)
 }
 
 // catalog serves the static catalog routes. They are identical on

@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/explore"
 	"repro/internal/failpoint"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // fakeReplica is a scriptable stand-in for seda-serve: per-mode
@@ -137,31 +139,44 @@ const sweepURL = "/v1/sweep?fig=5b&workloads=let"
 
 // TestAffinityRouting: identical configurations always land on the
 // same replica, and representation-only differences (fig of the same
-// NPU, CSV vs JSON) do not move them — the affinity key binds the
-// cache fingerprints, not the view.
+// NPU, CSV vs JSON, axis order, repeated or case-varied workloads) do
+// not move them — the affinity key binds the cache fingerprints, not
+// the view or the spelling.
 func TestAffinityRouting(t *testing.T) {
 	rt, _ := fakeFleet(t, 3, Options{})
 	h := rt.Handler()
 
-	first := get(t, h, sweepURL, nil)
-	if first.Code != http.StatusOK {
-		t.Fatalf("sweep: %d %s", first.Code, first.Body.String())
+	sweepNPU, sweepNets, err := serve.ResolveSweep("5b", "", "let")
+	if err != nil {
+		t.Fatal(err)
 	}
-	home := first.Header().Get("X-Seda-Replica")
-	if home == "" {
-		t.Fatal("missing X-Seda-Replica")
+	req, err := explore.ParseRequest("rows=16:32,channels=2|4", "", "let,ncf", "", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, url := range []string{
+	for _, group := range []struct {
+		key  string // the home is this key's rendezvous winner
+		urls []string
+	}{{serve.SweepAffinityKey(sweepNPU, sweepNets), []string{
 		sweepURL,
 		"/v1/sweep?fig=6b&workloads=let", // other metric, same configs
 		"/v1/sweep?fig=5b&workloads=let&format=csv", // other format
 		"/v1/sweep?npu=edge&fig=5b&workloads=let",   // explicit npu, same resolution
-	} {
-		for range 3 {
-			rec := get(t, h, url, nil)
-			if rec.Code != http.StatusOK || rec.Header().Get("X-Seda-Replica") != home {
-				t.Fatalf("%s: %d via %q, want 200 via %q",
-					url, rec.Code, rec.Header().Get("X-Seda-Replica"), home)
+	}}, {serve.ExploreAffinityKey(req), []string{
+		"/v1/explore?spec=rows%3D16:32,channels%3D2%7C4&workloads=let,ncf",
+		"/v1/explore?spec=channels%3D2%7C4,rows%3D16:32&workloads=let,ncf",            // axis order
+		"/v1/explore?spec=rows%3D16:32,channels%3D2%7C4&workloads=let,LET,ncf,let",    // repeated, case-varied
+		"/v1/explore?spec=rows%3D16:32,channels%3D2%7C4&workloads=let,ncf&format=csv", // other format
+		"/v1/explore?spec=rows%3D16:32,channels%3D2%7C4&workloads=let,ncf&base=Edge&scheme=seda",
+	}}} {
+		home := rt.rank(group.key)[0].Name
+		for _, url := range group.urls {
+			for range 3 {
+				rec := get(t, h, url, nil)
+				if rec.Code != http.StatusOK || rec.Header().Get("X-Seda-Replica") != home {
+					t.Fatalf("%s: %d via %q, want 200 via %q",
+						url, rec.Code, rec.Header().Get("X-Seda-Replica"), home)
+				}
 			}
 		}
 	}

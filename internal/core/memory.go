@@ -10,10 +10,7 @@
 // and detects.
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 const pageSize = 4096
 
@@ -89,17 +86,6 @@ func (m *Memory) Snapshot(addr uint64, n int) []byte {
 // Replay restores a snapshot — the attacker's rollback primitive.
 func (m *Memory) Replay(addr uint64, snapshot []byte) {
 	m.Write(addr, snapshot)
-}
-
-// WrittenPages returns the sorted page indices that exist, mostly for
-// tests asserting memory layout.
-func (m *Memory) WrittenPages() []uint64 {
-	out := make([]uint64, 0, len(m.pages))
-	for idx := range m.pages {
-		out = append(out, idx)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (m *Memory) String() string {

@@ -206,16 +206,6 @@ func (u *Unit) VerifyModel(fetch func(FmapID) (addr uint64, n, optBlk int)) erro
 	return nil
 }
 
-// LayerMACSum returns the on-chip layer MAC for an fmap (for tests and
-// the attack demos).
-func (u *Unit) LayerMACSum(id FmapID) (xormac.MAC, bool) {
-	lm, ok := u.layerMACs[id]
-	if !ok {
-		return 0, false
-	}
-	return lm.Agg.Sum(), true
-}
-
 // IntegrityError reports a failed verification.
 type IntegrityError struct {
 	Fmap  FmapID

@@ -76,10 +76,6 @@ type Options struct {
 	// MaxPoints rejects grids larger than this (0 = DefaultMaxPoints).
 	MaxPoints int
 
-	// CalibrationConfigs are the platforms the surrogate is fitted
-	// against (cycle-accurately). Empty = the Table II presets.
-	CalibrationConfigs []seda.NPUConfig
-
 	// SkipConfirm stops after the surrogate pass: candidates are
 	// reported unconfirmed and the frontier is computed from estimates.
 	// For interactive triage; tests and CI confirm.
@@ -211,12 +207,8 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 	// Fit the surrogate against cycle-accurate measurements of the
 	// calibration platforms, then derive the pruning margin from the
 	// fit's worst relative error.
-	calCfgs := opts.CalibrationConfigs
-	if len(calCfgs) == 0 {
-		calCfgs = seda.NPUPresets()
-	}
 	calCtx, calSpan := obs.Start(ctx, obs.StageCalibrate)
-	cal, err := Calibrate(calCtx, calCfgs, opts.Workloads, opts.Scheme)
+	cal, err := Calibrate(calCtx, seda.NPUPresets(), opts.Workloads, opts.Scheme)
 	calSpan.End()
 	if err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package explore
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -384,14 +383,4 @@ func PointName(c seda.NPUConfig) string {
 		strconv.FormatFloat(c.FreqHz, 'g', -1, 64),
 		strconv.FormatFloat(c.BandwidthB, 'g', -1, 64),
 		d.Channels, d.BanksPerChan, d.RowBytes, d.BurstBytes, d.WindowSize)
-}
-
-// SortedAxisNames returns the table-order names of the spec's axes.
-func (s *Spec) SortedAxisNames() []string {
-	names := make([]string, len(s.axes))
-	for i, ax := range s.axes {
-		names[i] = ax.def.name
-	}
-	sort.Strings(names)
-	return names
 }

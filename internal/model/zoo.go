@@ -1,6 +1,10 @@
 package model
 
-import "strings"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // This file defines the 13 benchmark workloads of the paper's
 // evaluation (§IV-A): Lenet (let), Alexnet (alex), Mobilenet (mob),
@@ -361,6 +365,29 @@ func Names() []string {
 		out[i] = n.Name
 	}
 	return out
+}
+
+// ParseList resolves a comma-separated workload list against the
+// suite: empty selects All(), names match as in ByName (surrounding
+// spaces ignored), and a repeated name keeps only its first
+// occurrence, so "let,LET" denotes the same list as "let".
+func ParseList(raw string) ([]*Network, error) {
+	all := All()
+	if raw == "" {
+		return all, nil
+	}
+	var nets []*Network
+	for _, name := range strings.Split(raw, ",") {
+		name = strings.TrimSpace(name)
+		i := slices.IndexFunc(all, func(n *Network) bool { return strings.EqualFold(n.Name, name) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(Names(), ", "))
+		}
+		if !slices.Contains(nets, all[i]) {
+			nets = append(nets, all[i])
+		}
+	}
+	return nets, nil
 }
 
 func fmtName(prefix string, i int) string {

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,11 +54,6 @@ const (
 // disabled fast path: Start/StartChild/Detach return immediately
 // after one atomic load when it is zero.
 var active atomic.Int32
-
-// Enabled reports whether any Tracer is live in the process. It is a
-// snapshot, useful only for skipping optional work (e.g. building a
-// span detail string); correctness never depends on it.
-func Enabled() bool { return active.Load() != 0 }
 
 // Tracer owns one span tree. Create with NewTracer, release with
 // Finish. All methods are safe for concurrent use by the goroutines
@@ -323,7 +319,7 @@ func mergeChildren(children []*Span, now time.Time) []SpanJSON {
 	out := make([]SpanJSON, 0, len(order))
 	for _, key := range order {
 		g := groups[key]
-		name, detail, _ := cutNul(key)
+		name, detail, _ := strings.Cut(key, "\x00")
 		node := SpanJSON{Name: name, Detail: detail, Ms: roundMs(g.dur)}
 		if g.count > 1 {
 			node.Count = g.count
@@ -334,15 +330,6 @@ func mergeChildren(children []*Span, now time.Time) []SpanJSON {
 		out = append(out, node)
 	}
 	return out
-}
-
-func cutNul(key string) (before, after string, ok bool) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return key[:i], key[i+1:], true
-		}
-	}
-	return key, "", false
 }
 
 // roundMs renders a duration in milliseconds at microsecond

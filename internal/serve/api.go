@@ -401,7 +401,7 @@ func ResolveSweep(figName, npuName, workloads string) (seda.NPUConfig, []*model.
 	if err != nil {
 		return seda.NPUConfig{}, nil, err
 	}
-	nets, err := ParseWorkloads(workloads)
+	nets, err := model.ParseList(workloads)
 	if err != nil {
 		return seda.NPUConfig{}, nil, err
 	}

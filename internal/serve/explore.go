@@ -7,12 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/explore"
 	"repro/internal/failpoint"
-	"repro/internal/memprot"
-	"repro/internal/model"
 	"repro/seda"
 )
 
@@ -43,15 +40,16 @@ const DefaultMaxExplorePoints = 2048
 //	    (default: derived from the calibration error).
 //	  - The body is CSV when the request asks for it (Accept: text/csv or
 //	    ?format=csv), JSON otherwise.
+//
+// The parameters resolve through explore.ParseRequest, which holds the
+// defaults; the router derives its affinity key from the same call.
 func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-
-	rawSpec := q.Get("spec")
-	if rawSpec == "" {
+	if q.Get("spec") == "" {
 		badRequest(w, "missing spec (e.g. spec=rows=16:256:2x,channels=2|4)")
 		return
 	}
-	spec, err := explore.ParseSpec(rawSpec)
+	req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"), q.Get("margin"))
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -63,42 +61,9 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// Enforce the cap before the If-None-Match short-circuit: the cap is
 	// operator state the ETag does not bind, so a client revalidating a
 	// grid the server no longer accepts must see the 400, not a 304.
-	if n := spec.NumPoints(); n > maxPoints {
+	if n := req.Spec.NumPoints(); n > maxPoints {
 		badRequest(w, "grid has %d points, limit %d (narrow the spec or raise -max-explore-points)", n, maxPoints)
 		return
-	}
-
-	baseName := q.Get("base")
-	if baseName == "" {
-		baseName = "edge"
-	}
-	base, err := seda.NPUByName(baseName)
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-
-	scheme := memprot.SchemeSeDA
-	if name := q.Get("scheme"); name != "" {
-		if scheme, err = seda.SchemeByName(name); err != nil {
-			badRequest(w, "%v", err)
-			return
-		}
-	}
-
-	nets, err := ParseWorkloads(q.Get("workloads"))
-	if err != nil {
-		badRequest(w, "%v", err)
-		return
-	}
-
-	var margin float64
-	if raw := q.Get("margin"); raw != "" {
-		margin, err = strconv.ParseFloat(raw, 64)
-		if err != nil || margin <= 0 || margin >= 1 {
-			badRequest(w, "margin %q must be a number in (0, 1)", raw)
-			return
-		}
 	}
 
 	csvOut, err := wantCSV(r)
@@ -111,7 +76,7 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// request inputs plus the pipeline and surrogate versions (the
 	// engine is deterministic end to end), so a strong ETag needs no
 	// evaluation and a matching If-None-Match revalidates for free.
-	etag := exploreETag(spec, base, nets, scheme, margin, csvOut)
+	etag := exploreETag(req, csvOut)
 	if inmMatches(r.Header.Get("If-None-Match"), etag) {
 		setValidators(w, etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -122,12 +87,12 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, r, err)
 		return
 	}
-	res, err := explore.Run(r.Context(), spec, base, explore.Options{
-		Workloads: nets,
-		Scheme:    scheme,
+	res, err := explore.Run(r.Context(), req.Spec, req.Base, explore.Options{
+		Workloads: req.Workloads,
+		Scheme:    req.Scheme,
 		Cache:     s.cache,
 		Suite:     s.opts,
-		Margin:    margin,
+		Margin:    req.Margin,
 		MaxPoints: maxPoints,
 	})
 	if err != nil {
@@ -154,13 +119,13 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 // config fingerprints of the base platform (which already bind the
 // pipeline version, base NPU, scheme set and topologies), the explored
 // scheme, the surrogate version, the margin and the body format.
-func exploreETag(spec *explore.Spec, base seda.NPUConfig, nets []*model.Network, scheme memprot.Scheme, margin float64, csvOut bool) string {
+func exploreETag(req *explore.Request, csvOut bool) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "explore|surrogate=%s|spec=%s|scheme=%s|margin=%s|csv=%v\n",
-		explore.SurrogateVersion, spec.Canonical(), scheme.Name(),
-		strconv.FormatFloat(margin, 'x', -1, 64), csvOut)
-	for _, n := range nets {
-		fmt.Fprintln(h, seda.ConfigFingerprint(base, n))
+		explore.SurrogateVersion, req.Spec.Canonical(), req.Scheme.Name(),
+		strconv.FormatFloat(req.Margin, 'x', -1, 64), csvOut)
+	for _, n := range req.Workloads {
+		fmt.Fprintln(h, seda.ConfigFingerprint(req.Base, n))
 	}
 	return `"` + hex.EncodeToString(h.Sum(nil)[:16]) + `"`
 }
@@ -169,42 +134,12 @@ func exploreETag(spec *explore.Spec, base seda.NPUConfig, nets []*model.Network,
 // exploration: like the ETag it binds the canonical spec, base
 // fingerprints, scheme and margin, but not the body format — CSV and
 // JSON views of one exploration share a replica's warm confirmations.
-func ExploreAffinityKey(spec *explore.Spec, base seda.NPUConfig, nets []*model.Network, scheme memprot.Scheme, margin float64) string {
+func ExploreAffinityKey(req *explore.Request) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "explore-affinity|spec=%s|scheme=%s|margin=%s\n",
-		spec.Canonical(), scheme.Name(), strconv.FormatFloat(margin, 'x', -1, 64))
-	for _, n := range nets {
-		fmt.Fprintln(h, seda.ConfigFingerprint(base, n))
+		req.Spec.Canonical(), req.Scheme.Name(), strconv.FormatFloat(req.Margin, 'x', -1, 64))
+	for _, n := range req.Workloads {
+		fmt.Fprintln(h, seda.ConfigFingerprint(req.Base, n))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// ParseWorkloads resolves a comma-separated workload list against the
-// benchmark suite (case handled by model.ByName); empty selects the
-// full suite. A repeated name keeps only its first occurrence, so
-// "let,let" denotes the same result — body, ETag and affinity key — as
-// "let".
-func ParseWorkloads(raw string) ([]*model.Network, error) {
-	if raw == "" {
-		return model.All(), nil
-	}
-	var nets []*model.Network
-	spelled := make(map[string]bool) // a repeated spelling skips the lookup
-	picked := make(map[string]bool)  // resolved names; catches case variants
-	for _, name := range strings.Split(raw, ",") {
-		name = strings.TrimSpace(name)
-		if spelled[name] {
-			continue
-		}
-		spelled[name] = true
-		n := model.ByName(name)
-		if n == nil {
-			return nil, fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(model.Names(), ", "))
-		}
-		if !picked[n.Name] {
-			picked[n.Name] = true
-			nets = append(nets, n)
-		}
-	}
-	return nets, nil
 }

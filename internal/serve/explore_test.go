@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/explore"
-	"repro/internal/memprot"
 	"repro/seda"
 )
 
@@ -134,19 +133,11 @@ func TestExploreEndpointGridCap(t *testing.T) {
 	}
 
 	// The ETag a larger-cap server would have issued for this grid.
-	spec, err := explore.ParseSpec("channels=1|2|4")
+	req, err := explore.ParseRequest("channels=1|2|4", "", "let", "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	nets, err := ParseWorkloads("let")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := seda.NPUByName("edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	etag := exploreETag(spec, base, nets, memprot.SchemeSeDA, 0, false)
+	etag := exploreETag(req, false)
 	rec = doReq(t, sv.Handler(), "/v1/explore?spec=channels%3D1%7C2%7C4&workloads=let",
 		map[string]string{"If-None-Match": etag})
 	if rec.Code != http.StatusBadRequest {

@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/model"
 )
 
 // TestRepeatedWorkloadsCollapse: a repeated name denotes the same
@@ -33,7 +35,7 @@ func TestRepeatedWorkloadsCollapse(t *testing.T) {
 	if a, b := key("let"), key("let,let"); a != b {
 		t.Fatalf("affinity keys %q vs %q", a, b)
 	}
-	nets, err := ParseWorkloads("ncf,let,ncf,let")
+	nets, err := model.ParseList("ncf,let,ncf,let")
 	if err != nil {
 		t.Fatal(err)
 	}
