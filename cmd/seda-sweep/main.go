@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -44,6 +45,9 @@ func main() {
 	exploreWorkloads := flag.String("workloads", "", "with -explore: comma-separated workload subset (default: the full suite)")
 	exploreScheme := flag.String("scheme", "", "with -explore: protection scheme explored under (default SeDA)")
 	flag.Parse()
+	if err := checkExploreFlags(flag.CommandLine); err != nil {
+		fatal(err)
+	}
 
 	if *table3 {
 		printTable3()
@@ -163,6 +167,25 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown figure %q", *fig))
 	}
+}
+
+// exploreOnly names the flags that only -explore reads.
+var exploreOnly = []string{"base", "workloads", "scheme"}
+
+// checkExploreFlags rejects an explore-only flag given without
+// -explore, which would otherwise be ignored without a word:
+// `-fig 5b -workloads let` would evaluate the whole suite.
+func checkExploreFlags(fs *flag.FlagSet) error {
+	if fs.Lookup("explore").Value.String() != "" {
+		return nil
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(exploreOnly, f.Name) {
+			err = fmt.Errorf("-%s is read only with -explore", f.Name)
+		}
+	})
+	return err
 }
 
 // runExplore is the -explore mode: parse the grid, run the

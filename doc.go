@@ -25,7 +25,6 @@
 //	internal/obs       stage tracing, metrics registry, structured logs, pprof
 //	internal/serve     the HTTP serving stack (API, lifecycle, metrics)
 //	internal/cluster   fault-tolerant routing over a fleet of serve replicas
-//	internal/loadgen   deterministic traffic scenarios and measured reports
 //
 // The pipeline is deterministic, so results are memoizable:
 // seda.RunSuiteCachedCtx serves rows through
@@ -40,10 +39,7 @@
 // and seda-sweep -explore resolve an exploration's parameters through
 // the one explore.ParseRequest (workload lists through
 // model.ParseList), so every front end agrees on what a request
-// denotes. cmd/seda-loadgen drives
-// the stack: deterministic closed-loop scenario replay, latency on the
-// same histogram layout the servers expose, and per-phase /metrics
-// attribution.
+// denotes.
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and

@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the consuming half of the exposition format: a strict
-// parser plus a conventions linter. The serving tests and the CI
-// obs-smoke job read /metrics through it instead of grepping
-// substrings, so a malformed HELP line, a non-cumulative bucket or a
-// counter that silently becomes a gauge fails loudly.
+// parser plus a conventions linter. The serving tests, the router's
+// fleet test and the CI obs-smoke job read /metrics through it instead
+// of grepping substrings, so a malformed HELP line, a non-cumulative
+// bucket or a counter that silently becomes a gauge fails loudly.
 
 // PromFamily is one parsed metric family. For histograms the Samples
 // hold the expanded _bucket/_sum/_count series.
@@ -395,27 +395,6 @@ func LintProm(fams map[string]*PromFamily) []string {
 	}
 	sort.Strings(issues)
 	return issues
-}
-
-// CounterTotals flattens parsed families to one number per counter
-// family, summing samples across label sets — the shape a load
-// generator or smoke script wants when attributing before/after deltas
-// to traffic (per-replica constant labels and per-route label values
-// collapse into the fleet-wide total). Non-counter families are
-// skipped; histograms are exposed through their own accessors.
-func CounterTotals(fams map[string]*PromFamily) map[string]float64 {
-	totals := make(map[string]float64)
-	for name, fam := range fams {
-		if fam.Type != "counter" {
-			continue
-		}
-		sum := 0.0
-		for _, s := range fam.Samples {
-			sum += s.Value
-		}
-		totals[name] = sum
-	}
-	return totals
 }
 
 // Sample returns the sample of family fam whose labels exactly match

@@ -168,33 +168,3 @@ func TestValueErrors(t *testing.T) {
 		t.Fatal("Value with unmatched labels did not error")
 	}
 }
-
-func TestCounterTotals(t *testing.T) {
-	fams := parse(t, `# HELP reqs_total r
-# TYPE reqs_total counter
-reqs_total{route="/a"} 3
-reqs_total{route="/b"} 4
-# HELP up u
-# TYPE up gauge
-up 1
-# HELP lat l
-# TYPE lat histogram
-lat_bucket{le="1"} 2
-lat_bucket{le="+Inf"} 2
-lat_sum 0.5
-lat_count 2
-`)
-	totals := CounterTotals(fams)
-	if got := totals["reqs_total"]; got != 7 {
-		t.Fatalf("reqs_total = %v, want 7 (summed across label sets)", got)
-	}
-	if _, ok := totals["up"]; ok {
-		t.Fatal("gauge leaked into counter totals")
-	}
-	if _, ok := totals["lat"]; ok {
-		t.Fatal("histogram leaked into counter totals")
-	}
-	if len(totals) != 1 {
-		t.Fatalf("totals = %v, want exactly the counter family", totals)
-	}
-}

@@ -228,7 +228,8 @@ func TestSweepCachedResponseByteIdentical(t *testing.T) {
 }
 
 // N identical concurrent sweep requests perform exactly one pipeline
-// evaluation per workload and return identical bodies. Runs under
+// evaluation per workload and return identical bodies, and a
+// concurrent warm rerun after them performs none. Runs under
 // `go test -race -short`.
 func TestSweepConcurrentSingleflight(t *testing.T) {
 	h, cache := testHandler(t)
@@ -261,6 +262,56 @@ func TestSweepConcurrentSingleflight(t *testing.T) {
 		t.Fatalf("%d identical concurrent requests ran %d evaluations, want 1 (stats %+v)",
 			clients, st.Computes, st)
 	}
+
+	// A concurrent warm rerun mixing JSON, format=csv and If-None-Match
+	// runs no fresh compute: every revalidation answers 304, every 200
+	// body is byte-identical to the URL's first, and the rerun is served
+	// from the cache.
+	t.Run("warm_rerun", func(t *testing.T) {
+		csvURL := url + "&format=csv"
+		jsonRef, csvRef := doReq(t, h, url, nil), doReq(t, h, csvURL, nil)
+		if jsonRef.Code != http.StatusOK || csvRef.Code != http.StatusOK || !bytes.Equal(jsonRef.Body.Bytes(), bodies[0]) ||
+			jsonRef.Header().Get("ETag") == "" || csvRef.Header().Get("ETag") == "" {
+			t.Fatalf("warm references: json %d %v, csv %d %v", jsonRef.Code, jsonRef.Header(), csvRef.Code, csvRef.Header())
+		}
+		type warmReq struct {
+			url  string
+			inm  string // If-None-Match; a 304 is then the only right answer
+			body []byte
+		}
+		mix := []warmReq{
+			{url: url, body: bodies[0]},
+			{url: csvURL, body: csvRef.Body.Bytes()},
+			{url: url, inm: jsonRef.Header().Get("ETag")},
+			{url: csvURL, inm: csvRef.Header().Get("ETag")},
+		}
+		before := cache.Stats()
+		for i := 0; i < clients; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				for j := 0; j < 3*len(mix); j++ {
+					m := mix[(i+j)%len(mix)]
+					rec := doReq(t, h, m.url, map[string]string{"If-None-Match": m.inm})
+					switch {
+					case m.inm != "" && rec.Code != http.StatusNotModified:
+						t.Errorf("revalidating %s: status %d, want 304", m.url, rec.Code)
+					case m.inm == "" && (rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), m.body)):
+						t.Errorf("warm %s: status %d, body identical to the first: %v",
+							m.url, rec.Code, bytes.Equal(rec.Body.Bytes(), m.body))
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		st := cache.Stats()
+		if st.Computes != 1 {
+			t.Fatalf("warm rerun ran fresh computes: %d evaluations in all, want 1 (stats %+v)", st.Computes, st)
+		}
+		if st.Hits <= before.Hits {
+			t.Fatalf("warm rerun shows no cache hits: before %+v, after %+v", before, st)
+		}
+	})
 }
 
 // scrapeMetrics fetches /metrics and runs the body through the strict

@@ -58,8 +58,9 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Listen binds the configured address and, when AddrFile is set,
-// publishes the actual bound address (the :0 contract CI and the
-// router-smoke scripts rely on). It returns the bound address.
+// publishes the actual bound address (the :0 contract the CI smoke
+// jobs, the benchmark and the router's fleet test rely on). It returns
+// the bound address.
 func (s *Server) Listen() (string, error) {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
