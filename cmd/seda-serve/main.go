@@ -25,9 +25,9 @@
 //	GET /v1/sweep?npu=server&fig=5a[&workloads=let,ncf][&format=csv]
 //	                               figure series (JSON, or CSV per Accept)
 //	GET /v1/explore?spec=rows=16:256:2x,channels=2|4[&base=edge][&workloads=let]
-//	                               design-space exploration: surrogate-pruned
+//	                               design-space exploration: surrogate-priced
 //	                               grid sweep with cycle-accurate confirmation
-//	                               of the Pareto candidates
+//	                               of the points not proven dominated
 package main
 
 import (

@@ -192,7 +192,7 @@ func checkExploreFlags(fs *flag.FlagSet) error {
 // surrogate-pruned exploration, and print either the full JSON wire
 // form (-json) or a frontier table plus a grep-friendly summary line.
 func runExplore(ctx context.Context, cache *rescache.Cache, opts seda.SuiteOptions, rawSpec, baseName, workloads, schemeName string, jsonOut bool) error {
-	req, err := explore.ParseRequest(rawSpec, baseName, workloads, schemeName, "")
+	req, err := explore.ParseRequest(rawSpec, baseName, workloads, schemeName)
 	if err != nil {
 		return err
 	}
@@ -220,8 +220,8 @@ func runExplore(ctx context.Context, cache *rescache.Cache, opts seda.SuiteOptio
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("explore: points=%d invalid=%d candidates=%d confirmed=%d frontier=%d margin=%.3f",
-		len(res.Points)+res.Invalid, res.Invalid, res.Candidates(), res.Confirmed(), len(res.Frontier), res.Margin)
+	fmt.Printf("explore: points=%d invalid=%d confirmed=%d frontier=%d margin=%.3f",
+		len(res.Points)+res.Invalid, res.Invalid, res.Confirmed(), len(res.Frontier), res.Margin)
 	if cache != nil {
 		fmt.Printf(" fresh_computes=%d", cache.Stats().Computes)
 	}

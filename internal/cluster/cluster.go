@@ -253,7 +253,7 @@ func (rt *Router) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleExplore(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	key := ""
-	if req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"), q.Get("margin")); err == nil {
+	if req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme")); err == nil {
 		key = serve.ExploreAffinityKey(req)
 	}
 	rt.forward(w, r, "/v1/explore", key)

@@ -150,7 +150,7 @@ func TestAffinityRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := explore.ParseRequest("rows=16:32,channels=2|4", "", "let,ncf", "", "")
+	req, err := explore.ParseRequest("rows=16:32,channels=2|4", "", "let,ncf", "")
 	if err != nil {
 		t.Fatal(err)
 	}

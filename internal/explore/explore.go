@@ -1,23 +1,20 @@
 // Package explore is the design-space-exploration engine over the
 // parametric platform space seda.NPUConfig opens: it enumerates a grid
 // spec's cartesian product, prices every point with a calibrated
-// analytic DRAM surrogate (no cycle-accurate scheduling), prunes the
-// points the surrogate proves dominated under its measured error
-// margin, and confirms only the surviving Pareto candidates through
-// the full cycle-accurate pipeline — reusing the standard result cache,
+// analytic DRAM surrogate (no cycle-accurate scheduling), and confirms
+// through the full cycle-accurate pipeline only the points no earlier
+// confirmation proves dominated — reusing the standard result cache,
 // so confirmed points are cached under the same fingerprints a direct
 // /v1/sweep of that geometry would hit.
 //
-// Pruning happens twice and is conservative by construction: a static
-// interval pass (see pruneWithBounds) drops points some cheaper point
-// beats across the whole error band, and confirmation then walks the
-// survivors cost-ascending, replacing each interval with its exact
-// measurement — which prunes remaining candidates harder than any
-// interval could. As long as the surrogate's memory-term error stays
-// within the margin, the confirmed frontier equals the frontier an
+// Pruning follows one rule (see confirmWalk): points are visited by
+// (cost, lower bound) ascending, and a point is skipped only when a
+// confirmed measurement of a cheaper (or equal-cost, strictly faster)
+// point is no slower than the point's lower bound. As long as each
+// lower bound holds, the confirmed frontier equals the frontier an
 // exhaustive cycle-accurate sweep of the whole grid would report —
-// TestExploreRetainsTrueFrontier checks exactly that against an
-// exhaustively evaluated grid.
+// TestExploreRetainsTrueFrontier and TestExploreLowerBoundHolds check
+// exactly that against exhaustively evaluated grids.
 package explore
 
 import (
@@ -36,8 +33,8 @@ import (
 )
 
 // ErrUsage marks Run failures caused by the caller's request — the
-// spec, margin, or workload selection — rather than by the evaluation
-// pipeline. Servers map it to a 400-class response.
+// spec or workload selection — rather than by the evaluation pipeline.
+// Servers map it to a 400-class response.
 var ErrUsage = errors.New("invalid exploration request")
 
 // DefaultMaxPoints bounds a grid when the caller does not: a guard
@@ -45,10 +42,10 @@ var ErrUsage = errors.New("invalid exploration request")
 // (surrogate evaluation is microseconds per point).
 const DefaultMaxPoints = 8192
 
-// DefaultMargin floors the pruning margin: the calibration error is
-// measured in-sample on the calibration configs, and grid points sit
-// elsewhere in the space, so the margin never drops below this even
-// when the fit is tighter.
+// DefaultMargin floors the pruning margin, max(2 x fitted max relative
+// error, DefaultMargin): the calibration error is measured in-sample on
+// the calibration configs, and grid points sit elsewhere in the space,
+// so the margin never drops below this even when the fit is tighter.
 const DefaultMargin = 0.10
 
 // Options configures an exploration.
@@ -67,18 +64,12 @@ type Options struct {
 	// Suite controls the confirmation runs' execution (worker pool etc).
 	Suite seda.SuiteOptions
 
-	// Margin overrides the pruning margin — the relative error band
-	// granted to the surrogate's per-layer memory term (compute is
-	// simulated exactly and carries none). 0 derives it from the
-	// calibration: max(2 x fitted max relative error, DefaultMargin).
-	Margin float64
-
 	// MaxPoints rejects grids larger than this (0 = DefaultMaxPoints).
 	MaxPoints int
 
-	// SkipConfirm stops after the surrogate pass: candidates are
-	// reported unconfirmed and the frontier is computed from estimates.
-	// For interactive triage; tests and CI confirm.
+	// SkipConfirm stops after the surrogate pass: no point is confirmed
+	// and the frontier is computed from estimates. For interactive
+	// triage; tests and CI confirm.
 	SkipConfirm bool
 }
 
@@ -92,13 +83,6 @@ type Point struct {
 	// SurrogateCycles is the analytic execution estimate summed over
 	// the workloads.
 	SurrogateCycles float64
-
-	// Candidate marks points the surrogate's static pass could not
-	// prove dominated. Confirmation visits candidates cost-ascending
-	// and may still skip one when an already-confirmed measurement
-	// proves it dominated, so Confirmed implies Candidate but not the
-	// reverse.
-	Candidate bool
 
 	// Confirmed marks points evaluated cycle-accurately. ExecCycles is
 	// their measured execution total (0 when unconfirmed).
@@ -125,17 +109,6 @@ type Result struct {
 
 	// Frontier indexes Points, cost-ascending.
 	Frontier []int
-}
-
-// Candidates counts the points that survived surrogate pruning.
-func (r *Result) Candidates() int {
-	n := 0
-	for i := range r.Points {
-		if r.Points[i].Candidate {
-			n++
-		}
-	}
-	return n
 }
 
 // Confirmed counts the points evaluated cycle-accurately.
@@ -214,127 +187,68 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 		return nil, err
 	}
 	res.Calibration = cal
-	res.Margin = opts.Margin
-	if res.Margin <= 0 {
-		res.Margin = math.Max(2*cal.MaxRelErr, DefaultMargin)
-	}
-	if res.Margin >= 1 {
-		// ErrUsage only when the caller chose the margin; a derived
-		// margin this wide means the calibration fit failed, which is a
-		// pipeline-side condition, not a bad request.
-		if opts.Margin > 0 {
-			return nil, fmt.Errorf("explore: margin %.3f leaves no pruning power (calibration max rel err %.3f): %w", res.Margin, cal.MaxRelErr, ErrUsage)
-		}
-		return nil, fmt.Errorf("explore: derived margin %.3f leaves no pruning power (calibration max rel err %.3f)", res.Margin, cal.MaxRelErr)
-	}
+	res.Margin = math.Max(2*cal.MaxRelErr, DefaultMargin)
 
 	surCtx, surSpan := obs.Start(ctx, obs.StageSurrogate)
-	lower, upper, err := surrogatePass(surCtx, res, opts, cal.Model, res.Margin)
+	lower, err := surrogatePass(surCtx, res, opts, cal.Model, res.Margin)
 	surSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
-	// Prune: keep only points the surrogate cannot prove dominated.
+	if opts.SkipConfirm {
+		all := make([]int, len(res.Points))
+		for i := range all {
+			all[i] = i
+		}
+		res.Frontier = frontierOf(res.Points, all, false)
+		return res, nil
+	}
+
+	// Confirm cycle-accurately through the standard cached pipeline;
+	// each confirmation is a full scheme-set suite of the point, so its
+	// rows land in the cache under the same fingerprints any later
+	// direct sweep of that geometry uses.
+	ctx, confirmSpan := obs.Start(ctx, obs.StageConfirm)
+	defer confirmSpan.End()
 	cost := make([]float64, len(res.Points))
 	for i := range res.Points {
 		cost[i] = res.Points[i].Cost
 	}
-	candidates := pruneWithBounds(cost, lower, upper)
-	for _, i := range candidates {
-		res.Points[i].Candidate = true
-	}
-
-	if opts.SkipConfirm {
-		res.Frontier = frontierOf(res.Points, candidates, false)
-		return res, nil
-	}
-
-	// Confirm the candidates cycle-accurately through the standard
-	// cached pipeline; each confirmation is a full scheme-set suite of
-	// the point, so its rows land in the cache under the same
-	// fingerprints any later direct sweep of that geometry uses.
-	//
-	// Confirmation is adaptive: candidates are visited cost-ascending,
-	// and each measurement replaces that point's interval with its exact
-	// value, which prunes remaining candidates harder than the interval
-	// could — a cheaper confirmed q kills every p with true_q <= lower_p
-	// (strict < on a cost tie). The dominance rule is the same as the
-	// static pass, only with tighter information, so a true-frontier
-	// point can still never be skipped.
-	ctx, confirmSpan := obs.Start(ctx, obs.StageConfirm)
-	defer confirmSpan.End()
-	order := byCostThenCycles(cost, lower)
-	order = filterTo(order, candidates)
-	var confirmed []int
-	bestCheaper := math.Inf(1) // min confirmed true cycles at strictly lower cost
-	i := 0
-	for i < len(order) {
-		j := i
-		groupBest := math.Inf(1) // min confirmed true cycles at this cost
-		for j < len(order) && cost[order[j]] == cost[order[i]] {
-			j++
+	confirmed, err := confirmWalk(cost, lower, func(p int) (float64, error) {
+		if err := ctx.Err(); err != nil {
+			return 0, err
 		}
-		for k := i; k < j; k++ {
-			p := order[k]
-			if bestCheaper <= lower[p] || groupBest < lower[p] {
-				continue // a confirmed point already proves p dominated
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads, opts.Suite)
+		suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads, opts.Suite)
+		if err != nil {
+			return 0, fmt.Errorf("explore: confirming %s: %w", res.Points[p].Config.Name, err)
+		}
+		var exec uint64
+		for _, net := range opts.Workloads {
+			row, err := seda.SchemeRow(suite.Rows[net.Name], opts.Scheme)
 			if err != nil {
-				return nil, fmt.Errorf("explore: confirming %s: %w", res.Points[p].Config.Name, err)
+				return 0, err
 			}
-			var exec uint64
-			for _, net := range opts.Workloads {
-				row, err := seda.SchemeRow(suite.Rows[net.Name], opts.Scheme)
-				if err != nil {
-					return nil, err
-				}
-				exec += row.ExecCycles
-			}
-			res.Points[p].Confirmed = true
-			res.Points[p].ExecCycles = exec
-			confirmed = append(confirmed, p)
-			if t := float64(exec); t < groupBest {
-				groupBest = t
-			}
+			exec += row.ExecCycles
 		}
-		if groupBest < bestCheaper {
-			bestCheaper = groupBest
-		}
-		i = j
+		res.Points[p].Confirmed = true
+		res.Points[p].ExecCycles = exec
+		return float64(exec), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(confirmed)
 	res.Frontier = frontierOf(res.Points, confirmed, true)
 	return res, nil
 }
 
-// filterTo keeps the elements of order that are in the keep set,
-// preserving order's ordering.
-func filterTo(order, keep []int) []int {
-	in := make(map[int]bool, len(keep))
-	for _, i := range keep {
-		in[i] = true
-	}
-	out := order[:0]
-	for _, i := range order {
-		if in[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// surrogatePass prices every point analytically, returning the
-// exec-cycle bound interval per point (see Model.execBounds). Points
+// surrogatePass prices every point analytically, returning each
+// point's exec-cycle lower bound (see Model.execLowerBound). Points
 // sharing an array geometry (rows, cols, SRAM) share one compute
 // simulation and protection walk per workload — the summaries are
 // DRAM-geometry independent — so a grid sweeping only memory knobs
 // summarizes each workload exactly once.
-func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, margin float64) (lower, upper []float64, err error) {
+func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, margin float64) (lower []float64, err error) {
 	type arrayKey struct{ rows, cols, sram int }
 	groups := make(map[arrayKey][]int)
 	var order []arrayKey
@@ -348,20 +262,19 @@ func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, marg
 	}
 
 	lower = make([]float64, len(res.Points))
-	upper = make([]float64, len(res.Points))
 	for _, k := range order {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		arr, err := scalesim.New(k.rows, k.cols, k.sram)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		summaries := make([]*workloadSummary, len(opts.Workloads))
 		for wi, net := range opts.Workloads {
 			ws, err := summarizeWorkload(ctx, arr, net, opts.Scheme)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			summaries[wi] = ws
 		}
@@ -373,22 +286,20 @@ func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, marg
 					layers[li] = terms(&ws.layers[li], d)
 				}
 				res.Points[pi].SurrogateCycles += m.execEstimate(layers)
-				lo, hi := m.execBounds(layers, margin)
-				lower[pi] += lo
-				upper[pi] += hi
+				lower[pi] += m.execLowerBound(layers, margin)
 			}
 		}
 	}
-	return lower, upper, nil
+	return lower, nil
 }
 
-// frontierOf computes the frontier over the candidate set, using
-// confirmed cycles when available and estimates otherwise, and returns
-// the point indices cost-ascending.
-func frontierOf(points []Point, candidates []int, confirmed bool) []int {
-	cost := make([]float64, len(candidates))
-	cycles := make([]float64, len(candidates))
-	for j, i := range candidates {
+// frontierOf computes the frontier over the given points, using
+// confirmed cycles or estimates, and returns the point indices
+// cost-ascending.
+func frontierOf(points []Point, among []int, confirmed bool) []int {
+	cost := make([]float64, len(among))
+	cycles := make([]float64, len(among))
+	for j, i := range among {
 		cost[j] = points[i].Cost
 		if confirmed {
 			cycles[j] = float64(points[i].ExecCycles)
@@ -398,8 +309,8 @@ func frontierOf(points []Point, candidates []int, confirmed bool) []int {
 	}
 	var out []int
 	for _, j := range frontier(cost, cycles) {
-		out = append(out, candidates[j])
-		points[candidates[j]].Frontier = true
+		out = append(out, among[j])
+		points[among[j]].Frontier = true
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if points[out[a]].Cost != points[out[b]].Cost {

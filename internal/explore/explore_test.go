@@ -4,12 +4,17 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/rescache"
+	"repro/internal/scalesim"
 	"repro/seda"
 )
 
@@ -55,8 +60,8 @@ func TestExploreRetainsTrueFrontier(t *testing.T) {
 	if len(res.Frontier) == 0 {
 		t.Fatal("empty frontier")
 	}
-	t.Logf("grid=%d candidates=%d confirmed=%d frontier=%d margin=%.3f calErr=%.4f",
-		len(res.Points), res.Candidates(), res.Confirmed(), len(res.Frontier),
+	t.Logf("grid=%d confirmed=%d frontier=%d margin=%.3f calErr=%.4f",
+		len(res.Points), res.Confirmed(), len(res.Frontier),
 		res.Margin, res.Calibration.MaxRelErr)
 
 	// Exhaustive ground truth: evaluate every valid point for real.
@@ -103,10 +108,150 @@ func TestExploreRetainsTrueFrontier(t *testing.T) {
 	}
 }
 
+// execCycles measures one (config, workload) under one scheme the way
+// seda's runScheme does, summing max(compute, drained DRAM cycles) over
+// the layers, without the five other schemes a suite runs beside it.
+func execCycles(ctx context.Context, cfg seda.NPUConfig, net *model.Network, scheme memprot.Scheme) (float64, error) {
+	arr, err := scalesim.New(cfg.ArrayRows, cfg.ArrayCols, cfg.SRAMBytes)
+	if err != nil {
+		return 0, err
+	}
+	sim, err := arr.SimulateNetwork(net)
+	if err != nil {
+		return 0, err
+	}
+	popts := memprot.DefaultOptions()
+	popts.OptBlkCache = optBlkCache
+	prots, err := memprot.ProtectAllArenaCtx(ctx, []memprot.Scheme{scheme}, sim, popts, protArena)
+	if err != nil {
+		return 0, err
+	}
+	defer protArena.Release(prots)
+	dsim, err := dram.New(cfg.DRAMConfig())
+	if err != nil {
+		return 0, err
+	}
+	dsim.SetArena(dramArena)
+	var exec uint64
+	for i := range prots[0].Layers {
+		pl := &prots[0].Layers[i]
+		st, err := dsim.RunOverlayCtx(ctx, pl.Spine, pl.Deltas)
+		if err != nil {
+			return 0, err
+		}
+		exec += max(sim.Layers[i].ComputeCycles, st.Cycles)
+	}
+	return float64(exec), nil
+}
+
+// TestExploreLowerBoundHolds checks the premise the pruning rests on
+// over serve-cold's full grid (rows x SRAM x channels x bandwidth over
+// edge, 180 geometries), for each of its six workloads with SeDA:
+// every point's exact cycles, from an exhaustive cycle-accurate sweep,
+// must be at or above the surrogate's lower bound, and the confirmed
+// frontier must equal the exhaustive one. The walk runs over the
+// exhaustive values; one workload also runs the real confirmation, which
+// must measure the same points and report the same frontier.
+func TestExploreLowerBoundHolds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive cycle-accurate 180-point grid in -short mode")
+	}
+	ctx := context.Background()
+	spec := mustSpec(t, "rows=16|24|32|40|48|64,sram=256K|384K|480K|640K|1M,channels=2|4,bw=5e9|10e9|20e9")
+	workloads := nets(t, "rest", "mob", "algo", "goo", "trf", "yolo")
+	cfgs := spec.Points(seda.EdgeNPU())
+	if len(cfgs) != 180 {
+		t.Fatalf("grid has %d points, want 180", len(cfgs))
+	}
+
+	// exact[w][i]: workload w's execution cycles at point i, one
+	// goroutine per workload.
+	exact := make([][]float64, len(workloads))
+	errs := make([]error, len(workloads))
+	var wg sync.WaitGroup
+	for w, net := range workloads {
+		exact[w] = make([]float64, len(cfgs))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, cfg := range cfgs {
+				if exact[w][i], errs[w] = execCycles(ctx, cfg, net, memprot.SchemeSeDA); errs[w] != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	// The single-scheme measurement is the pipeline's SeDA row.
+	for _, i := range []int{0, len(cfgs) - 1} {
+		suite, err := seda.RunSuiteOptsCtx(ctx, cfgs[i], workloads, seda.DefaultSuiteOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, net := range workloads {
+			row, err := seda.SchemeRow(suite.Rows[net.Name], memprot.SchemeSeDA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if float64(row.ExecCycles) != exact[w][i] {
+				t.Fatalf("%s/%s: pipeline %d cycles, single-scheme %.0f", net.Name, cfgs[i].Name, row.ExecCycles, exact[w][i])
+			}
+		}
+	}
+
+	for w, net := range workloads {
+		opts := Options{Workloads: []*model.Network{net}, Scheme: memprot.SchemeSeDA, SkipConfirm: net.Name != "algo"}
+		res, err := Run(ctx, spec, seda.EdgeNPU(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		priced := &Result{Points: make([]Point, len(cfgs))}
+		cost := make([]float64, len(cfgs))
+		for i, cfg := range cfgs {
+			priced.Points[i] = Point{Config: cfg}
+			cost[i] = CostProxy(cfg)
+		}
+		lower, err := surrogatePass(ctx, priced, opts, res.Calibration.Model, res.Margin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, cfg := range cfgs {
+			if exact[w][i] < lower[i] {
+				t.Errorf("%s/%s: exact %.0f cycles below lower bound %.0f", net.Name, cfg.Name, exact[w][i], lower[i])
+			}
+		}
+		confirmed, got := walk(t, cost, lower, exact[w])
+		if want := exactFrontier(cost, exact[w]); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: confirmed frontier %v, exhaustive %v", net.Name, got, want)
+		}
+		t.Logf("%s: confirmed=%d frontier=%d margin=%.3f", net.Name, len(confirmed), len(got), res.Margin)
+		if opts.SkipConfirm {
+			continue
+		}
+		var ran []int
+		for i, p := range res.Points {
+			if p.Confirmed {
+				ran = append(ran, i)
+				if float64(p.ExecCycles) != exact[w][i] {
+					t.Errorf("%s/%s: confirmed %d cycles, exhaustive %.0f", net.Name, p.Config.Name, p.ExecCycles, exact[w][i])
+				}
+			}
+		}
+		front := slices.Clone(res.Frontier)
+		slices.Sort(front)
+		if !reflect.DeepEqual(ran, confirmed) || !reflect.DeepEqual(front, got) {
+			t.Errorf("%s: Run confirmed %v frontier %v, the walk %v and %v", net.Name, ran, res.Frontier, confirmed, got)
+		}
+	}
+}
+
 // TestExplorePrunesLargeGrid pins the efficiency half of the design:
-// on a 100-point grid, static interval pruning plus adaptive
-// confirmation must rule out at least 75% of the points, so only the
-// plausible-frontier band pays for cycle-accurate evaluation. The grid
+// on a 100-point grid, the confirmation walk must rule out at least
+// 75% of the points, so only the plausible-frontier band pays for
+// cycle-accurate evaluation. The grid
 // sweeps axes the workload actually responds to (array scale, memory
 // channels, memory bandwidth); grids over insensitive axes degenerate
 // into exact plateaus that no sound pruning can separate. It also pins
@@ -134,8 +279,8 @@ func TestExplorePrunesLargeGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("grid=%d candidates=%d confirmed=%d frontier=%d margin=%.3f",
-		len(res.Points)+res.Invalid, res.Candidates(), res.Confirmed(), len(res.Frontier), res.Margin)
+	t.Logf("grid=%d confirmed=%d frontier=%d margin=%.3f",
+		len(res.Points)+res.Invalid, res.Confirmed(), len(res.Frontier), res.Margin)
 	if len(res.Frontier) == 0 {
 		t.Fatal("empty frontier")
 	}
@@ -214,23 +359,6 @@ func TestExploreRejectsOverflowingGrid(t *testing.T) {
 	})
 	if err == nil || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("err = %v, want ErrUsage grid-size rejection", err)
-	}
-}
-
-// TestExploreExplicitMarginTooWide: a caller-chosen margin >= 1 is a
-// usage error; the engine must say so before any evaluation.
-func TestExploreExplicitMarginTooWide(t *testing.T) {
-	if testing.Short() {
-		t.Skip("calibration runs cycle-accurately in -short mode")
-	}
-	spec := mustSpec(t, "channels=2|4")
-	_, err := Run(context.Background(), spec, seda.EdgeNPU(), Options{
-		Workloads: nets(t, "let"),
-		Scheme:    memprot.SchemeSeDA,
-		Margin:    1.5,
-	})
-	if err == nil || !errors.Is(err, ErrUsage) || !strings.Contains(err.Error(), "pruning power") {
-		t.Fatalf("err = %v, want ErrUsage margin rejection", err)
 	}
 }
 

@@ -28,7 +28,6 @@ type pointJSON struct {
 	WindowSize      int     `json:"window_size"`
 	Cost            float64 `json:"cost"`
 	SurrogateCycles float64 `json:"surrogate_cycles"`
-	Candidate       bool    `json:"candidate"`
 	Confirmed       bool    `json:"confirmed"`
 	ExecCycles      uint64  `json:"exec_cycles,omitempty"`
 	Frontier        bool    `json:"frontier"`
@@ -53,7 +52,6 @@ type resultJSON struct {
 
 	PointsTotal     int `json:"points_total"`
 	PointsInvalid   int `json:"points_invalid"`
-	PointsCandidate int `json:"points_candidate"`
 	PointsConfirmed int `json:"points_confirmed"`
 
 	Frontier []pointJSON `json:"frontier"`
@@ -76,7 +74,6 @@ func toPointJSON(p *Point) pointJSON {
 		WindowSize:      d.WindowSize,
 		Cost:            p.Cost,
 		SurrogateCycles: p.SurrogateCycles,
-		Candidate:       p.Candidate,
 		Confirmed:       p.Confirmed,
 		ExecCycles:      p.ExecCycles,
 		Frontier:        p.Frontier,
@@ -94,7 +91,6 @@ func (r *Result) wire() resultJSON {
 		Margin:           r.Margin,
 		PointsTotal:      len(r.Points) + r.Invalid,
 		PointsInvalid:    r.Invalid,
-		PointsCandidate:  r.Candidates(),
 		PointsConfirmed:  r.Confirmed(),
 	}
 	doc.Calibration.Alpha = r.Calibration.Alpha
@@ -129,7 +125,7 @@ func (r *Result) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{
 		"name", "rows", "cols", "sram_bytes", "freq_hz", "bandwidth_b",
 		"channels", "banks_per_chan", "row_bytes", "burst_bytes", "window_size",
-		"cost", "surrogate_cycles", "candidate", "confirmed", "exec_cycles", "frontier",
+		"cost", "surrogate_cycles", "confirmed", "exec_cycles", "frontier",
 	}); err != nil {
 		return err
 	}
@@ -143,7 +139,7 @@ func (r *Result) WriteCSV(w io.Writer) error {
 			strconv.Itoa(p.Channels), strconv.Itoa(p.BanksPerChan),
 			strconv.Itoa(p.RowBytes), strconv.Itoa(p.BurstBytes), strconv.Itoa(p.WindowSize),
 			f(p.Cost), f(p.SurrogateCycles),
-			strconv.FormatBool(p.Candidate), strconv.FormatBool(p.Confirmed),
+			strconv.FormatBool(p.Confirmed),
 			strconv.FormatUint(p.ExecCycles, 10),
 			strconv.FormatBool(p.Frontier),
 		}); err != nil {

@@ -41,50 +41,49 @@ func frontier(cost, cycles []float64) []int {
 	return out
 }
 
-// pruneWithBounds returns the indices that might be on the frontier
-// when each point's true cycles are only known to lie in
-// [lower[p], upper[p]]. Point p is pruned exactly when some q proves
-// dominance for every realization within the bounds:
+// confirmWalk is the exploration's one pruning rule. It visits the
+// points by (cost, lower) ascending and measures each one that no
+// measurement so far proves dominated. A confirmed q proves p
+// dominated when
 //
-//	cost_q <  cost_p  and  upper_q <= lower_p   (q is strictly cheaper
+//	cost_q <  cost_p  and  exact_q <= lower_p   (q is strictly cheaper
 //	    and never slower, so q dominates p even on a cycle tie), or
-//	cost_q == cost_p  and  upper_q <  lower_p   (same cost needs a
+//	cost_q == cost_p  and  exact_q <  lower_p   (same cost needs a
 //	    strictly faster q).
 //
-// As long as the bounds hold, every true-frontier point survives. The
-// tie-aware first rule is what collapses saturated plateaus — a stretch
-// of configs whose execution is pinned at the same compute floor while
-// cost keeps rising — which a plain symmetric margin around the
-// estimate could never prune.
-func pruneWithBounds(cost, lower, upper []float64) []int {
+// So as long as every lower[p] is at most p's exact value, only
+// dominated points are skipped, and the frontier of the measured
+// points is the frontier of the whole grid. The tie-aware first rule
+// is what collapses saturated plateaus — a stretch of configs whose
+// execution is pinned at the same compute floor while cost keeps
+// rising. confirmWalk returns the measured indices ascending.
+func confirmWalk(cost, lower []float64, measure func(p int) (exact float64, err error)) ([]int, error) {
 	order := byCostThenCycles(cost, lower)
-	var out []int
-	minUpperCheaper := math.Inf(1) // over strictly cheaper points
-	i := 0
-	for i < len(order) {
+	var confirmed []int
+	bestCheaper := math.Inf(1) // min exact value at strictly lower cost
+	for i := 0; i < len(order); {
 		// One equal-cost group at a time.
 		j := i
-		groupMinUpper := math.Inf(1)
 		for j < len(order) && cost[order[j]] == cost[order[i]] {
-			if upper[order[j]] < groupMinUpper {
-				groupMinUpper = upper[order[j]]
-			}
 			j++
 		}
-		for k := i; k < j; k++ {
-			p := order[k]
-			if minUpperCheaper <= lower[p] || groupMinUpper < lower[p] {
-				continue // provably dominated
+		groupBest := math.Inf(1) // min exact value at this cost
+		for _, p := range order[i:j] {
+			if bestCheaper <= lower[p] || groupBest < lower[p] {
+				continue // a confirmed point already proves p dominated
 			}
-			out = append(out, p)
+			exact, err := measure(p)
+			if err != nil {
+				return nil, err
+			}
+			confirmed = append(confirmed, p)
+			groupBest = math.Min(groupBest, exact)
 		}
-		if groupMinUpper < minUpperCheaper {
-			minUpperCheaper = groupMinUpper
-		}
+		bestCheaper = math.Min(bestCheaper, groupBest)
 		i = j
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(confirmed)
+	return confirmed, nil
 }
 
 // byCostThenCycles returns point indices sorted by (cost, cycles)

@@ -1,8 +1,12 @@
 package explore
 
 import (
+	"errors"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"testing/quick"
 )
 
 func TestFrontier(t *testing.T) {
@@ -31,84 +35,152 @@ func TestFrontier(t *testing.T) {
 	}
 }
 
-// TestPruneWithBoundsSound: whenever the true cycles lie within each
-// point's [lower, upper] interval, no true-frontier point may be
-// pruned. The test uses adversarial bounds — frontier points pushed to
-// their upper end, dominated points to their lower end, the
-// realization most likely to prune a frontier point.
+// walk runs confirmWalk with each point's exact value as the
+// measurement, and returns the measured points and their frontier
+// (point indices, ascending).
+func walk(t *testing.T, cost, lower, exact []float64) (confirmed, front []int) {
+	t.Helper()
+	seen := map[int]bool{}
+	confirmed, err := confirmWalk(cost, lower, func(p int) (float64, error) {
+		if seen[p] {
+			t.Fatalf("point %d measured twice", p)
+		}
+		seen[p] = true
+		return exact[p], nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := make([]float64, len(confirmed))
+	e := make([]float64, len(confirmed))
+	for j, p := range confirmed {
+		c[j], e[j] = cost[p], exact[p]
+	}
+	for _, j := range frontier(c, e) {
+		front = append(front, confirmed[j])
+	}
+	sort.Ints(front)
+	return confirmed, front
+}
+
+// exactFrontier is frontier(cost, exact) with its indices ascending.
+func exactFrontier(cost, exact []float64) []int {
+	out := frontier(cost, exact)
+	sort.Ints(out)
+	return out
+}
+
+// walkCase is a random grid for TestConfirmWalkFindsFrontier: costs
+// and exact values are drawn from small ranges so cost ties, cycle
+// ties and plateaus are common, and every lower bound lies in
+// [0, exact], often at exact itself.
+type walkCase struct{ cost, lower, exact []float64 }
+
+func (walkCase) Generate(r *rand.Rand, size int) reflect.Value {
+	n := r.Intn(size + 1)
+	c := walkCase{make([]float64, n), make([]float64, n), make([]float64, n)}
+	for i := 0; i < n; i++ {
+		c.cost[i] = float64(1 + r.Intn(8))
+		c.exact[i] = float64(1 + r.Intn(12))
+		switch r.Intn(3) {
+		case 0:
+			c.lower[i] = c.exact[i]
+		case 1:
+			c.lower[i] = float64(r.Intn(int(c.exact[i]) + 1))
+		default:
+			c.lower[i] = c.exact[i] * r.Float64()
+		}
+	}
+	return reflect.ValueOf(c)
+}
+
+// TestConfirmWalkFindsFrontier: for any costs and exact values, and
+// any lower bounds at or below the exact values, the frontier of the
+// points the walk measures is the frontier of the whole grid.
+func TestConfirmWalkFindsFrontier(t *testing.T) {
+	prop := func(c walkCase) bool {
+		_, got := walk(t, c.cost, c.lower, c.exact)
+		return reflect.DeepEqual(got, exactFrontier(c.cost, c.exact))
+	}
+	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestPruneWithBoundsSound: with lower bounds at (1 - margin) of the
+// true cycles, no true-frontier point may be skipped, and the walk's
+// frontier is the true one.
 func TestPruneWithBoundsSound(t *testing.T) {
 	cost := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	truth := []float64{100, 90, 95, 40, 50, 38, 37, 36.5}
-	trueFront := frontier(cost, truth)
+	want := exactFrontier(cost, truth)
 	for _, margin := range []float64{0.05, 0.10, 0.25} {
 		lower := make([]float64, len(truth))
-		upper := make([]float64, len(truth))
 		for i := range truth {
 			lower[i] = truth[i] * (1 - margin)
-			upper[i] = truth[i] * (1 + margin)
 		}
-		kept := map[int]bool{}
-		for _, i := range pruneWithBounds(cost, lower, upper) {
-			kept[i] = true
-		}
-		for _, i := range trueFront {
-			if !kept[i] {
-				t.Errorf("margin %.2f: true frontier point %d pruned", margin, i)
-			}
+		if _, got := walk(t, cost, lower, truth); !reflect.DeepEqual(got, want) {
+			t.Errorf("margin %.2f: frontier %v, want %v", margin, got, want)
 		}
 	}
 }
 
-// TestPruneWithBoundsPrunes: clearly dominated points (intervals
-// wholly above a cheaper point's) must go, or the engine would
+// TestPruneWithBoundsPrunes: a point whose lower bound lies wholly
+// above a cheaper point's measurement must go, or the engine would
 // confirm everything.
 func TestPruneWithBoundsPrunes(t *testing.T) {
 	cost := []float64{1, 2, 3}
 	lower := []float64{90, 900, 89}
-	upper := []float64{110, 1100, 109}
-	kept := pruneWithBounds(cost, lower, upper)
-	for _, i := range kept {
-		if i == 1 {
-			t.Error("point 1 (10x worse than a cheaper point) survived")
-		}
-	}
-	if len(kept) == 0 {
-		t.Error("pruning removed everything")
+	exact := []float64{100, 1000, 95}
+	confirmed, _ := walk(t, cost, lower, exact)
+	if want := []int{0, 2}; !reflect.DeepEqual(confirmed, want) {
+		t.Errorf("confirmed %v, want %v (point 1 is 10x worse than a cheaper point)", confirmed, want)
 	}
 }
 
 // TestPruneCollapsesPlateaus: points with identical exact values
-// (lower == upper) at increasing cost are a saturated plateau; only
-// the cheapest survives, because a strictly cheaper never-slower point
-// dominates even on a cycle tie.
+// (lower == exact) at increasing cost are a saturated plateau; only
+// the cheapest is measured, because a strictly cheaper never-slower
+// point dominates even on a cycle tie.
 func TestPruneCollapsesPlateaus(t *testing.T) {
 	cost := []float64{1, 2, 3, 4}
 	flat := []float64{50, 50, 50, 40}
-	kept := pruneWithBounds(cost, flat, flat)
-	want := []int{0, 3}
-	if !reflect.DeepEqual(kept, want) {
-		t.Errorf("kept %v, want %v", kept, want)
+	confirmed, _ := walk(t, cost, flat, flat)
+	if want := []int{0, 3}; !reflect.DeepEqual(confirmed, want) {
+		t.Errorf("confirmed %v, want %v", confirmed, want)
 	}
 }
 
-// TestPruneExactBoundsMatchFrontierSupport: with zero-width bounds the
-// surviving set is exactly the frontier support (dominance fully
-// decidable).
+// TestPruneExactBoundsMatchFrontierSupport: with exact lower bounds
+// the walk measures exactly the frontier (dominance fully decidable).
 func TestPruneExactBoundsMatchFrontierSupport(t *testing.T) {
 	cost := []float64{1, 2, 3, 4}
-	est := []float64{10, 5, 6, 2}
-	kept := pruneWithBounds(cost, est, est)
-	want := []int{0, 1, 3}
-	if !reflect.DeepEqual(kept, want) {
-		t.Errorf("kept %v, want %v", kept, want)
+	exact := []float64{10, 5, 6, 2}
+	confirmed, _ := walk(t, cost, exact, exact)
+	if want := []int{0, 1, 3}; !reflect.DeepEqual(confirmed, want) {
+		t.Errorf("confirmed %v, want %v", confirmed, want)
 	}
-	// Equal-cost duplicates: neither can prove strict dominance, both
-	// survive.
+	// Equal-cost duplicates: neither proves strict dominance, both are
+	// measured and both are on the frontier.
 	cost = []float64{1, 1}
-	est = []float64{5, 5}
-	kept = pruneWithBounds(cost, est, est)
-	want = []int{0, 1}
-	if !reflect.DeepEqual(kept, want) {
-		t.Errorf("kept %v, want %v", kept, want)
+	exact = []float64{5, 5}
+	confirmed, front := walk(t, cost, exact, exact)
+	if want := []int{0, 1}; !reflect.DeepEqual(confirmed, want) || !reflect.DeepEqual(front, want) {
+		t.Errorf("confirmed %v frontier %v, want both %v", confirmed, front, want)
+	}
+}
+
+// TestConfirmWalkStopsOnError: a failed measurement aborts the walk
+// with its error.
+func TestConfirmWalkStopsOnError(t *testing.T) {
+	boom := errors.New("boom")
+	calls := 0
+	_, err := confirmWalk([]float64{1, 2}, []float64{2, 1}, func(int) (float64, error) {
+		calls++
+		return 0, boom
+	})
+	if !errors.Is(err, boom) || calls != 1 {
+		t.Errorf("err %v after %d calls, want boom after 1", err, calls)
 	}
 }

@@ -1,9 +1,6 @@
 package explore
 
 import (
-	"fmt"
-	"strconv"
-
 	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/seda"
@@ -19,13 +16,12 @@ type Request struct {
 	Base      seda.NPUConfig
 	Workloads []*model.Network
 	Scheme    memprot.Scheme
-	Margin    float64 // 0 = derived from the calibration (see Options.Margin)
 }
 
 // ParseRequest resolves raw exploration parameters. Empty values take
-// the defaults: base edge, the full suite (model.ParseList), scheme
-// SeDA and a derived margin. An explicit margin must lie in (0, 1).
-func ParseRequest(spec, base, workloads, scheme, margin string) (*Request, error) {
+// the defaults: base edge, the full suite (model.ParseList) and scheme
+// SeDA.
+func ParseRequest(spec, base, workloads, scheme string) (*Request, error) {
 	s, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
@@ -47,12 +43,5 @@ func ParseRequest(spec, base, workloads, scheme, margin string) (*Request, error
 	if err != nil {
 		return nil, err
 	}
-	var m float64
-	if margin != "" {
-		m, err = strconv.ParseFloat(margin, 64)
-		if err != nil || !(m > 0 && m < 1) {
-			return nil, fmt.Errorf("margin %q must be a number in (0, 1)", margin)
-		}
-	}
-	return &Request{Spec: s, Base: npu, Workloads: nets, Scheme: sch, Margin: m}, nil
+	return &Request{Spec: s, Base: npu, Workloads: nets, Scheme: sch}, nil
 }

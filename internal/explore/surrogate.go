@@ -16,7 +16,7 @@ import (
 // procedure. It feeds the serving layer's ETag: bump it whenever the
 // estimate for a fixed (config, workload) can change, so stale cached
 // explore responses are not revalidated.
-const SurrogateVersion = "1"
+const SurrogateVersion = "2"
 
 // The surrogate predicts a layer's DRAM drain time from three closed-
 // form quantities the cycle-accurate scheduler also sees, without
@@ -41,7 +41,7 @@ const SurrogateVersion = "1"
 //
 // with (alpha, beta) fitted once per explore against cycle-accurate
 // measurements of the calibration configs (Calibrate), and the fit's
-// maximum relative error is reported so pruning can use a sound margin.
+// maximum relative error is reported and sets the pruning margin.
 
 // Model is the calibrated analytic DRAM surrogate.
 type Model struct {
@@ -73,19 +73,18 @@ func (m Model) execEstimate(layers []layerTerms) float64 {
 	return sum
 }
 
-// execBounds returns the exec-cycle interval the pruning trusts: the
-// memory term of every layer carries the margin as a relative error
-// band, while the compute term is simulated rather than estimated and
-// so carries none. A layer pinned at its compute floor contributes the
-// same exact value to both ends, which is what lets pruneWithBounds
-// collapse compute-saturated plateaus.
-func (m Model) execBounds(layers []layerTerms, margin float64) (lo, hi float64) {
+// execLowerBound returns the exec-cycle lower bound the pruning
+// trusts: the memory term of every layer may overestimate by the
+// margin, while the compute term is simulated rather than estimated and
+// so carries none. A layer pinned at its compute floor contributes its
+// exact value, which is what lets the confirmation walk collapse
+// compute-saturated plateaus.
+func (m Model) execLowerBound(layers []layerTerms, margin float64) float64 {
+	var lo float64
 	for _, t := range layers {
-		est := m.estimate(t)
-		lo += math.Max(t.compute, est/(1+margin))
-		hi += math.Max(t.compute, est/(1-margin))
+		lo += math.Max(t.compute, m.estimate(t)/(1+margin))
 	}
-	return lo, hi
+	return lo
 }
 
 // memEstimate returns predicted total DRAM cycles (calibration target).

@@ -570,13 +570,15 @@ func wantCSV(r *http.Request) (bool, error) {
 // acceptQuality returns the q-value an Accept header assigns to a
 // media type; the most specific matching range wins (exact beats
 // type/* beats */*). An empty header accepts everything at q=1; no
-// matching range means q=0.
+// matching range means q=0. A range whose weight is not an RFC 9110
+// qvalue is ignored, so the result always lies in [0, 1].
 func acceptQuality(header, mediaType string) float64 {
 	if strings.TrimSpace(header) == "" {
 		return 1
 	}
 	mainType := strings.SplitN(mediaType, "/", 2)[0]
 	bestSpec, bestQ := -1, 0.0
+ranges:
 	for _, part := range strings.Split(header, ",") {
 		fields := strings.Split(part, ";")
 		var spec int
@@ -592,10 +594,13 @@ func acceptQuality(header, mediaType string) float64 {
 		}
 		q := 1.0
 		for _, param := range fields[1:] {
-			if v, ok := strings.CutPrefix(strings.TrimSpace(param), "q="); ok {
-				if f, err := strconv.ParseFloat(v, 64); err == nil {
-					q = f
-				}
+			name, v, _ := strings.Cut(strings.TrimSpace(param), "=")
+			if !strings.EqualFold(name, "q") {
+				continue
+			}
+			var ok bool
+			if q, ok = qvalue(v); !ok {
+				continue ranges
 			}
 		}
 		if spec > bestSpec {
@@ -606,6 +611,24 @@ func acceptQuality(header, mediaType string) float64 {
 		return 0
 	}
 	return bestQ
+}
+
+// qvalue parses an RFC 9110 weight: qvalue = ( "0" [ "." 0*3DIGIT ] )
+// / ( "1" [ "." 0*3("0") ] ).
+func qvalue(s string) (float64, bool) {
+	if len(s) == 0 || len(s) > 5 || (s[0] != '0' && s[0] != '1') {
+		return 0, false
+	}
+	if len(s) > 1 && s[1] != '.' {
+		return 0, false
+	}
+	for i := 2; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' || (s[0] == '1' && s[i] != '0') {
+			return 0, false
+		}
+	}
+	q, err := strconv.ParseFloat(s, 64)
+	return q, err == nil
 }
 
 func badRequest(w http.ResponseWriter, format string, args ...any) {

@@ -442,12 +442,64 @@ func TestWantCSVNegotiation(t *testing.T) {
 		{"text/csv, */*", "", false},                    // tie: JSON wins
 		{"text/csv", "json", false},                     // explicit format wins
 		{"application/json", "csv", true},
+		// A malformed weight drops its range instead of ranking it
+		// outside [0, 1].
+		{"text/csv;q=2, application/json", "", false},
+		{"text/csv;q=Inf, application/json", "", false},
+		{"application/json;q=NaN, text/csv;q=0.1", "", true},
 	} {
 		got, err := wantCSV(mk(tc.accept, tc.format))
 		if err != nil || got != tc.want {
 			t.Errorf("accept=%q format=%q: got %v err %v, want %v", tc.accept, tc.format, got, err, tc.want)
 		}
 	}
+}
+
+// TestAcceptQuality: weights follow the RFC 9110 qvalue grammar (at
+// most three decimals, never above 1, "q" in either case), and a range
+// with a malformed weight is ignored.
+func TestAcceptQuality(t *testing.T) {
+	for _, tc := range []struct {
+		header string
+		want   float64
+	}{
+		{"text/csv;q=0.123", 0.123},
+		{"text/csv; Q=0.5", 0.5},
+		{"text/csv;q=1.000", 1},
+		{"text/csv;q=1.", 1},
+		{"text/csv;q=0", 0},
+		{"text/csv;q=1.001", 0},
+		{"text/csv;q=0.1234", 0},
+		{"text/csv;q=.5", 0},
+		{"text/csv;q=-0", 0},
+		{"text/csv;q=1e0", 0},
+		{"text/csv;q=", 0},
+		{"text/csv;q=2", 0},
+		{"text/csv;q=Inf", 0},
+		{"text/csv;q=NaN, text/*;q=0.3", 0.3},
+		{"text/csv;level=1", 1},
+	} {
+		if got := acceptQuality(tc.header, "text/csv"); got != tc.want {
+			t.Errorf("acceptQuality(%q) = %v, want %v", tc.header, got, tc.want)
+		}
+	}
+}
+
+// FuzzAcceptQuality: any Accept header yields a weight in [0, 1].
+func FuzzAcceptQuality(f *testing.F) {
+	for _, seed := range []string{
+		"", "text/csv", "application/json;q=0.5, text/csv", "text/*;q=0.9, */*;q=0.1",
+		"text/csv;q=2, application/json", "application/json;q=NaN, text/csv;q=0.1",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		for _, mt := range []string{"text/csv", "application/json"} {
+			if q := acceptQuality(header, mt); !(q >= 0 && q <= 1) {
+				t.Fatalf("acceptQuality(%q, %q) = %v, outside [0, 1]", header, mt, q)
+			}
+		}
+	})
 }
 
 // Exercise the real binary wiring end to end: bind :0, hit /healthz

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"repro/internal/explore"
 	"repro/internal/failpoint"
@@ -28,7 +27,7 @@ const DefaultMaxExplorePoints = 2048
 // handleExplore answers
 //
 //		/v1/explore?spec=rows=16:64:2x,channels=2|4[&base=edge][&workloads=let,ncf]
-//		           [&scheme=SeDA][&margin=0.1][&format=csv]
+//		           [&scheme=SeDA][&format=csv]
 //
 //	  - spec (required) is the grid specification, axes comma-separated:
 //	    rows=16:256:2x,channels=2|4. See internal/explore.ParseSpec.
@@ -36,8 +35,6 @@ const DefaultMaxExplorePoints = 2048
 //	  - workloads optionally restricts the objective to a comma-separated
 //	    subset (default: the full benchmark suite).
 //	  - scheme selects the protection scheme explored under (default SeDA).
-//	  - margin overrides the surrogate's pruning margin, 0 < m < 1
-//	    (default: derived from the calibration error).
 //	  - The body is CSV when the request asks for it (Accept: text/csv or
 //	    ?format=csv), JSON otherwise.
 //
@@ -49,7 +46,7 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "missing spec (e.g. spec=rows=16:256:2x,channels=2|4)")
 		return
 	}
-	req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"), q.Get("margin"))
+	req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"))
 	if err != nil {
 		badRequest(w, "%v", err)
 		return
@@ -92,7 +89,6 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Scheme:    req.Scheme,
 		Cache:     s.cache,
 		Suite:     s.opts,
-		Margin:    req.Margin,
 		MaxPoints: maxPoints,
 	})
 	if err != nil {
@@ -118,12 +114,11 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 // representation: a hash over the canonical spec, the per-workload
 // config fingerprints of the base platform (which already bind the
 // pipeline version, base NPU, scheme set and topologies), the explored
-// scheme, the surrogate version, the margin and the body format.
+// scheme, the surrogate version and the body format.
 func exploreETag(req *explore.Request, csvOut bool) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "explore|surrogate=%s|spec=%s|scheme=%s|margin=%s|csv=%v\n",
-		explore.SurrogateVersion, req.Spec.Canonical(), req.Scheme.Name(),
-		strconv.FormatFloat(req.Margin, 'x', -1, 64), csvOut)
+	fmt.Fprintf(h, "explore|surrogate=%s|spec=%s|scheme=%s|csv=%v\n",
+		explore.SurrogateVersion, req.Spec.Canonical(), req.Scheme.Name(), csvOut)
 	for _, n := range req.Workloads {
 		fmt.Fprintln(h, seda.ConfigFingerprint(req.Base, n))
 	}
@@ -132,12 +127,11 @@ func exploreETag(req *explore.Request, csvOut bool) string {
 
 // ExploreAffinityKey is the cluster-routing affinity key for an
 // exploration: like the ETag it binds the canonical spec, base
-// fingerprints, scheme and margin, but not the body format — CSV and
+// fingerprints and scheme, but not the body format — CSV and
 // JSON views of one exploration share a replica's warm confirmations.
 func ExploreAffinityKey(req *explore.Request) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "explore-affinity|spec=%s|scheme=%s|margin=%s\n",
-		req.Spec.Canonical(), req.Scheme.Name(), strconv.FormatFloat(req.Margin, 'x', -1, 64))
+	fmt.Fprintf(h, "explore-affinity|spec=%s|scheme=%s\n", req.Spec.Canonical(), req.Scheme.Name())
 	for _, n := range req.Workloads {
 		fmt.Fprintln(h, seda.ConfigFingerprint(req.Base, n))
 	}

@@ -10,37 +10,41 @@ import (
 
 // exploreKeyCases pins the validators and routing key of a few
 // explorations: the JSON ETag, the CSV ETag and the affinity key were
-// recorded once and must not move, or every client's cached
-// exploration and every replica's warm confirmations are orphaned.
+// recorded at surrogate version 2 and must move only with a deliberate
+// change of the body, or every client's cached exploration and every
+// replica's warm confirmations are orphaned.
 // Rows that denote the same exploration (axis order, repeated or
-// case-varied workloads, explicit defaults) carry the same keys.
+// case-varied workloads, explicit defaults, an ignored margin
+// parameter) carry the same keys.
 var exploreKeyCases = []struct {
 	query          string
 	json, csv, key string
 }{
 	{"spec=rows%3D32&workloads=let",
-		`"b8c0480471e26a9aabb39ed1e91c5536"`, `"57073b4429a56ebdf29572ed7df75b90"`, "3dfa2ce0c43d383cbb9cdeac1b91fb17"},
+		`"d1c3badd1e383a30382dae437d61df23"`, `"9fe238385c624e18285b1795eed3353b"`, "78059d19a01ce2a9b9dcb00d3d172f47"},
 	{"spec=rows%3D32&workloads=let,LET,%20let",
-		`"b8c0480471e26a9aabb39ed1e91c5536"`, `"57073b4429a56ebdf29572ed7df75b90"`, "3dfa2ce0c43d383cbb9cdeac1b91fb17"},
+		`"d1c3badd1e383a30382dae437d61df23"`, `"9fe238385c624e18285b1795eed3353b"`, "78059d19a01ce2a9b9dcb00d3d172f47"},
 	{"spec=rows%3D32&base=Edge&scheme=seda&workloads=let",
-		`"b8c0480471e26a9aabb39ed1e91c5536"`, `"57073b4429a56ebdf29572ed7df75b90"`, "3dfa2ce0c43d383cbb9cdeac1b91fb17"},
+		`"d1c3badd1e383a30382dae437d61df23"`, `"9fe238385c624e18285b1795eed3353b"`, "78059d19a01ce2a9b9dcb00d3d172f47"},
 	{"spec=rows%3D16:32,channels%3D2%7C4&workloads=let",
-		`"bbef237e76ba7064c0737d900c0a0345"`, `"9a6ba9abb61701bc38f94b2e2feef4cd"`, "9f6fc9ee0e119f73cfc40c757758ab4c"},
+		`"62dbebaa1146741b80e612cd4ca78e92"`, `"096d131988ec1079c90f8537de72f540"`, "024734035a7128277b2b94fd485cd036"},
 	{"spec=channels%3D2%7C4,rows%3D16:32&workloads=let",
-		`"bbef237e76ba7064c0737d900c0a0345"`, `"9a6ba9abb61701bc38f94b2e2feef4cd"`, "9f6fc9ee0e119f73cfc40c757758ab4c"},
+		`"62dbebaa1146741b80e612cd4ca78e92"`, `"096d131988ec1079c90f8537de72f540"`, "024734035a7128277b2b94fd485cd036"},
 	{"spec=rows%3D32&base=server&scheme=MGX-64B&margin=0.2&workloads=ncf,let",
-		`"d77d69f2d52cae8338ac65bda9aec97c"`, `"b0213ccffdd97d6fff4b9ef13ec49653"`, "2485d8cf56410353d33410a93656871f"},
+		`"620c6ad2e173190717726954930fa83e"`, `"d1e37fe7f373741b78ae5be5d2b5c579"`, "2c906b921bb69d521c009d7128aef649"},
+	{"spec=rows%3D32&base=server&scheme=MGX-64B&workloads=ncf,let",
+		`"620c6ad2e173190717726954930fa83e"`, `"d1e37fe7f373741b78ae5be5d2b5c579"`, "2c906b921bb69d521c009d7128aef649"},
 	{"spec=rows%3D32&workloads=ncf,let",
-		`"dc9a49458253e79603bd38e0677339c7"`, `"ccabdb3d0ae71bf1da4272522fd944f9"`, "249df0cad2350a34666488e65422cfed"},
+		`"d94d366b53399d2c37ff915e59b3722e"`, `"f975898668d30102488ade7f052baf22"`, "324eac4b7e7d21abf68d136f2c6209f5"},
 	{"spec=rows%3D32&workloads=let,ncf,NCF,let",
-		`"db680cf121fa6d2ee408af88058253d8"`, `"e0e3ab9e0ba446808154ff0035a67193"`, "e818867db04e05b74acfd6868c8047c0"},
+		`"38a72545d6f4953b2b39becb68298d1d"`, `"141c4dc0001b02771c0d12604d22f6ec"`, "d31efb6f9ef85dfe5b5ce985661ec397"},
 	{"spec=rows%3D32",
-		`"cdab69167ae7862abf0fd8b0c642d67c"`, `"ce987ee25874c66bc7bb5ae007b74b6e"`, "43b89f3192844954815d92db0d9a9698"},
+		`"adf94e715b5471f84a69c25e63e459a6"`, `"3bb9bb8aa65596ec36e44069093c2d90"`, "490c7ba3f3e0a3f3865e14707eaee0b7"},
 }
 
 func exploreAffinityOf(t *testing.T, q url.Values) string {
 	t.Helper()
-	req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"), q.Get("margin"))
+	req, err := explore.ParseRequest(q.Get("spec"), q.Get("base"), q.Get("workloads"), q.Get("scheme"))
 	if err != nil {
 		t.Fatal(err)
 	}

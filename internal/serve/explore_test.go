@@ -106,8 +106,6 @@ func TestExploreEndpointBadRequests(t *testing.T) {
 		{"/v1/explore?spec=channels%3D2&base=tpu9", "unknown npu"},
 		{"/v1/explore?spec=channels%3D2&scheme=ROT13", "unknown scheme"},
 		{"/v1/explore?spec=channels%3D2&workloads=nope", "unknown workload"},
-		{"/v1/explore?spec=channels%3D2&margin=1.5", "margin"},
-		{"/v1/explore?spec=channels%3D2&margin=x", "margin"},
 		{"/v1/explore?spec=channels%3D2&workloads=let&format=tsv", "unknown format"},
 	}
 	for _, tc := range cases {
@@ -133,7 +131,7 @@ func TestExploreEndpointGridCap(t *testing.T) {
 	}
 
 	// The ETag a larger-cap server would have issued for this grid.
-	req, err := explore.ParseRequest("channels=1|2|4", "", "let", "", "")
+	req, err := explore.ParseRequest("channels=1|2|4", "", "let", "")
 	if err != nil {
 		t.Fatal(err)
 	}
