@@ -57,7 +57,6 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "how long an open breaker blocks traffic before half-opening")
 	healthInterval := flag.Duration("health-interval", time.Second, "active /readyz probe interval")
 	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "per-probe deadline")
-	maxExplorePoints := flag.Int("max-explore-points", serve.DefaultMaxExplorePoints, "largest grid the stale tier's /v1/explore accepts")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "full-request read timeout")
 	writeTimeout := flag.Duration("write-timeout", 4*time.Minute, "response write timeout (must cover attempt retries of a cold evaluation)")
 	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "keep-alive idle timeout")
@@ -98,8 +97,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	degraded = serve.NewAPI(cache, seda.DefaultSuiteOptions(), 0)
-	degraded.MaxExplore = *maxExplorePoints
+	degraded = serve.NewAPI(cache, 0)
 	degraded.Log = logger
 	if dir != "" {
 		logger.Info("stale tier over shared disk cache", slog.String("dir", dir))

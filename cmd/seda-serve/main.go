@@ -52,7 +52,6 @@ func main() {
 	addrFile := flag.String("addr-file", "", "write the actual listen address to this file once bound (for -addr with port 0)")
 	cacheDir := flag.String("cache-dir", "auto", "disk cache directory; \"auto\" = <user cache dir>/seda-repro, \"off\" = memory only")
 	memEntries := flag.Int("mem-entries", 0, "in-memory cache entries (0 = default)")
-	workers := flag.Int("workers", 0, "workload-level worker pool size per sweep (0 = GOMAXPROCS)")
 	maxInflight := flag.Int("max-inflight", 4, "concurrent pipeline evaluations before shedding with 503 (0 = unlimited; cache hits and coalesced identical requests never count)")
 	readTimeout := flag.Duration("read-timeout", 10*time.Second, "full-request read timeout")
 	writeTimeout := flag.Duration("write-timeout", 3*time.Minute, "response write timeout (must cover a cold full-suite evaluation)")
@@ -60,7 +59,6 @@ func main() {
 	requestTimeout := flag.Duration("request-timeout", 2*time.Minute, "per-request evaluation deadline; expiry answers 504 (0 = none, bounded by -write-timeout)")
 	computeTimeout := flag.Duration("compute-timeout", 10*time.Minute, "per-computation deadline in the result cache; a stuck evaluation frees its slot at expiry (0 = none)")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long SIGINT/SIGTERM waits for in-flight requests before forcing exit")
-	maxExplorePoints := flag.Int("max-explore-points", serve.DefaultMaxExplorePoints, "largest grid /v1/explore accepts (points before validation)")
 	jitterSeed := flag.Uint64("jitter-seed", 0, "seed for the Retry-After jitter so shed/readiness advice replays exactly (0 = random; set it for reproducible load-generator runs)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for the pprof profiling surface (empty = disabled; keep it on localhost)")
 	debugAddrFile := flag.String("debug-addr-file", "", "write the actual debug listen address to this file once bound (for -debug-addr with port 0)")
@@ -87,8 +85,6 @@ func main() {
 		fatal(err)
 	}
 
-	opts := seda.SuiteOptions{Workers: *workers}
-
 	dir := rescache.ResolveDir(*cacheDir)
 	cache, err := rescache.New(rescache.Options{
 		MaxEntries:          *memEntries,
@@ -100,8 +96,7 @@ func main() {
 		fatal(err)
 	}
 
-	api := serve.NewAPI(cache, opts, *requestTimeout)
-	api.MaxExplore = *maxExplorePoints
+	api := serve.NewAPI(cache, *requestTimeout)
 	api.Log = logger
 	if *jitterSeed != 0 {
 		api.SeedJitter(*jitterSeed)

@@ -32,7 +32,6 @@ import (
 func main() {
 	fig := flag.String("fig", "all", "which figure to regenerate: 1d, 5a, 5b, 6a, 6b, all")
 	table3 := flag.Bool("table3", false, "print Table III (scheme feature comparison) and exit")
-	workers := flag.Int("workers", 0, "workload-level worker pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.Bool("json", false, "emit the full suite (both metrics) of the NPUs the figure touches as JSON instead of tables (seda-serve's full-suite wire format)")
 	useCache := flag.Bool("cache", false, "memoize sweep results through the content-addressed cache (warm-start reruns)")
 	cacheDir := flag.String("cache-dir", "auto", "disk cache directory with -cache; \"auto\" = <user cache dir>/seda-repro (shared with seda-serve), \"off\" = memory only")
@@ -60,8 +59,6 @@ func main() {
 		fatal(err)
 	}
 	defer profiles.Stop() //nolint:errcheck
-
-	opts := seda.SuiteOptions{Workers: *workers}
 
 	// With -cache, results are served through the same content-addressed
 	// cache seda-serve uses; the default disk layer makes reruns of an
@@ -101,7 +98,7 @@ func main() {
 	}
 
 	if *exploreSpec != "" {
-		if err := runExplore(ctx, cache, opts, *exploreSpec, *exploreBase, *exploreWorkloads, *exploreScheme, *jsonOut); err != nil {
+		if err := runExplore(ctx, cache, *exploreSpec, *exploreBase, *exploreWorkloads, *exploreScheme, *jsonOut); err != nil {
 			fatal(err)
 		}
 		return
@@ -109,12 +106,12 @@ func main() {
 
 	var srv, edg *seda.SuiteResult
 	if needServer {
-		if srv, err = seda.RunSuiteCachedCtx(ctx, cache, server, model.All(), opts); err != nil {
+		if srv, err = seda.RunSuiteCachedCtx(ctx, cache, server, model.All()); err != nil {
 			fatal(err)
 		}
 	}
 	if needEdge {
-		if edg, err = seda.RunSuiteCachedCtx(ctx, cache, edge, model.All(), opts); err != nil {
+		if edg, err = seda.RunSuiteCachedCtx(ctx, cache, edge, model.All()); err != nil {
 			fatal(err)
 		}
 	}
@@ -191,7 +188,7 @@ func checkExploreFlags(fs *flag.FlagSet) error {
 // runExplore is the -explore mode: parse the grid, run the
 // surrogate-pruned exploration, and print either the full JSON wire
 // form (-json) or a frontier table plus a grep-friendly summary line.
-func runExplore(ctx context.Context, cache *rescache.Cache, opts seda.SuiteOptions, rawSpec, baseName, workloads, schemeName string, jsonOut bool) error {
+func runExplore(ctx context.Context, cache *rescache.Cache, rawSpec, baseName, workloads, schemeName string, jsonOut bool) error {
 	req, err := explore.ParseRequest(rawSpec, baseName, workloads, schemeName)
 	if err != nil {
 		return err
@@ -200,7 +197,6 @@ func runExplore(ctx context.Context, cache *rescache.Cache, opts seda.SuiteOptio
 		Workloads: req.Workloads,
 		Scheme:    req.Scheme,
 		Cache:     cache,
-		Suite:     opts,
 	})
 	if err != nil {
 		return err

@@ -13,7 +13,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/rescache"
 	"repro/internal/serve"
-	"repro/seda"
 )
 
 // Cluster chaos tests: real serve.API replicas behind the router, real
@@ -40,7 +39,7 @@ func newRealReplica(t *testing.T, dir string) *realReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner := serve.NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler()
+	inner := serve.NewAPI(cache, 0).Handler()
 	rep := &realReplica{release: make(chan struct{})}
 	rep.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if rep.dead.Load() {
@@ -128,7 +127,7 @@ func referenceBodies(t *testing.T) map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := serve.NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler()
+	h := serve.NewAPI(cache, 0).Handler()
 	ref := make(map[string]string, len(chaosURLs))
 	for _, url := range chaosURLs {
 		rec := get(t, h, url, nil)
@@ -233,6 +232,11 @@ func TestChaosHungReplica(t *testing.T) {
 	if warm.Code != http.StatusOK {
 		t.Fatalf("warmup: %d", warm.Code)
 	}
+	const exploreURL = "/v1/explore?spec=rows%3D16%7C32&workloads=let"
+	warmExplore := get(t, h, exploreURL, nil)
+	if warmExplore.Code != http.StatusOK {
+		t.Fatalf("explore warmup: %d %s", warmExplore.Code, warmExplore.Body.String())
+	}
 	hungAddr := warm.Header().Get("X-Seda-Replica")
 	for _, rep := range reps {
 		if rep.srv.URL == "http://"+hungAddr {
@@ -321,6 +325,8 @@ func TestChaosFlappingHealth(t *testing.T) {
 // TestStaleServeWhenFleetDown: the graceful-degradation path. A warm
 // result published to the shared disk tier is still served (marked
 // stale) when every replica is gone; a cold request honestly 503s.
+// Both hold for a sweep and for an exploration, whose stale answer the
+// router rebuilds from the confirmations cached on disk.
 func TestStaleServeWhenFleetDown(t *testing.T) {
 	dir := t.TempDir()
 	rt, reps := realFleet(t, 2, dir, Options{
@@ -336,6 +342,11 @@ func TestStaleServeWhenFleetDown(t *testing.T) {
 	warm := get(t, h, url, nil)
 	if warm.Code != http.StatusOK {
 		t.Fatalf("warmup: %d", warm.Code)
+	}
+	const exploreURL = "/v1/explore?spec=rows%3D16%7C32&workloads=let"
+	warmExplore := get(t, h, exploreURL, nil)
+	if warmExplore.Code != http.StatusOK {
+		t.Fatalf("explore warmup: %d %s", warmExplore.Code, warmExplore.Body.String())
 	}
 
 	for _, rep := range reps {
@@ -361,6 +372,22 @@ func TestStaleServeWhenFleetDown(t *testing.T) {
 		t.Fatal("stale body diverged from the originally served result")
 	}
 
+	staleExplore := get(t, h, exploreURL, nil)
+	if staleExplore.Code != http.StatusOK {
+		t.Fatalf("warm exploration with fleet down: %d %s", staleExplore.Code, staleExplore.Body.String())
+	}
+	if staleExplore.Header().Get("X-Seda-Stale") != "true" {
+		t.Fatal("stale exploration not marked X-Seda-Stale")
+	}
+	if staleExplore.Body.String() != warmExplore.Body.String() {
+		t.Fatal("stale exploration body diverged from the originally served one")
+	}
+	// A grid point no replica confirmed: the stale tier cannot confirm
+	// it either.
+	if rec := get(t, h, "/v1/explore?spec=rows%3D24&workloads=let", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("cold exploration with fleet down: %d, want 503", rec.Code)
+	}
+
 	// A workload the fleet never evaluated: the cache-only tier cannot
 	// compute it, so the router must answer an honest 503. (fig=6b with
 	// the warm workloads would NOT be cold — the disk tier is keyed by
@@ -380,8 +407,8 @@ func TestStaleServeWhenFleetDown(t *testing.T) {
 	}
 
 	fams := scrape(t, h)
-	if v := counterValue(t, fams, "seda_router_stale_served_total"); v != 1 {
-		t.Fatalf("stale_served_total = %v, want 1", v)
+	if v := counterValue(t, fams, "seda_router_stale_served_total"); v != 2 {
+		t.Fatalf("stale_served_total = %v, want 2 (the sweep and the exploration)", v)
 	}
 	if v := counterValue(t, fams, "seda_router_unserved_total"); v < 1 {
 		t.Fatalf("unserved_total = %v, want >= 1 (the cold miss)", v)
@@ -394,5 +421,5 @@ func degradedAPI(t *testing.T, dir string) *serve.API {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serve.NewAPI(cache, seda.DefaultSuiteOptions(), 0)
+	return serve.NewAPI(cache, 0)
 }

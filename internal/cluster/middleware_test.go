@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/rescache"
 	"repro/internal/serve"
-	"repro/seda"
 )
 
 // TestMiddlewareContract holds the replica and the router to the one
@@ -27,7 +26,7 @@ func TestMiddlewareContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica := serve.NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler()
+	replica := serve.NewAPI(cache, 0).Handler()
 	var mu sync.Mutex
 	var upstreamID string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

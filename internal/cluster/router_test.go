@@ -406,9 +406,6 @@ func TestRouterSurfaces(t *testing.T) {
 	}
 
 	fams := scrape(t, h)
-	if problems := obs.LintProm(fams); len(problems) > 0 {
-		t.Fatalf("metrics lint: %v", problems)
-	}
 	for _, name := range []string{
 		"seda_router_requests_total", "seda_router_request_duration_seconds",
 		"seda_router_replica_up", "seda_router_replica_ready",

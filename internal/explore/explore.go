@@ -4,8 +4,7 @@
 // analytic DRAM surrogate (no cycle-accurate scheduling), and confirms
 // through the full cycle-accurate pipeline only the points no earlier
 // confirmation proves dominated — reusing the standard result cache,
-// so confirmed points are cached under the same fingerprints a direct
-// /v1/sweep of that geometry would hit.
+// so a later exploration of the same point hits its confirmation.
 //
 // Pruning follows one rule (see confirmWalk): points are visited by
 // (cost, lower bound) ascending, and a point is skipped only when a
@@ -60,9 +59,6 @@ type Options struct {
 
 	// Cache backs the cycle-accurate confirmations (nil = uncached).
 	Cache *rescache.Cache
-
-	// Suite controls the confirmation runs' execution (worker pool etc).
-	Suite seda.SuiteOptions
 
 	// MaxPoints rejects grids larger than this (0 = DefaultMaxPoints).
 	MaxPoints int
@@ -206,9 +202,9 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 	}
 
 	// Confirm cycle-accurately through the standard cached pipeline;
-	// each confirmation is a full scheme-set suite of the point, so its
-	// rows land in the cache under the same fingerprints any later
-	// direct sweep of that geometry uses.
+	// each confirmation is a full scheme-set suite of the point, so a
+	// later exploration of the same point, under any scheme, hits its
+	// rows in the cache.
 	ctx, confirmSpan := obs.Start(ctx, obs.StageConfirm)
 	defer confirmSpan.End()
 	cost := make([]float64, len(res.Points))
@@ -219,7 +215,7 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads, opts.Suite)
+		suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads)
 		if err != nil {
 			return 0, fmt.Errorf("explore: confirming %s: %w", res.Points[p].Config.Name, err)
 		}

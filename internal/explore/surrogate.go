@@ -189,11 +189,11 @@ func terms(ls *layerSummary, d dram.Config) layerTerms {
 		bursts += n
 		w0, w1 := b0/window, (b0+n-1)/window
 		if w0 == w1 {
-			entries += minu(n, chans)
+			entries += min(n, chans)
 		} else {
 			first := (w0+1)*window - b0
 			last := b0 + n - w1*window
-			entries += minu(first, chans) + minu(last, chans) + (w1-w0-1)*chans
+			entries += min(first, chans) + min(last, chans) + (w1-w0-1)*chans
 		}
 	}
 
@@ -201,7 +201,7 @@ func terms(ls *layerSummary, d dram.Config) layerTerms {
 	if d.TRefi > d.TRfc {
 		refresh = float64(d.TRefi) / float64(d.TRefi-d.TRfc)
 	}
-	perBurst := float64(maxu(d.TBurst, d.TCL))
+	perBurst := float64(max(d.TBurst, d.TCL))
 	t := layerTerms{
 		base:    float64(bursts) / float64(chans) * perBurst * refresh,
 		act:     float64(entries) / float64(chans) * float64(d.TRP+d.TRCD) * refresh,
@@ -211,20 +211,6 @@ func terms(ls *layerSummary, d dram.Config) layerTerms {
 		t.issue = float64(ls.lastIssue + d.TRCD + d.TCL + d.TBurst)
 	}
 	return t
-}
-
-func minu(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxu(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CalPoint is one calibration measurement: a (config, workload) pair's

@@ -363,40 +363,6 @@ func renderSampleLabels(labels map[string]string) string {
 	return b.String()
 }
 
-// LintProm audits parsed families against Prometheus naming
-// conventions and returns a list of issues (empty = clean): counters
-// must end in _total, gauges and histograms must not, duration and
-// size families must use base units (_seconds/_bytes, not _ms/_kb),
-// and every family needs HELP.
-func LintProm(fams map[string]*PromFamily) []string {
-	var issues []string
-	for _, fam := range fams {
-		if fam.Help == "" {
-			issues = append(issues, fam.Name+": missing HELP")
-		}
-		if fam.Type == "" {
-			issues = append(issues, fam.Name+": missing TYPE")
-		}
-		switch fam.Type {
-		case "counter":
-			if !strings.HasSuffix(fam.Name, "_total") {
-				issues = append(issues, fam.Name+": counter without _total suffix")
-			}
-		case "gauge", "histogram":
-			if strings.HasSuffix(fam.Name, "_total") {
-				issues = append(issues, fam.Name+": "+fam.Type+" with _total suffix")
-			}
-		}
-		for _, bad := range []string{"_ms", "_millis", "_milliseconds", "_kb", "_mb", "_nanos", "_nanoseconds"} {
-			if strings.HasSuffix(strings.TrimSuffix(fam.Name, "_total"), bad) {
-				issues = append(issues, fam.Name+": non-base unit suffix "+bad)
-			}
-		}
-	}
-	sort.Strings(issues)
-	return issues
-}
-
 // Sample returns the sample of family fam whose labels exactly match
 // want (nil matches the unlabeled series), or false.
 func (fam *PromFamily) Sample(name string, want map[string]string) (PromSample, bool) {

@@ -281,15 +281,20 @@ func (r *Registry) mustFamily(name, help, typ string) *family {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
 	// A blank HELP line ("" or a lone "\r" a line reader strips) does
-	// not parse back, and LintProm requires HELP on every family.
+	// not parse back.
 	if strings.TrimSpace(help) == "" {
 		panic("obs: " + name + " needs HELP text")
 	}
-	if typ == "counter" && !strings.HasSuffix(name, "_total") {
-		panic("obs: counter " + name + " must end in _total")
+	// Prometheus naming: only counters end in _total, and durations
+	// and sizes use base units (_seconds, _bytes).
+	base, total := strings.CutSuffix(name, "_total")
+	if (typ == "counter") != total {
+		panic("obs: " + typ + " " + name + ": counters, and only counters, end in _total")
 	}
-	if typ == "gauge" && strings.HasSuffix(name, "_total") {
-		panic("obs: gauge " + name + " must not end in _total")
+	for _, unit := range []string{"_ms", "_millis", "_milliseconds", "_kb", "_mb", "_nanos", "_nanoseconds"} {
+		if strings.HasSuffix(base, unit) {
+			panic("obs: " + name + ": non-base unit suffix " + unit)
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

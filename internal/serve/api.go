@@ -56,9 +56,7 @@ const FailpointSweep = "serve.sweep"
 // are shed with 503 (rescache.ErrSaturated).
 type API struct {
 	cache      *rescache.Cache
-	opts       seda.SuiteOptions
 	reqTimeout time.Duration // per-request deadline; 0 = none
-	MaxExplore int           // /v1/explore grid-size cap; 0 = DefaultMaxExplorePoints
 	draining   atomic.Bool   // set once shutdown begins; /readyz reports 503
 
 	// jitter drives the Retry-After randomness on /readyz and shed
@@ -74,22 +72,10 @@ type API struct {
 	Log     *slog.Logger // never nil; NewAPI defaults to discard; set before Handler
 }
 
-func NewAPI(cache *rescache.Cache, opts seda.SuiteOptions, reqTimeout time.Duration) *API {
-	// One sweep fans its workloads over a worker pool, and every
-	// uncached workload's evaluation takes one of the cache's bounded
-	// compute slots. Clamp the pool to the slot count so a single cold
-	// sweep can never saturate the capacity against itself and shed its
-	// own workloads (slots are contended non-blocking; a lone sweep
-	// holding at most `slots` of them always proceeds).
-	if slots := cache.ComputeSlots(); slots > 0 {
-		if opts.Workers == 0 || opts.Workers > slots {
-			opts.Workers = slots
-		}
-	}
+func NewAPI(cache *rescache.Cache, reqTimeout time.Duration) *API {
 	build := obs.ReadBuild()
 	return &API{
 		cache:      cache,
-		opts:       opts,
 		reqTimeout: reqTimeout,
 		build:      build,
 		metrics:    newServerMetrics(build),
@@ -352,7 +338,7 @@ func (s *API) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, r, err)
 		return
 	}
-	suite, err := seda.RunSuiteCachedCtx(r.Context(), s.cache, npu, nets, s.opts)
+	suite, err := seda.RunSuiteCachedCtx(r.Context(), s.cache, npu, nets)
 	if err != nil {
 		s.sweepError(w, r, err)
 		return

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/failpoint"
 	"repro/internal/rescache"
-	"repro/seda"
 )
 
 // Serving-stack chaos tests: each armed failpoint must produce a
@@ -103,7 +102,7 @@ func TestChaosRequestTimeout504(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewAPI(cache, seda.DefaultSuiteOptions(), 30*time.Millisecond).Handler()
+	h := NewAPI(cache, 30*time.Millisecond).Handler()
 	if err := failpoint.Enable(rescache.FailpointCompute, "sleep(30s)"); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestChaosRequestTimeout504(t *testing.T) {
 	// recovery request goes through an untimed handler on the same cache
 	// so a legitimate slow evaluation doesn't trip the 30ms limit.
 	failpoint.Reset()
-	h2 := NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler()
+	h2 := NewAPI(cache, 0).Handler()
 	if rec := doReq(t, h2, "/v1/sweep?fig=5b&workloads=ncf", nil); rec.Code != http.StatusOK {
 		t.Fatalf("slot not recovered: status %d", rec.Code)
 	}
@@ -137,7 +136,7 @@ func TestChaosClientDisconnectFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler())
+	srv := httptest.NewServer(NewAPI(cache, 0).Handler())
 	defer srv.Close()
 	if err := failpoint.Enable(rescache.FailpointCompute, "sleep(30s)"); err != nil {
 		t.Fatal(err)
@@ -190,7 +189,7 @@ func TestChaosDiskFaultsStillServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewAPI(cache, seda.DefaultSuiteOptions(), 0).Handler()
+	h := NewAPI(cache, 0).Handler()
 	if err := failpoint.Enable(rescache.FailpointDiskGet, "error"); err != nil {
 		t.Fatal(err)
 	}

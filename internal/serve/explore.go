@@ -18,10 +18,11 @@ import (
 // internal/failpoint.
 const FailpointExplore = "serve.explore"
 
-// DefaultMaxExplorePoints bounds /v1/explore grids when -max-explore-points
-// is not given. Tighter than the engine's own guard: a service request
-// should stay interactive, and the confirmation pass behind a large
-// grid competes for the same bounded compute slots as /v1/sweep.
+// DefaultMaxExplorePoints bounds /v1/explore grids on the replica and
+// on the router's stale tier alike. Tighter than the engine's own
+// guard: a service request should stay interactive, and the
+// confirmation pass behind a large grid competes for the same bounded
+// compute slots as /v1/sweep.
 const DefaultMaxExplorePoints = 2048
 
 // handleExplore answers
@@ -51,15 +52,11 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, "%v", err)
 		return
 	}
-	maxPoints := s.MaxExplore
-	if maxPoints <= 0 {
-		maxPoints = DefaultMaxExplorePoints
-	}
-	// Enforce the cap before the If-None-Match short-circuit: the cap is
-	// operator state the ETag does not bind, so a client revalidating a
-	// grid the server no longer accepts must see the 400, not a 304.
-	if n := req.Spec.NumPoints(); n > maxPoints {
-		badRequest(w, "grid has %d points, limit %d (narrow the spec or raise -max-explore-points)", n, maxPoints)
+	// Enforce the cap before the If-None-Match short-circuit: the ETag
+	// does not bind the cap, so a client revalidating a grid over it
+	// must see the 400, not a 304.
+	if n := req.Spec.NumPoints(); n > DefaultMaxExplorePoints {
+		badRequest(w, "grid has %d points, limit %d (narrow the spec)", n, DefaultMaxExplorePoints)
 		return
 	}
 
@@ -88,8 +85,7 @@ func (s *API) handleExplore(w http.ResponseWriter, r *http.Request) {
 		Workloads: req.Workloads,
 		Scheme:    req.Scheme,
 		Cache:     s.cache,
-		Suite:     s.opts,
-		MaxPoints: maxPoints,
+		MaxPoints: DefaultMaxExplorePoints,
 	})
 	if err != nil {
 		if errors.Is(err, explore.ErrUsage) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/explore"
-	"repro/seda"
 )
 
 // TestExploreEndpoint walks the happy path on a tiny grid: JSON body
@@ -116,29 +115,27 @@ func TestExploreEndpointBadRequests(t *testing.T) {
 	}
 }
 
-// TestExploreEndpointGridCap: the server-side grid cap answers 400,
-// not a long evaluation — even when the client presents the matching
-// ETag from before an operator lowered the cap (the cap check runs
-// ahead of the If-None-Match short-circuit, so no 304 can revive a
-// grid the server no longer accepts).
+// TestExploreEndpointGridCap: a grid over DefaultMaxExplorePoints
+// answers 400, not a long evaluation — even when the client presents
+// the grid's ETag (the cap check runs ahead of the If-None-Match
+// short-circuit, so no 304 can revive a grid the server does not
+// accept).
 func TestExploreEndpointGridCap(t *testing.T) {
-	_, cache := testHandler(t)
-	sv := NewAPI(cache, seda.DefaultSuiteOptions(), 0)
-	sv.MaxExplore = 2
-	rec := doReq(t, sv.Handler(), "/v1/explore?spec=channels%3D1%7C2%7C4&workloads=let", nil)
-	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit 2") {
+	h, _ := testHandler(t)
+	const url = "/v1/explore?spec=channels%3D1%3A2049%3A%2B1&workloads=let"
+	rec := doReq(t, h, url, nil)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "grid has 2049 points, limit 2048") {
 		t.Fatalf("got %d %q, want 400 with grid-size rejection", rec.Code, rec.Body.String())
 	}
 
-	// The ETag a larger-cap server would have issued for this grid.
-	req, err := explore.ParseRequest("channels=1|2|4", "", "let", "")
+	// The ETag this grid's representation would carry.
+	req, err := explore.ParseRequest("channels=1:2049:+1", "", "let", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	etag := exploreETag(req, false)
-	rec = doReq(t, sv.Handler(), "/v1/explore?spec=channels%3D1%7C2%7C4&workloads=let",
-		map[string]string{"If-None-Match": etag})
+	rec = doReq(t, h, url, map[string]string{"If-None-Match": etag})
 	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("revalidation under lowered cap: got %d, want 400", rec.Code)
+		t.Fatalf("revalidation of an over-cap grid: got %d, want 400", rec.Code)
 	}
 }

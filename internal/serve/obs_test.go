@@ -11,7 +11,6 @@ import (
 	"repro/internal/failpoint"
 	"repro/internal/obs"
 	"repro/internal/rescache"
-	"repro/seda"
 )
 
 // logLine is the shape of one slog JSON record the tests care about.
@@ -50,7 +49,7 @@ func TestRequestIDPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	var logBuf bytes.Buffer
-	sv := NewAPI(cache, seda.DefaultSuiteOptions(), 0)
+	sv := NewAPI(cache, 0)
 	sv.Log = slog.New(slog.NewJSONHandler(&logBuf, nil))
 	h := sv.Handler()
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/rescache"
-	"repro/seda"
 )
 
 // TestReadyzSplitFromHealthz pins the liveness/readiness split: a
@@ -20,7 +19,7 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewAPI(cache, seda.DefaultSuiteOptions(), 0)
+	api := NewAPI(cache, 0)
 	h := api.Handler()
 
 	readyz := func() (int, string, string) {
@@ -101,7 +100,7 @@ func TestRetryAfterScalesWithPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	api := NewAPI(cache, seda.DefaultSuiteOptions(), 0)
+	api := NewAPI(cache, 0)
 	for _, tc := range []struct {
 		inflight, lo, hi int
 	}{
@@ -134,7 +133,7 @@ func TestRetryAfterSeedReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		api := NewAPI(cache, seda.DefaultSuiteOptions(), 0)
+		api := NewAPI(cache, 0)
 		api.SeedJitter(seed)
 		return api
 	}

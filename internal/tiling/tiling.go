@@ -1,8 +1,7 @@
 // Package tiling provides the protection-block geometry analysis that
 // SeDA's software half relies on: over-fetch accounting when access
-// runs are misaligned with protection-block boundaries, read-modify-
-// write costs for partial block writes, and the intra-/inter-layer
-// tiling-pattern comparison of Fig. 3(b).
+// runs are misaligned with protection-block boundaries, and read-
+// modify-write costs for partial block writes.
 //
 // The key observation from the paper: coarse protection blocks (512 B)
 // cut metadata traffic but cost extra data traffic whenever a tile's
@@ -10,7 +9,9 @@
 // en/decryption and MAC verification operate on whole blocks. Fine
 // blocks (64 B) align with everything but multiply metadata. SeDA
 // sidesteps the dilemma by choosing per-layer block sizes that divide
-// the tile runs exactly.
+// the tile runs exactly. That choice, including the producer/consumer
+// tiling mismatch of Fig. 3(b), is internal/authblock's RunSet search;
+// this package only prices a run against a given block size.
 package tiling
 
 // RoundDown returns addr rounded down to a multiple of block.
@@ -49,78 +50,4 @@ func ReadOverFetch(addr, n, block uint64) uint64 {
 // (read-modify-write). Fully covered blocks cost nothing extra.
 func WriteRMWBytes(addr, n, block uint64) uint64 {
 	return ReadOverFetch(addr, n, block) // uncovered bytes of head+tail
-}
-
-// Aligned reports whether the run [addr, addr+n) starts and ends on
-// block boundaries, i.e. incurs no over-fetch and no RMW.
-func Aligned(addr, n, block uint64) bool {
-	return addr%block == 0 && n%block == 0
-}
-
-// Pattern summarizes the tiling pattern a tensor is accessed with: the
-// contiguous run length and how runs advance. Producer (ofmap of layer
-// i) and consumer (ifmap of layer i+1) patterns generally differ —
-// different tile heights, different channel grouping — which is the
-// inter-layer mismatch the paper's Fig. 3(b) illustrates.
-type Pattern struct {
-	RunBytes    int // contiguous bytes per access run
-	RunsPerTile int
-	TileCount   int
-}
-
-// SameShape reports whether two patterns have identical run geometry.
-func (p Pattern) SameShape(q Pattern) bool {
-	return p.RunBytes == q.RunBytes && p.RunsPerTile == q.RunsPerTile &&
-		p.TileCount == q.TileCount
-}
-
-// CommonBlock returns the largest block size that divides both
-// patterns' run lengths and does not exceed maxBlock. This is the
-// inter-layer-aware block choice: a protection block that aligns with
-// *both* the producer's writes and the consumer's reads never incurs
-// over-fetch or RMW on either side. The result is at least minBlock
-// (the hardware's smallest protection unit); if the true GCD is
-// smaller than minBlock, minBlock is returned and callers must accept
-// residual misalignment.
-func CommonBlock(p, q Pattern, minBlock, maxBlock int) int {
-	g := gcd(p.RunBytes, q.RunBytes)
-	if g > maxBlock {
-		// Use the largest divisor of g that fits under maxBlock.
-		g = largestDivisorAtMost(g, maxBlock)
-	}
-	if g < minBlock {
-		return minBlock
-	}
-	return g
-}
-
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a <= 0 {
-		return 1
-	}
-	return a
-}
-
-// largestDivisorAtMost returns the largest divisor of n that is <=
-// limit (n, limit >= 1).
-func largestDivisorAtMost(n, limit int) int {
-	if n <= limit {
-		return n
-	}
-	best := 1
-	for d := 1; d*d <= n; d++ {
-		if n%d != 0 {
-			continue
-		}
-		if d <= limit && d > best {
-			best = d
-		}
-		if q := n / d; q <= limit && q > best {
-			best = q
-		}
-	}
-	return best
 }

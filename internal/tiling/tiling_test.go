@@ -80,97 +80,3 @@ func TestWriteRMW(t *testing.T) {
 		t.Errorf("partial write RMW = %d, want 412", got)
 	}
 }
-
-func TestAligned(t *testing.T) {
-	if !Aligned(0, 512, 64) || !Aligned(128, 256, 64) {
-		t.Error("aligned runs reported misaligned")
-	}
-	if Aligned(1, 512, 64) || Aligned(0, 100, 64) {
-		t.Error("misaligned runs reported aligned")
-	}
-}
-
-func TestPatternSameShape(t *testing.T) {
-	p := Pattern{RunBytes: 224, RunsPerTile: 64, TileCount: 4}
-	if !p.SameShape(p) {
-		t.Error("pattern not equal to itself")
-	}
-	q := p
-	q.RunBytes = 112
-	if p.SameShape(q) {
-		t.Error("different run bytes reported same")
-	}
-}
-
-func TestCommonBlockExactDivisor(t *testing.T) {
-	// Producer writes 1024B runs, consumer reads 768B runs: gcd 256.
-	p := Pattern{RunBytes: 1024}
-	q := Pattern{RunBytes: 768}
-	if got := CommonBlock(p, q, 64, 4096); got != 256 {
-		t.Errorf("CommonBlock = %d, want 256", got)
-	}
-}
-
-func TestCommonBlockRespectsMax(t *testing.T) {
-	p := Pattern{RunBytes: 8192}
-	q := Pattern{RunBytes: 8192}
-	got := CommonBlock(p, q, 64, 4096)
-	if got > 4096 {
-		t.Errorf("CommonBlock = %d exceeds max", got)
-	}
-	if 8192%got != 0 {
-		t.Errorf("CommonBlock = %d does not divide runs", got)
-	}
-	if got != 4096 {
-		t.Errorf("CommonBlock = %d, want 4096", got)
-	}
-}
-
-func TestCommonBlockRespectsMin(t *testing.T) {
-	// Coprime run lengths: gcd 1, clamped to minBlock.
-	p := Pattern{RunBytes: 7}
-	q := Pattern{RunBytes: 13}
-	if got := CommonBlock(p, q, 64, 4096); got != 64 {
-		t.Errorf("CommonBlock = %d, want min 64", got)
-	}
-}
-
-func TestCommonBlockDividesBothWhenPossible(t *testing.T) {
-	f := func(a, b uint16) bool {
-		pa := int(a%4096) + 64
-		pb := int(b%4096) + 64
-		got := CommonBlock(Pattern{RunBytes: pa}, Pattern{RunBytes: pb}, 64, 4096)
-		if got < 64 || got > 4096 {
-			return false
-		}
-		g := gcd(pa, pb)
-		if g >= 64 {
-			// When a usable common divisor exists, the result must
-			// divide both runs.
-			d := largestDivisorAtMost(g, 4096)
-			if d >= 64 {
-				return pa%got == 0 && pb%got == 0
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLargestDivisorAtMost(t *testing.T) {
-	cases := []struct{ n, limit, want int }{
-		{100, 100, 100},
-		{100, 99, 50},
-		{100, 49, 25},
-		{7, 6, 1},
-		{64, 64, 64},
-		{4096, 100, 64},
-	}
-	for _, c := range cases {
-		if got := largestDivisorAtMost(c.n, c.limit); got != c.want {
-			t.Errorf("largestDivisorAtMost(%d,%d) = %d, want %d", c.n, c.limit, got, c.want)
-		}
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"repro/internal/model"
 	"repro/internal/rescache"
@@ -33,9 +34,9 @@ import (
 // RunNetworkOptsCtx), so a caller that cancels detaches immediately
 // while an evaluation other callers still await keeps running — see
 // rescache.GetOrComputeCtx.
-func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network, opts SuiteOptions) (rows []RunResult, hit bool, err error) {
+func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, net *model.Network) (rows []RunResult, hit bool, err error) {
 	if c == nil {
-		rows, err = RunNetworkOptsCtx(ctx, npu, net, opts)
+		rows, err = RunNetworkOptsCtx(ctx, npu, net, SuiteOptions{})
 		return rows, false, err
 	}
 	if err := npu.Validate(); err != nil {
@@ -43,7 +44,7 @@ func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 	}
 	key := ConfigFingerprint(npu, net)
 	compute := func(cctx context.Context) ([]byte, error) {
-		fresh, err := RunNetworkOptsCtx(cctx, npu, net, opts)
+		fresh, err := RunNetworkOptsCtx(cctx, npu, net, SuiteOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -77,17 +78,22 @@ func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 // RunSuiteCachedCtx is RunSuiteOptsCtx with the per-network cache in
 // front: each (NPU, network) pair is looked up independently, so a
 // sweep only evaluates the workloads the cache has not seen. Uncached
-// workloads run through the same bounded worker pool as
-// RunSuiteOptsCtx, output is assembled in input order regardless of
-// scheduling, and each workload waits on the cache with the
-// cancellation semantics of runNetworkCachedCtx. A nil cache degrades
-// to RunSuiteOptsCtx.
-func RunSuiteCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
+// workloads run through a worker pool of the cache's compute slots
+// (GOMAXPROCS when the cache does not bound computes), output is
+// assembled in input order regardless of scheduling, and each workload
+// waits on the cache with the cancellation semantics of
+// runNetworkCachedCtx. A nil cache degrades to RunSuiteOptsCtx.
+func RunSuiteCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, nets []*model.Network) (*SuiteResult, error) {
 	if c == nil {
-		return RunSuiteOptsCtx(ctx, npu, nets, opts)
+		return RunSuiteOptsCtx(ctx, npu, nets, SuiteOptions{})
 	}
-	return runSuiteWith(ctx, npu, nets, opts, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
-		rows, _, err := runNetworkCachedCtx(ctx, c, npu, n, opts)
+	// A pool of exactly the slot count never sheds its own workloads.
+	workers := c.ComputeSlots()
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return runSuiteWith(ctx, npu, nets, workers, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
+		rows, _, err := runNetworkCachedCtx(ctx, c, npu, n)
 		return rows, err
 	})
 }

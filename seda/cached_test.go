@@ -57,13 +57,13 @@ func TestRunNetworkCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
+	got, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net)
 	if err != nil || hit {
 		t.Fatalf("first cached run: hit=%v err=%v", hit, err)
 	}
 	assertRowsEqual(t, got, fresh)
 
-	again, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
+	again, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net)
 	if err != nil || !hit {
 		t.Fatalf("second cached run: hit=%v err=%v", hit, err)
 	}
@@ -88,7 +88,7 @@ func TestRunNetworkCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
+			results[i], _, errs[i] = runNetworkCachedCtx(context.Background(), c, npu, net)
 		}(i)
 	}
 	wg.Wait()
@@ -115,10 +115,10 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 
 	// Prime the cache with one workload, then sweep two: only the
 	// uncached one evaluates.
-	if _, _, err := runNetworkCachedCtx(context.Background(), c, npu, let, DefaultSuiteOptions()); err != nil {
+	if _, _, err := runNetworkCachedCtx(context.Background(), c, npu, let); err != nil {
 		t.Fatal(err)
 	}
-	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf}, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +146,31 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 func TestRunSuiteCachedNilCacheFallsBack(t *testing.T) {
 	npu := EdgeNPU()
 	nets := []*model.Network{model.ByName("let")}
-	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets, DefaultSuiteOptions())
+	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(suite.Rows["let"]) != len(Schemes()) {
 		t.Fatalf("rows = %d, want %d", len(suite.Rows["let"]), len(Schemes()))
+	}
+}
+
+// TestRunSuiteCachedRespectsComputeSlots: with more Ps than compute
+// slots, a cold cached sweep sizes its pool to the slots, so it never
+// sheds its own workloads.
+func TestRunSuiteCachedRespectsComputeSlots(t *testing.T) {
+	c, err := rescache.New(rescache.Options{MaxInflightComputes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets := []*model.Network{model.ByName("let"), model.ByName("ncf"), model.ByName("sent")}
+	withGOMAXPROCS(8, func() {
+		if _, err := RunSuiteCachedCtx(context.Background(), c, EdgeNPU(), nets); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := c.Stats(); st.Shed != 0 || st.Computes != 3 {
+		t.Fatalf("stats %+v, want Shed=0 Computes=3", st)
 	}
 }
 
@@ -163,7 +182,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := runNetworkCachedCtx(context.Background(), c1, npu, net, DefaultSuiteOptions())
+	fresh, _, err := runNetworkCachedCtx(context.Background(), c1, npu, net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +192,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, DefaultSuiteOptions())
+	warm, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net)
 	if err != nil || !hit {
 		t.Fatalf("warm start: hit=%v err=%v", hit, err)
 	}
@@ -217,7 +236,7 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := runNetworkCachedCtx(context.Background(), c, npu, net, DefaultSuiteOptions())
+	rows, _, err := runNetworkCachedCtx(context.Background(), c, npu, net)
 	if err != nil {
 		t.Fatalf("corrupt entry not healed: %v", err)
 	}
@@ -235,7 +254,7 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, DefaultSuiteOptions())
+	again, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net)
 	if err != nil || !hit {
 		t.Fatalf("repaired entry: hit=%v err=%v", hit, err)
 	}

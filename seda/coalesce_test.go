@@ -144,7 +144,7 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("ncf")
-	rows, err := RunNetworkOptsCtx(context.Background(), npu, net, SequentialOptions())
+	rows, err := RunNetworkOptsCtx(context.Background(), npu, net, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

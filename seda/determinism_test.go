@@ -9,16 +9,11 @@ import (
 	"repro/internal/model"
 )
 
-// workerCounts are the pool sizes every determinism test compares: one
-// workload at a time, a fixed two-worker pool, and the GOMAXPROCS
-// default.
-var workerCounts = []int{1, 2, 0}
-
-// runSuiteJSON evaluates nets on npu with the given worker count and
-// returns the suite's canonical JSON.
-func runSuiteJSON(t *testing.T, npu NPUConfig, nets []*model.Network, workers int) []byte {
+// runSuiteJSON evaluates nets on npu and returns the suite's canonical
+// JSON.
+func runSuiteJSON(t *testing.T, npu NPUConfig, nets []*model.Network) []byte {
 	t.Helper()
-	suite, err := RunSuiteOptsCtx(context.Background(), npu, nets, SuiteOptions{Workers: workers})
+	suite, err := RunSuiteOptsCtx(context.Background(), npu, nets, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,34 +24,14 @@ func runSuiteJSON(t *testing.T, npu NPUConfig, nets []*model.Network, workers in
 	return buf.Bytes()
 }
 
-// TestSuiteDeterminism asserts that every worker-pool size produces
-// byte-identical suite JSON to the one-workload-at-a-time run. This is
-// the contract that lets every consumer default to the GOMAXPROCS pool.
-func TestSuiteDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second DRAM simulation")
-	}
-	nets := []*model.Network{
-		model.ByName("let"), model.ByName("ncf"), model.ByName("sent"),
-	}
-	npu := EdgeNPU()
-	want := runSuiteJSON(t, npu, nets, 1)
-	for _, workers := range workerCounts[1:] {
-		if got := runSuiteJSON(t, npu, nets, workers); !bytes.Equal(got, want) {
-			t.Errorf("Workers=%d: suite JSON differs from Workers=1:\n got %s\nwant %s", workers, got, want)
-		}
-	}
-}
-
 // TestRunNetworkOptsSequentialMatches covers the single-network entry
 // point seda-sim uses: its rows serialize to the same bytes whether
-// the six scheme goroutines share one P or run in parallel, under
-// every worker-count option.
+// the six scheme goroutines share one P or run in parallel.
 func TestRunNetworkOptsSequentialMatches(t *testing.T) {
 	npu := EdgeNPU()
 	net := model.ByName("let")
-	rowsJSON := func(workers int) []byte {
-		rows, err := RunNetworkOptsCtx(context.Background(), npu, net, SuiteOptions{Workers: workers})
+	rowsJSON := func() []byte {
+		rows, err := RunNetworkOptsCtx(context.Background(), npu, net, DefaultSuiteOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,14 +42,12 @@ func TestRunNetworkOptsSequentialMatches(t *testing.T) {
 		return b
 	}
 	var want []byte
-	withGOMAXPROCS(1, func() { want = rowsJSON(1) })
-	for _, procs := range []int{1, 2, 8} {
+	withGOMAXPROCS(1, func() { want = rowsJSON() })
+	for _, procs := range []int{2, 8} {
 		withGOMAXPROCS(procs, func() {
-			for _, workers := range workerCounts {
-				if got := rowsJSON(workers); !bytes.Equal(got, want) {
-					t.Errorf("GOMAXPROCS=%d Workers=%d: rows differ from the single-threaded run:\n got %s\nwant %s",
-						procs, workers, got, want)
-				}
+			if got := rowsJSON(); !bytes.Equal(got, want) {
+				t.Errorf("GOMAXPROCS=%d: rows differ from the single-threaded run:\n got %s\nwant %s",
+					procs, got, want)
 			}
 		})
 	}

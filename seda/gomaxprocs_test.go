@@ -11,25 +11,29 @@ import (
 	"repro/internal/model"
 )
 
-// TestSuiteWorkerPoolSharedArenas runs a two-worker suite over two
-// small workloads with no testing.Short() skip, so the `-race -short`
-// CI job exercises concurrent RunNetworkOptsCtx calls, each running six
-// concurrent scheme drains, sharing the process-wide memprot overlay
-// arena and dram queue arena — the paths an unsynchronized arena would
-// corrupt. Results must still match the one-workload-at-a-time run.
+// TestSuiteWorkerPoolSharedArenas runs a suite over two small
+// workloads at GOMAXPROCS 2, so two workers, with no testing.Short()
+// skip, so the `-race -short` CI job exercises concurrent
+// RunNetworkOptsCtx calls, each running six concurrent scheme drains,
+// sharing the process-wide memprot overlay arena and dram queue arena —
+// the paths an unsynchronized arena would corrupt. Results must still
+// match the GOMAXPROCS 1 run, which evaluates one workload at a time.
 func TestSuiteWorkerPoolSharedArenas(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	npu := EdgeNPU()
-	par, err := RunSuiteOptsCtx(context.Background(), npu, nets, SuiteOptions{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	run := func(procs int) *SuiteResult {
+		var suite *SuiteResult
+		withGOMAXPROCS(procs, func() {
+			var err error
+			if suite, err = RunSuiteOptsCtx(context.Background(), npu, nets, DefaultSuiteOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return suite
 	}
-	seq, err := RunSuiteOptsCtx(context.Background(), npu, nets, SequentialOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	par, seq := run(2), run(1)
 	if !reflect.DeepEqual(par.Rows, seq.Rows) {
-		t.Error("worker-pool rows differ from the one-worker reference")
+		t.Error("two-worker rows differ from the one-worker reference")
 	}
 }
 
@@ -40,27 +44,28 @@ func withGOMAXPROCS(procs int, fn func()) {
 	fn()
 }
 
-// TestSuiteDeterminismAcrossGOMAXPROCS re-checks the determinism
-// contract under real parallelism settings, so a scheduling-order
-// dependence that needs more than one P to surface cannot slip
-// through. Every (GOMAXPROCS, Workers) pair must reproduce the
-// single-threaded, one-workload-at-a-time JSON byte for byte.
+// TestSuiteDeterminismAcrossGOMAXPROCS checks the determinism
+// contract that lets the workload pool follow GOMAXPROCS: under real
+// parallelism settings, with three workloads so that a pool of two
+// hands one worker a second workload, the suite JSON must reproduce
+// the single-threaded run byte for byte. A scheduling-order dependence
+// that needs more than one P to surface cannot slip through, and the
+// GOMAXPROCS=1 case checks that a rerun over warm process-wide arenas
+// and caches matches the first run.
 func TestSuiteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second DRAM simulation")
 	}
-	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
+	nets := []*model.Network{model.ByName("let"), model.ByName("ncf"), model.ByName("sent")}
 	npu := EdgeNPU()
 
 	var want []byte
-	withGOMAXPROCS(1, func() { want = runSuiteJSON(t, npu, nets, 1) })
+	withGOMAXPROCS(1, func() { want = runSuiteJSON(t, npu, nets) })
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			withGOMAXPROCS(procs, func() {
-				for _, workers := range workerCounts {
-					if got := runSuiteJSON(t, npu, nets, workers); !bytes.Equal(got, want) {
-						t.Errorf("Workers=%d: suite JSON differs from the single-threaded reference", workers)
-					}
+				if got := runSuiteJSON(t, npu, nets); !bytes.Equal(got, want) {
+					t.Error("suite JSON differs from the single-threaded reference")
 				}
 			})
 		})

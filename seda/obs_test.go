@@ -17,14 +17,14 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	npu := EdgeNPU()
 
-	plain, err := RunSuiteOptsCtx(context.Background(), npu, nets, SequentialOptions())
+	plain, err := RunSuiteOptsCtx(context.Background(), npu, nets, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, tr := obs.NewTracer(context.Background(), "test")
 	defer tr.Finish()
-	traced, err := RunSuiteOptsCtx(ctx, npu, nets, SequentialOptions())
+	traced, err := RunSuiteOptsCtx(ctx, npu, nets, DefaultSuiteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,12 +42,12 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 }
 
 // TestSuiteSpanTree checks the shape and arithmetic of a traced
-// one-workload-at-a-time sweep: suite → workload → {scalesim, protect,
+// sweep: suite → workload → {scalesim, protect,
 // dram}, and the workload's sequential phases fit inside its span.
 func TestSuiteSpanTree(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
-	if _, err := RunSuiteOptsCtx(ctx, EdgeNPU(), nets, SequentialOptions()); err != nil {
+	if _, err := RunSuiteOptsCtx(ctx, EdgeNPU(), nets, DefaultSuiteOptions()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -113,7 +113,7 @@ func TestCachedSuiteSpansAttachThroughCache(t *testing.T) {
 	cache := newTestCache(t)
 	nets := []*model.Network{model.ByName("let")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
-	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets, SequentialOptions()); err != nil {
+	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

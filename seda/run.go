@@ -67,8 +67,8 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 
 // RunNetworkOptsCtx evaluates every scheme on one network and returns
 // one row per scheme, ordered as Schemes() (baseline last). The six
-// schemes' DRAM phases run on their own goroutines; opts.Workers bounds
-// suites, not a single network, so opts selects nothing here.
+// schemes' DRAM phases run on their own goroutines. opts selects
+// nothing.
 //
 // The evaluation is built around a shared data spine: the scalesim
 // trace is walked once by memprot.ProtectAllArenaCtx, which hands every

@@ -21,53 +21,46 @@ type SuiteResult struct {
 	Rows map[string][]RunResult // workload short name -> per-scheme rows
 }
 
-// SuiteOptions tunes how a sweep executes. The pipeline is
-// deterministic under every setting: any worker count produces
-// byte-identical results (see TestSuiteDeterminism).
-type SuiteOptions struct {
-	// Workers bounds how many workloads evaluate concurrently.
-	// 0 (the default) means GOMAXPROCS.
-	Workers int
-}
+// SuiteOptions selects nothing: the entry point sizes the workload
+// pool (RunSuiteOptsCtx: GOMAXPROCS; RunSuiteCachedCtx: the cache's
+// compute slots). The type stays so that existing callers compile. The
+// pipeline is deterministic under every pool size and GOMAXPROCS
+// setting (see TestSuiteDeterminismAcrossGOMAXPROCS).
+type SuiteOptions struct{}
 
-// DefaultSuiteOptions runs a GOMAXPROCS-bounded workload pool.
+// DefaultSuiteOptions returns the only SuiteOptions value.
 func DefaultSuiteOptions() SuiteOptions { return SuiteOptions{} }
 
-// SequentialOptions evaluates one workload at a time. Each workload
-// still runs its six schemes concurrently; for a single-threaded run,
-// set GOMAXPROCS=1.
-func SequentialOptions() SuiteOptions { return SuiteOptions{Workers: 1} }
-
-func (o SuiteOptions) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// SequentialOptions returns the same value as DefaultSuiteOptions.
+//
+// Deprecated: the pool size is no longer an option. For a
+// single-threaded run, set GOMAXPROCS=1.
+func SequentialOptions() SuiteOptions { return SuiteOptions{} }
 
 // RunSuiteOptsCtx evaluates the given workloads on one NPU.
 // Workloads are independent given their own simulator state, so they
-// run through a pool of opts.Workers goroutines; results are collected
+// run through a pool of GOMAXPROCS goroutines; results are collected
 // per slot and assembled in input order, and the first error (in input
 // order) wins, so output is independent of scheduling. Cancellation
 // propagates into every in-flight workload evaluation (see
 // RunNetworkOptsCtx) and stops the pool dispatching new ones; a
-// cancelled sweep returns ctx.Err() and no partial result.
+// cancelled sweep returns ctx.Err() and no partial result. opts
+// selects nothing.
 func RunSuiteOptsCtx(ctx context.Context, npu NPUConfig, nets []*model.Network, opts SuiteOptions) (*SuiteResult, error) {
-	return runSuiteWith(ctx, npu, nets, opts, func(ctx context.Context, n *model.Network) ([]RunResult, error) {
+	return runSuiteWith(ctx, npu, nets, runtime.GOMAXPROCS(0), func(ctx context.Context, n *model.Network) ([]RunResult, error) {
 		return RunNetworkOptsCtx(ctx, npu, n, opts)
 	})
 }
 
 // runSuiteWith is the suite scaffolding shared by RunSuiteOptsCtx and
-// RunSuiteCachedCtx: a bounded worker pool over the workloads, per-slot
-// result collection, and input-order assembly and error reporting.
-// The context gates dispatch (no new workload starts once it is
-// cancelled) and is passed to run for intra-workload cancellation;
-// when it expires, the first error reported is ctx.Err() itself, so
-// callers see the cancellation rather than an arbitrary workload's
-// wrapped copy of it.
-func runSuiteWith(ctx context.Context, npu NPUConfig, nets []*model.Network, opts SuiteOptions, run func(context.Context, *model.Network) ([]RunResult, error)) (*SuiteResult, error) {
+// RunSuiteCachedCtx: a pool of at most workers goroutines over the
+// workloads, per-slot result collection, and input-order assembly and
+// error reporting. The context gates dispatch (no new workload starts
+// once it is cancelled) and is passed to run for intra-workload
+// cancellation; when it expires, the first error reported is ctx.Err()
+// itself, so callers see the cancellation rather than an arbitrary
+// workload's wrapped copy of it.
+func runSuiteWith(ctx context.Context, npu NPUConfig, nets []*model.Network, workers int, run func(context.Context, *model.Network) ([]RunResult, error)) (*SuiteResult, error) {
 	ctx, suiteSpan := obs.Start(ctx, obs.StageSuite)
 	suiteSpan.SetDetail(npu.Name)
 	defer suiteSpan.End()
@@ -79,10 +72,7 @@ func runSuiteWith(ctx context.Context, npu NPUConfig, nets []*model.Network, opt
 		return inner(ctx, n)
 	}
 
-	workers := opts.workers()
-	if workers > len(nets) {
-		workers = len(nets)
-	}
+	workers = min(workers, len(nets))
 
 	rows := make([][]RunResult, len(nets))
 	errs := make([]error, len(nets))

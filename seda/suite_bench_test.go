@@ -2,6 +2,7 @@ package seda
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/model"
@@ -9,11 +10,10 @@ import (
 
 // BenchmarkRunSuite measures the full evaluation pipeline (13
 // workloads x 6 schemes: scalesim schedule -> protection scheme ->
-// DRAM timing) on both NPUs, one workload at a time vs the default
-// GOMAXPROCS workload pool. Both variants drain each workload's six
-// schemes concurrently; run under GOMAXPROCS=1 for a single-threaded
-// number. Before/after numbers for the perf trajectory live in
-// BENCH_PIPELINE.json.
+// DRAM timing) on both NPUs, single-threaded (GOMAXPROCS=1, so one
+// workload at a time and the six scheme drains on one P) vs the
+// process's GOMAXPROCS. Before/after numbers for the perf trajectory
+// live in BENCH_PIPELINE.json.
 //
 // Run with:
 //
@@ -21,18 +21,20 @@ import (
 func BenchmarkRunSuite(b *testing.B) {
 	for _, npu := range []NPUConfig{ServerNPU(), EdgeNPU()} {
 		for _, mode := range []struct {
-			name string
-			opts SuiteOptions
+			name  string
+			procs int
 		}{
-			{"workers1", SequentialOptions()},
-			{"default", DefaultSuiteOptions()},
+			{"gomaxprocs1", 1},
+			{"default", runtime.GOMAXPROCS(0)},
 		} {
 			b.Run(npu.Name+"/"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := RunSuiteOptsCtx(context.Background(), npu, model.All(), mode.opts); err != nil {
-						b.Fatal(err)
+				withGOMAXPROCS(mode.procs, func() {
+					for i := 0; i < b.N; i++ {
+						if _, err := RunSuiteOptsCtx(context.Background(), npu, model.All(), DefaultSuiteOptions()); err != nil {
+							b.Fatal(err)
+						}
 					}
-				}
+				})
 			})
 		}
 	}
