@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/memprot"
 	"repro/internal/model"
-	"repro/internal/scalesim"
 	"repro/seda"
 )
 
@@ -19,13 +18,9 @@ import (
 // cares about.
 func BenchmarkExploreSurrogate(b *testing.B) {
 	base := seda.EdgeNPU()
-	arr, err := scalesim.New(base.ArrayRows, base.ArrayCols, base.SRAMBytes)
-	if err != nil {
-		b.Fatal(err)
-	}
 	var summaries []*workloadSummary
 	for _, net := range model.All() {
-		ws, err := summarizeWorkload(context.Background(), arr, net, memprot.SchemeSeDA)
+		ws, err := summarizeWorkload(context.Background(), base, net, memprot.SchemeSeDA)
 		if err != nil {
 			b.Fatal(err)
 		}

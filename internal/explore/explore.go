@@ -6,6 +6,11 @@
 // confirmation proves dominated — reusing the standard result cache,
 // so a later exploration of the same point hits its confirmation.
 //
+// Calibration and the surrogate pass walk one scheme through seda
+// (seda.WalkSchemeCtx) and so share seda's process-wide scratch with
+// the confirmations: one overlay arena, one DRAM state pool, and one
+// authblock memo.
+//
 // Pruning follows one rule (see confirmWalk): points are visited by
 // (cost, lower bound) ascending, and a point is skipped only when a
 // confirmed measurement of a cheaper (or equal-cost, strictly faster)
@@ -27,7 +32,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/rescache"
-	"repro/internal/scalesim"
 	"repro/seda"
 )
 
@@ -240,8 +244,8 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 
 // surrogatePass prices every point analytically, returning each
 // point's exec-cycle lower bound (see Model.execLowerBound). Points
-// sharing an array geometry (rows, cols, SRAM) share one compute
-// simulation and protection walk per workload — the summaries are
+// sharing an array geometry (rows, cols, SRAM) share one seda walk per
+// workload, made with the group's first point — the summaries are
 // DRAM-geometry independent — so a grid sweeping only memory knobs
 // summarizes each workload exactly once.
 func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, margin float64) (lower []float64, err error) {
@@ -262,13 +266,10 @@ func surrogatePass(ctx context.Context, res *Result, opts Options, m Model, marg
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		arr, err := scalesim.New(k.rows, k.cols, k.sram)
-		if err != nil {
-			return nil, err
-		}
+		npu := res.Points[groups[k][0]].Config
 		summaries := make([]*workloadSummary, len(opts.Workloads))
 		for wi, net := range opts.Workloads {
-			ws, err := summarizeWorkload(ctx, arr, net, opts.Scheme)
+			ws, err := summarizeWorkload(ctx, npu, net, opts.Scheme)
 			if err != nil {
 				return nil, err
 			}

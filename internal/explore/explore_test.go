@@ -10,11 +10,9 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/dram"
 	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/rescache"
-	"repro/internal/scalesim"
 	"repro/seda"
 )
 
@@ -108,40 +106,16 @@ func TestExploreRetainsTrueFrontier(t *testing.T) {
 	}
 }
 
-// execCycles measures one (config, workload) under one scheme the way
-// seda's runScheme does, summing max(compute, drained DRAM cycles) over
-// the layers, without the five other schemes a suite runs beside it.
+// execCycles measures one (config, workload) under one scheme with a
+// draining seda walk, summing max(compute, drained DRAM cycles) over
+// the layers as runScheme does, without the five other schemes a suite
+// runs beside it.
 func execCycles(ctx context.Context, cfg seda.NPUConfig, net *model.Network, scheme memprot.Scheme) (float64, error) {
-	arr, err := scalesim.New(cfg.ArrayRows, cfg.ArrayCols, cfg.SRAMBytes)
-	if err != nil {
-		return 0, err
-	}
-	sim, err := arr.SimulateNetwork(net)
-	if err != nil {
-		return 0, err
-	}
-	popts := memprot.DefaultOptions()
-	popts.OptBlkCache = optBlkCache
-	prots, err := memprot.ProtectAllArenaCtx(ctx, []memprot.Scheme{scheme}, sim, popts, protArena)
-	if err != nil {
-		return 0, err
-	}
-	defer protArena.Release(prots)
-	dsim, err := dram.New(cfg.DRAMConfig())
-	if err != nil {
-		return 0, err
-	}
-	dsim.SetArena(dramArena)
 	var exec uint64
-	for i := range prots[0].Layers {
-		pl := &prots[0].Layers[i]
-		st, err := dsim.RunOverlayCtx(ctx, pl.Spine, pl.Deltas)
-		if err != nil {
-			return 0, err
-		}
-		exec += max(sim.Layers[i].ComputeCycles, st.Cycles)
-	}
-	return float64(exec), nil
+	err := seda.WalkSchemeCtx(ctx, cfg, net, scheme, true, func(l seda.Layer) {
+		exec += max(l.Sim.ComputeCycles, l.DRAMCycles)
+	})
+	return float64(exec), err
 }
 
 // TestExploreLowerBoundHolds checks the premise the pruning rests on

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dram"
 	"repro/internal/memprot"
 	"repro/internal/model"
-	"repro/internal/scalesim"
 	"repro/internal/trace"
 	"repro/seda"
 )
@@ -120,48 +119,29 @@ type workloadSummary struct {
 	layers   []layerSummary
 }
 
-// Shared scratch state, mirroring seda/run.go: summaries and
-// calibration runs in one process reuse overlay storage, DRAM scratch
-// queues and SeDA's authblock searches.
-var (
-	protArena   = memprot.NewArena()
-	dramArena   = dram.NewArena()
-	optBlkCache = memprot.NewOptBlkCache()
-)
-
-// summarizeWorkload runs the compute simulator and the protection walk
-// once and folds each layer's merged access stream into byte runs.
-func summarizeWorkload(ctx context.Context, arr *scalesim.Config, net *model.Network, scheme memprot.Scheme) (*workloadSummary, error) {
-	sim, err := arr.SimulateNetwork(net)
-	if err != nil {
-		return nil, err
-	}
-	popts := memprot.DefaultOptions()
-	popts.OptBlkCache = optBlkCache
-	prots, err := memprot.ProtectAllArenaCtx(ctx, []memprot.Scheme{scheme}, sim, popts, protArena)
-	if err != nil {
-		return nil, err
-	}
-	defer protArena.Release(prots)
-
+// summarizeWorkload walks one scheme over a workload through seda,
+// without draining, and folds each layer's merged access stream into
+// byte runs. Only npu's array geometry (rows, cols, SRAM) shapes the
+// summary.
+func summarizeWorkload(ctx context.Context, npu seda.NPUConfig, net *model.Network, scheme memprot.Scheme) (*workloadSummary, error) {
 	ws := &workloadSummary{workload: net.Name}
-	ws.layers = make([]layerSummary, len(prots[0].Layers))
-	for i := range prots[0].Layers {
-		pl := &prots[0].Layers[i]
-		ls := &ws.layers[i]
-		ls.compute = sim.Layers[i].ComputeCycles
-		collectRuns(pl, ls)
+	err := seda.WalkSchemeCtx(ctx, npu, net, scheme, false, func(l seda.Layer) {
+		ws.layers = append(ws.layers, summarizeLayer(l))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ws, nil
 }
 
-// collectRuns walks the merged spine+overlay stream in issue order and
-// merges byte-contiguous accesses into runs. A run break is an address
-// discontinuity — which is exactly where the burst-interleaved mapping
-// can change row, i.e. where the cycle-accurate scheduler can pay an
-// activation.
-func collectRuns(pl *memprot.ProtectedLayer, ls *layerSummary) {
-	trace.ForEachMerged(pl.Spine, pl.Deltas, func(a *trace.Access) {
+// summarizeLayer walks a layer's merged spine+overlay stream in issue
+// order and merges byte-contiguous accesses into runs. A run break is
+// an address discontinuity — which is exactly where the
+// burst-interleaved mapping can change row, i.e. where the
+// cycle-accurate scheduler can pay an activation.
+func summarizeLayer(l seda.Layer) layerSummary {
+	ls := layerSummary{compute: l.Sim.ComputeCycles}
+	trace.ForEachMerged(l.Prot.Spine, l.Prot.Deltas, func(a *trace.Access) {
 		if a.Cycle > ls.lastIssue {
 			ls.lastIssue = a.Cycle
 		}
@@ -171,6 +151,7 @@ func collectRuns(pl *memprot.ProtectedLayer, ls *layerSummary) {
 			ls.runs = append(ls.runs, byteRun{addr: a.Addr, bytes: uint64(a.Bytes)})
 		}
 	})
+	return ls
 }
 
 // terms prices a summarized layer under one DRAM geometry.
@@ -240,30 +221,21 @@ type calSample struct {
 }
 
 // Calibrate fits the surrogate against the cycle-accurate scheduler:
-// every (config, workload) pair is summarized and drained for real,
-// then (alpha, beta) are chosen by a deterministic coarse-to-fine grid
-// search minimizing the maximum relative error of total DRAM cycles.
+// every (config, workload) pair is walked through seda once, each
+// layer both summarized and drained for real, then (alpha, beta) are
+// chosen by a deterministic coarse-to-fine grid search minimizing the
+// maximum relative error of total DRAM cycles.
 func Calibrate(ctx context.Context, cfgs []seda.NPUConfig, nets []*model.Network, scheme memprot.Scheme) (Calibration, error) {
 	var samples []calSample
 	for _, cfg := range cfgs {
-		if err := cfg.Validate(); err != nil {
-			return Calibration{}, err
-		}
-		arr, err := scalesim.New(cfg.ArrayRows, cfg.ArrayCols, cfg.SRAMBytes)
-		if err != nil {
-			return Calibration{}, err
-		}
 		d := cfg.DRAMConfig()
-		dsim, err := dram.New(d)
-		if err != nil {
-			return Calibration{}, err
-		}
-		dsim.SetArena(dramArena)
 		for _, net := range nets {
-			if err := ctx.Err(); err != nil {
-				return Calibration{}, err
-			}
-			s, err := calibrateOne(ctx, arr, dsim, d, cfg.Name, net, scheme)
+			s := calSample{npu: cfg.Name, workload: net.Name}
+			err := seda.WalkSchemeCtx(ctx, cfg, net, scheme, true, func(l seda.Layer) {
+				ls := summarizeLayer(l)
+				s.layers = append(s.layers, terms(&ls, d))
+				s.actual += float64(l.DRAMCycles)
+			})
 			if err != nil {
 				return Calibration{}, err
 			}
@@ -271,39 +243,6 @@ func Calibrate(ctx context.Context, cfgs []seda.NPUConfig, nets []*model.Network
 		}
 	}
 	return fit(samples), nil
-}
-
-// calibrateOne measures one (config, workload): it protects the
-// workload once and, per layer, both summarizes the stream and drains
-// it through the cycle-accurate scheduler.
-func calibrateOne(ctx context.Context, arr *scalesim.Config, dsim *dram.Simulator, d dram.Config, npuName string, net *model.Network, scheme memprot.Scheme) (calSample, error) {
-	sim, err := arr.SimulateNetwork(net)
-	if err != nil {
-		return calSample{}, err
-	}
-	popts := memprot.DefaultOptions()
-	popts.OptBlkCache = optBlkCache
-	prots, err := memprot.ProtectAllArenaCtx(ctx, []memprot.Scheme{scheme}, sim, popts, protArena)
-	if err != nil {
-		return calSample{}, err
-	}
-	defer protArena.Release(prots)
-
-	s := calSample{npu: npuName, workload: net.Name}
-	for i := range prots[0].Layers {
-		pl := &prots[0].Layers[i]
-		var ls layerSummary
-		ls.compute = sim.Layers[i].ComputeCycles
-		collectRuns(pl, &ls)
-		s.layers = append(s.layers, terms(&ls, d))
-
-		st, err := dsim.RunOverlayCtx(ctx, pl.Spine, pl.Deltas)
-		if err != nil {
-			return calSample{}, err
-		}
-		s.actual += float64(st.Cycles)
-	}
-	return s, nil
 }
 
 // fit runs the deterministic coarse-to-fine grid search. The objective

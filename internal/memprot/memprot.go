@@ -164,8 +164,9 @@ type Options struct {
 	// to the raw stream (see trace.Overlay.AppendCoalesce and the
 	// coalescing invariant in DESIGN.md), so every figure is
 	// unchanged; only the entry count — and with it overlay memory and
-	// per-entry explode overhead — drops. Raw mode exists for trace
-	// dumps (seda-trace -raw) and the equivalence tests.
+	// per-entry explode overhead — drops. Raw mode is the reference
+	// the equivalence tests compare against (seda/coalesce_test.go,
+	// trace.FuzzOverlayAppendCoalesce); the pipeline always coalesces.
 	CoalesceOverlays bool
 
 	// OptBlkCache, when non-nil, memoizes SeDA's per-layer authblock

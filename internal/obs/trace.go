@@ -40,7 +40,7 @@ const (
 	StageProtect      = "protect"           // protection walk (memprot.ProtectAllArenaCtx)
 	StageProtectLayer = "protect.layer"     // one layer of the protection walk
 	StageAuthblock    = "authblock.search"  // SeDA auth-block geometry search
-	StageDRAM         = "dram"              // one scheme's DRAM timing loop (seda.runScheme)
+	StageDRAM         = "dram"              // one scheme's DRAM timing loop (seda.drainLayers)
 	StageDRAMDrain    = "dram.drain"        // one layer's overlay explode/drain (dram.RunOverlayCtx)
 	StageCacheGet     = "rescache.get"      // cache lookup incl. coalesced wait
 	StageCacheDisk    = "rescache.disk"     // disk-layer read or write
