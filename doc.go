@@ -43,7 +43,7 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and
-// the parallel pipeline's execution model (zero-copy traces, concurrent
-// DRAM channels, suite-level worker pool), and EXPERIMENTS.md for
-// paper-vs-measured numbers.
+// the pipeline's execution model (zero-copy traces, a span-queue DRAM
+// drain, and one level of parallelism: the suite's workload pool), and
+// EXPERIMENTS.md for paper-vs-measured numbers.
 package repro

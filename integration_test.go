@@ -168,24 +168,3 @@ func TestIntegrationSeDABeatsAllPriorSchemesEverywhere(t *testing.T) {
 		}
 	}
 }
-
-// TestIntegrationTopologyImportRunsThroughPipeline: a network imported
-// from a SCALE-Sim topology CSV runs through the full evaluation
-// pipeline.
-func TestIntegrationTopologyImportRunsThroughPipeline(t *testing.T) {
-	var buf bytes.Buffer
-	if err := model.WriteTopologyCSV(&buf, model.YoloTiny()); err != nil {
-		t.Fatal(err)
-	}
-	imported, err := model.ReadTopologyCSV(&buf, "yolo-imported")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := seda.RunNetworkOptsCtx(context.Background(), seda.ServerNPU(), imported, seda.DefaultSuiteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 {
-		t.Fatalf("imported network produced %d rows", len(rows))
-	}
-}

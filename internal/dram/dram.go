@@ -41,9 +41,9 @@
 // pair merged in anchor order, so the scheme-independent data stream
 // is never duplicated per scheme. Channels are fully independent after
 // the explode step and drain one after another on the calling
-// goroutine: callers already run one simulator per protection scheme
-// concurrently, and per-channel goroutines measured no faster on top
-// of that while allocating more.
+// goroutine; the package starts no goroutines. Parallelism belongs to
+// the caller (seda runs one workload per worker of its suite pool), and
+// one Arena may serve simulators that drain concurrently.
 package dram
 
 import (
@@ -245,20 +245,16 @@ type Arena struct {
 // NewArena builds an empty shared state pool.
 func NewArena() *Arena { return &Arena{} }
 
-// decoder splits byte addresses into (channel, bank, row) with the
-// burst-interleaved mapping. The geometry is folded into shift/mask
-// constants when every component is a power of two (DDR4Like always
-// is); otherwise it falls back to the division form. Both forms
-// produce identical mappings — the fast path is bit-for-bit the same
-// arithmetic, just strength-reduced.
+// decoder holds the burst-interleaved address mapping: a byte address
+// maps to a global burst index, whose channel is burst mod channels
+// and whose (bank, row) come from the row-global index burst /
+// (channels × burstsPerRow) as rowGlobal mod banks and rowGlobal /
+// banks. The explode passes apply the division form once per row
+// span; the per-access burst index takes a shift when the burst size
+// is a power of two (DDR4Like's always is).
 type decoder struct {
-	pow2       bool
+	pow2       bool // burstBytes is a power of two
 	burstShift uint
-	chanShift  uint
-	chanMask   uint64
-	rowShift   uint // log2(bursts per row)
-	bankShift  uint
-	bankMask   uint64
 
 	burstBytes   uint64
 	channels     uint64
@@ -273,15 +269,9 @@ func newDecoder(c Config) decoder {
 		burstsPerRow: uint64(c.RowBytes / c.BurstBytes),
 		banks:        uint64(c.BanksPerChan),
 	}
-	pow2 := func(v uint64) bool { return bits.OnesCount64(v) == 1 }
-	if pow2(d.burstBytes) && pow2(d.channels) && pow2(d.burstsPerRow) && pow2(d.banks) {
+	if bits.OnesCount64(d.burstBytes) == 1 {
 		d.pow2 = true
 		d.burstShift = uint(bits.TrailingZeros64(d.burstBytes))
-		d.chanShift = uint(bits.TrailingZeros64(d.channels))
-		d.chanMask = d.channels - 1
-		d.rowShift = uint(bits.TrailingZeros64(d.burstsPerRow))
-		d.bankShift = uint(bits.TrailingZeros64(d.banks))
-		d.bankMask = d.banks - 1
 	}
 	return d
 }
@@ -292,18 +282,6 @@ func (d *decoder) burst(addr uint64) uint64 {
 		return addr >> d.burstShift
 	}
 	return addr / d.burstBytes
-}
-
-// split decodes a global burst index into channel, bank and row.
-func (d *decoder) split(burst uint64) (ch uint64, bk int32, row int64) {
-	if d.pow2 {
-		ch = burst & d.chanMask
-		rowGlobal := (burst >> d.chanShift) >> d.rowShift
-		return ch, int32(rowGlobal & d.bankMask), int64(rowGlobal >> d.bankShift)
-	}
-	ch = burst % d.channels
-	rowGlobal := (burst / d.channels) / d.burstsPerRow
-	return ch, int32(rowGlobal % d.banks), int64(rowGlobal / d.banks)
 }
 
 // Simulator drains traces through the memory system.
@@ -467,9 +445,7 @@ func (s *Simulator) run(ctx context.Context, iter func(yield func(*trace.Access)
 	// span* of channels × burstsPerRow consecutive global bursts — so
 	// the queue is sized in spans, one entry per channel per row span
 	// touched, and each channel's burst total accumulates separately.
-	// The divisions below reproduce decoder.split exactly: for
-	// power-of-two geometries they are the same arithmetic the
-	// shift/mask form strength-reduces.
+	// The divisions below are the decoder's mapping (see decoder).
 	spanBursts := s.dec.channels * s.dec.burstsPerRow
 	var total int
 	iter(func(a *trace.Access) {

@@ -120,8 +120,9 @@ func TestArenaGeometryMismatchRebuilds(t *testing.T) {
 	}
 }
 
-// TestArenaConcurrentUse exercises the arena from parallel goroutines
-// (the six schemes of a workload run concurrently by default).
+// TestArenaConcurrentUse exercises the arena from parallel goroutines,
+// as seda's suite pool does when its workers drain different workloads
+// through one process-wide arena.
 func TestArenaConcurrentUse(t *testing.T) {
 	spine, ov := overlayPair(400)
 	arena := NewArena()

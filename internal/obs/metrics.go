@@ -83,19 +83,18 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram is the one latency histogram: HDR-style log buckets with a
-// single fixed layout shared by every /metrics family and by the load
-// generator. Bucket 0 holds d ≤ 1µs; each later bucket's upper bound is
-// 2^(1/8) (~9.05%) above the previous one, 8 per octave across 30
-// octaves (1µs .. 2^30µs ≈ 17.9min, 241 finite bounds), and one
-// overflow bucket holds everything beyond full scale. Buckets are
-// upper-inclusive (Prometheus le semantics) and membership comes from
-// the one bound table, so Observe and the exposition cannot disagree.
-// The sum and maximum are kept exactly in nanoseconds. Observations are
-// lock-free atomics; the zero value is ready to use.
+// single fixed layout shared by every /metrics family. Bucket 0 holds
+// d ≤ 1µs; each later bucket's upper bound is 2^(1/8) (~9.05%) above
+// the previous one, 8 per octave across 30 octaves (1µs .. 2^30µs ≈
+// 17.9min, 241 finite bounds), and one overflow bucket holds
+// everything beyond full scale. Buckets are upper-inclusive (Prometheus
+// le semantics) and membership comes from the one bound table, so
+// Observe and the exposition cannot disagree. The sum is kept exactly
+// in nanoseconds. Observations are lock-free atomics; the zero value
+// is ready to use.
 type Histogram struct {
 	counts [histBounds + 1]atomic.Uint64 // last slot: beyond full scale
 	sum    atomic.Int64                  // nanoseconds
-	max    atomic.Int64                  // nanoseconds
 }
 
 const (
@@ -124,11 +123,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	i, _ := slices.BinarySearch(histBound[:], d) // first bound ≥ d, i.e. d ≤ le
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
-	for cur := h.max.Load(); int64(d) > cur; cur = h.max.Load() {
-		if h.max.CompareAndSwap(cur, int64(d)) {
-			break
-		}
-	}
 }
 
 // Count returns the number of observations.
@@ -142,44 +136,6 @@ func (h *Histogram) Count() uint64 {
 
 // Sum returns the exact sum of observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Max returns the exact largest observation (0 when empty).
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Mean returns the exact mean, truncated to the nanosecond (0 when
-// empty).
-func (h *Histogram) Mean() time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / time.Duration(n)
-}
-
-// Quantile returns the duration at quantile q in [0, 1]: the upper
-// bound of the bucket holding the rank-⌈q·count⌉ observation, capped
-// at the exact maximum (q ≥ 1 returns the maximum). The result never
-// understates the true quantile and, between 1µs and full scale,
-// overstates it by less than one bucket (2^(1/8)−1 ≈ 9.05%); past full
-// scale it is the maximum. Zero observations return 0.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	top := h.Max()
-	if q >= 1 {
-		return top
-	}
-	rank := max(uint64(math.Ceil(max(q, 0)*float64(n))), 1)
-	var cum uint64
-	for i := 0; i < histBounds; i++ {
-		if cum += h.counts[i].Load(); cum >= rank {
-			return min(histBound[i], top)
-		}
-	}
-	return top
-}
 
 // Counter registers (or returns the existing) counter series name
 // with the given constant labels. By convention name must end in

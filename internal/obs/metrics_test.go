@@ -179,8 +179,21 @@ func TestConcurrentObserve(t *testing.T) {
 	if h.Count() != 8000 || c.Value() != 8000 {
 		t.Fatalf("count=%d counter=%d", h.Count(), c.Value())
 	}
-	if h.Max() != 999*time.Microsecond || h.Sum() != 8*499500*time.Microsecond {
-		t.Fatalf("max=%s sum=%s", h.Max(), h.Sum())
+	if h.Sum() != 8*499500*time.Microsecond {
+		t.Fatalf("sum=%s", h.Sum())
+	}
+	// No concurrent Observe lost a bucket increment: each bucket holds
+	// 8× its share of 0…999µs.
+	for i := range h.counts {
+		var want uint64
+		for j := 0; j < 1000; j++ {
+			if inBucket(i, time.Duration(j)*time.Microsecond) {
+				want += 8
+			}
+		}
+		if got := h.counts[i].Load(); got != want {
+			t.Fatalf("bucket %d = %d, want %d", i, got, want)
+		}
 	}
 	roundTrip(t, r)
 }

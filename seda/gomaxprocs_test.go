@@ -14,8 +14,8 @@ import (
 // TestSuiteWorkerPoolSharedArenas runs a suite over two small
 // workloads at GOMAXPROCS 2, so two workers, with no testing.Short()
 // skip, so the `-race -short` CI job exercises concurrent
-// RunNetworkOptsCtx calls, each running six concurrent scheme drains,
-// sharing the process-wide memprot overlay arena and dram queue arena —
+// RunNetworkOptsCtx calls — the pipeline's only level of parallelism —
+// sharing the process-wide memprot overlay arena and dram queue arena,
 // the paths an unsynchronized arena would corrupt. Results must still
 // match the GOMAXPROCS 1 run, which evaluates one workload at a time.
 func TestSuiteWorkerPoolSharedArenas(t *testing.T) {
@@ -70,4 +70,19 @@ func TestSuiteDeterminismAcrossGOMAXPROCS(t *testing.T) {
 			})
 		})
 	}
+}
+
+// runSuiteJSON evaluates nets on npu and returns the suite's canonical
+// JSON.
+func runSuiteJSON(t *testing.T, npu NPUConfig, nets []*model.Network) []byte {
+	t.Helper()
+	suite, err := RunSuiteOptsCtx(context.Background(), npu, nets, DefaultSuiteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := suite.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

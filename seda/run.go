@@ -3,7 +3,6 @@ package seda
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/dram"
 	"repro/internal/memprot"
@@ -70,15 +69,15 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 
 // RunNetworkOptsCtx evaluates every scheme on one network and returns
 // one row per scheme, ordered as Schemes() (baseline last). The six
-// schemes' DRAM phases run on their own goroutines. opts selects
-// nothing.
+// schemes' DRAM phases run in that order on the calling goroutine, and
+// the first error returns; concurrency comes from the caller, such as
+// the suite's workload pool. opts selects nothing.
 //
 // The evaluation is built around a shared data spine: the scalesim
 // trace is walked once by memprot.ProtectAllArenaCtx, which hands every
 // scheme the same read-only data stream plus a per-scheme metadata
 // overlay. The DRAM phase then consumes spine+overlay pairs directly,
-// with all six schemes drawing their scratch queues from one shared
-// arena.
+// each scheme drawing its scratch queues from one shared arena.
 //
 // The context reaches the protection walk (checked per layer) and the
 // DRAM drain loops (checked every pollCycles of simulated time). A
@@ -92,24 +91,14 @@ func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, o
 	}
 	defer protArena.Release(prots)
 
-	// DRAM timing per scheme. Schemes are independent given their
-	// overlay streams, so they run concurrently, each owning its DRAM
-	// model and all sharing the process-wide scratch arena. Rows land in
-	// fixed slots, so scheduling never affects output order.
+	// DRAM timing per scheme, one after another on this goroutine: the
+	// suite's workload pool is the pipeline's only level of parallelism.
+	// Each scheme owns its DRAM model and draws its scratch from the
+	// process-wide arena.
 	rows := make([]RunResult, len(schemes))
-	errs := make([]error, len(schemes))
-	var wg sync.WaitGroup
 	for i := range schemes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows[i], errs[i] = runScheme(ctx, npu, net, sim, prots[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+		if rows[i], err = runScheme(ctx, npu, net, sim, prots[i]); err != nil {
+			return nil, err
 		}
 	}
 
