@@ -50,9 +50,6 @@ type RunSet struct {
 // Empty reports whether the set summarizes no accesses at all.
 func (rs *RunSet) Empty() bool { return rs.source == 0 }
 
-// Source returns how many accesses the set summarizes.
-func (rs *RunSet) Source() int { return rs.source }
-
 // TotalBytes returns the summed length of all summarized accesses.
 func (rs *RunSet) TotalBytes() uint64 { return rs.totalBytes }
 

@@ -167,8 +167,8 @@ func TestRunSetDedup(t *testing.T) {
 	if len(rs.Runs) != 1 || rs.Runs[0].Count != 10 {
 		t.Fatalf("dedup failed: %+v", rs.Runs)
 	}
-	if rs.Source() != 10 || rs.TotalBytes() != 5120 {
-		t.Errorf("source=%d total=%d, want 10/5120", rs.Source(), rs.TotalBytes())
+	if rs.source != 10 || rs.TotalBytes() != 5120 {
+		t.Errorf("source=%d total=%d, want 10/5120", rs.source, rs.TotalBytes())
 	}
 }
 
@@ -344,7 +344,7 @@ func TestZeroLengthAccessAnchorsBase(t *testing.T) {
 	if len(rs.Runs) != 1 || rs.Runs[0].Addr != 64 {
 		t.Errorf("run offset = %+v, want single run at offset 64", rs.Runs)
 	}
-	if rs.Source() != 2 {
-		t.Errorf("source = %d, want 2", rs.Source())
+	if rs.source != 2 {
+		t.Errorf("source = %d, want 2", rs.source)
 	}
 }

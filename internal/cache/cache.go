@@ -52,17 +52,16 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Accesses())
 }
 
-type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // larger = more recently used
-}
-
-// Cache is a set-associative LRU cache simulator.
+// Cache is a set-associative LRU cache simulator. Way w of set s is
+// slot s*Ways+w of two flat arrays: the line's tag, and its state,
+// lastUse<<1 | dirty, where lastUse is the tick of the line's latest
+// access. Ticks start at 1, so state 0 marks an invalid way, and since
+// every access has its own tick, the smallest state in a set is its
+// least recently used line.
 type Cache struct {
 	cfg   Config
-	sets  [][]line
+	tags  []uint64
+	state []uint64
 	nsets int
 	tick  uint64
 	stats Stats
@@ -73,13 +72,13 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	nsets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	sets := make([][]line, nsets)
-	backing := make([]line, nsets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
-	return &Cache{cfg: cfg, sets: sets, nsets: nsets}, nil
+	lines := cfg.SizeBytes / cfg.LineBytes
+	return &Cache{
+		cfg:   cfg,
+		tags:  make([]uint64, lines),
+		state: make([]uint64, lines),
+		nsets: lines / cfg.Ways,
+	}, nil
 }
 
 // Config returns the cache geometry.
@@ -87,9 +86,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the counters without flushing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Result reports what a single access did.
 type Result struct {
@@ -102,17 +98,14 @@ type Result struct {
 // the line dirty (write-allocate: a write miss fills the line first).
 func (c *Cache) Access(addr uint64, write bool) Result {
 	c.tick++
-	lineAddr := addr / uint64(c.cfg.LineBytes)
-	set := int(lineAddr % uint64(c.nsets))
-	tag := lineAddr / uint64(c.nsets)
-
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			ways[i].lru = c.tick
-			if write {
-				ways[i].dirty = true
-			}
+	var dirty uint64
+	if write {
+		dirty = 1
+	}
+	tags, state, tag := c.set(addr)
+	for i := range tags {
+		if state[i] != 0 && tags[i] == tag {
+			state[i] = c.tick<<1 | state[i]&1 | dirty
 			c.stats.Hits++
 			return Result{Hit: true}
 		}
@@ -121,23 +114,31 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// Miss: pick an invalid way or the LRU victim.
 	c.stats.Misses++
 	victim := 0
-	for i := range ways {
-		if !ways[i].valid {
+	for i := range state {
+		if state[i] == 0 {
 			victim = i
 			break
 		}
-		if ways[i].lru < ways[victim].lru {
+		if state[i] < state[victim] {
 			victim = i
 		}
 	}
 	res := Result{Fill: true}
-	if ways[victim].valid && ways[victim].dirty {
+	if state[victim]&1 != 0 { // valid and dirty
 		res.Writeback = true
 		c.stats.Writebacks++
 	}
 	c.stats.Fills++
-	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.tick}
+	tags[victim], state[victim] = tag, c.tick<<1|dirty
 	return res
+}
+
+// set returns the ways of addr's set and addr's tag.
+func (c *Cache) set(addr uint64) (tags, state []uint64, tag uint64) {
+	lineAddr := addr / uint64(c.cfg.LineBytes)
+	lo := int(lineAddr%uint64(c.nsets)) * c.cfg.Ways
+	hi := lo + c.cfg.Ways
+	return c.tags[lo:hi], c.state[lo:hi], lineAddr / uint64(c.nsets)
 }
 
 // Flush writes back all dirty lines and invalidates the cache,
@@ -145,14 +146,12 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 // boundaries when the protection unit drains its metadata state.
 func (c *Cache) Flush() uint64 {
 	var wb uint64
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].valid && c.sets[s][w].dirty {
-				wb++
-				c.stats.Writebacks++
-			}
-			c.sets[s][w] = line{}
+	for i, st := range c.state {
+		if st&1 != 0 {
+			wb++
+			c.stats.Writebacks++
 		}
+		c.state[i] = 0
 	}
 	return wb
 }
@@ -160,11 +159,9 @@ func (c *Cache) Flush() uint64 {
 // Contains reports whether addr's line is currently cached (without
 // perturbing LRU state or statistics).
 func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr / uint64(c.cfg.LineBytes)
-	set := int(lineAddr % uint64(c.nsets))
-	tag := lineAddr / uint64(c.nsets)
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
+	tags, state, tag := c.set(addr)
+	for i := range tags {
+		if state[i] != 0 && tags[i] == tag {
 			return true
 		}
 	}

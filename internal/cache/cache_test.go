@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -156,7 +157,7 @@ func TestFullyAssociativeWorkingSet(t *testing.T) {
 	for _, a := range addrs {
 		c.Access(a, false)
 	}
-	c.ResetStats()
+	c.stats = Stats{} // keep the contents, zero the counters
 	for round := 0; round < 10; round++ {
 		for _, a := range addrs {
 			if r := c.Access(a, false); !r.Hit {
@@ -184,10 +185,140 @@ func TestStreamingEvictsEverything(t *testing.T) {
 		c.Access(uint64(i*64), false)
 	}
 	// Re-walk the first 16 lines: all evicted by the tail of the stream.
-	c.ResetStats()
+	c.stats = Stats{} // keep the contents, zero the counters
 	for i := 0; i < 16; i++ {
 		if r := c.Access(uint64(i*64), false); r.Hit {
 			t.Errorf("line %d unexpectedly survived streaming eviction", i)
 		}
 	}
+}
+
+// refCache is the cache as it was before its lines were packed into
+// flat tag and state arrays: one struct per line, one slice per set.
+// It is the oracle TestCacheMatchesReference holds Cache to.
+type refCache struct {
+	lineBytes uint64
+	sets      [][]refLine
+	tick      uint64
+	stats     Stats
+}
+
+type refLine struct {
+	tag          uint64
+	valid, dirty bool
+	lru          uint64
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := make([][]refLine, cfg.SizeBytes/cfg.LineBytes/cfg.Ways)
+	for i := range sets {
+		sets[i] = make([]refLine, cfg.Ways)
+	}
+	return &refCache{lineBytes: uint64(cfg.LineBytes), sets: sets}
+}
+
+func (c *refCache) access(addr uint64, write bool) Result {
+	c.tick++
+	lineAddr := addr / c.lineBytes
+	ways := c.sets[lineAddr%uint64(len(c.sets))]
+	tag := lineAddr / uint64(len(c.sets))
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
+			ways[i].lru = c.tick
+			ways[i].dirty = ways[i].dirty || write
+			c.stats.Hits++
+			return Result{Hit: true}
+		}
+	}
+	c.stats.Misses++
+	victim := 0
+	for i := range ways {
+		if !ways[i].valid {
+			victim = i
+			break
+		}
+		if ways[i].lru < ways[victim].lru {
+			victim = i
+		}
+	}
+	res := Result{Fill: true}
+	if ways[victim].valid && ways[victim].dirty {
+		res.Writeback = true
+		c.stats.Writebacks++
+	}
+	c.stats.Fills++
+	ways[victim] = refLine{tag: tag, valid: true, dirty: write, lru: c.tick}
+	return res
+}
+
+func (c *refCache) flush() uint64 {
+	var wb uint64
+	for _, ways := range c.sets {
+		for i := range ways {
+			if ways[i].valid && ways[i].dirty {
+				wb++
+				c.stats.Writebacks++
+			}
+			ways[i] = refLine{}
+		}
+	}
+	return wb
+}
+
+// TestCacheMatchesReference is a seeded differential property: over
+// random geometries (power-of-two set counts and not) and random
+// streams with flushes, Cache gives the reference cache's Result on
+// every access, the same Contains answers, flush counts and Stats.
+func TestCacheMatchesReference(t *testing.T) {
+	prop := func(lineLog, waysRaw, setsRaw uint8, seed int64) bool {
+		line, ways, sets := 1<<(lineLog%7), int(waysRaw%8)+1, int(setsRaw%24)+1
+		cfg := Config{SizeBytes: line * ways * sets, LineBytes: line, Ways: ways}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefCache(cfg)
+		rng := rand.New(rand.NewSource(seed))
+		span := uint64(line * ways * sets * 3) // about three cachefuls
+		for i := 0; i < 2000; i++ {
+			addr := uint64(rng.Int63n(int64(span)))
+			if rng.Intn(50) == 0 {
+				addr = rng.Uint64() // far tags too
+			}
+			if rng.Intn(500) == 0 {
+				if got, want := c.Flush(), ref.flush(); got != want {
+					t.Logf("%+v step %d: Flush %d, want %d", cfg, i, got, want)
+					return false
+				}
+			}
+			write := rng.Intn(3) == 0
+			if got, want := c.Access(addr, write), ref.access(addr, write); got != want {
+				t.Logf("%+v step %d: Access(%#x, %v) = %+v, want %+v", cfg, i, addr, write, got, want)
+				return false
+			}
+			if probe := uint64(rng.Int63n(int64(span))); c.Contains(probe) != refContains(ref, probe) {
+				t.Logf("%+v step %d: Contains(%#x) disagrees", cfg, i, probe)
+				return false
+			}
+		}
+		return c.Stats() == ref.stats && c.Flush() == ref.flush() && c.Stats() == ref.stats
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(26))}
+	if testing.Short() {
+		cfg.MaxCount = 40
+	}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func refContains(c *refCache, addr uint64) bool {
+	lineAddr := addr / c.lineBytes
+	tag := lineAddr / uint64(len(c.sets))
+	for _, l := range c.sets[lineAddr%uint64(len(c.sets))] {
+		if l.valid && l.tag == tag {
+			return true
+		}
+	}
+	return false
 }

@@ -108,7 +108,7 @@ func TestExploreRetainsTrueFrontier(t *testing.T) {
 
 // execCycles measures one (config, workload) under one scheme with a
 // draining seda walk, summing max(compute, drained DRAM cycles) over
-// the layers as runScheme does, without the five other schemes a suite
+// the layers as a RunNetworkOptsCtx row does, without the five other schemes a suite
 // runs beside it.
 func execCycles(ctx context.Context, cfg seda.NPUConfig, net *model.Network, scheme memprot.Scheme) (float64, error) {
 	var exec uint64

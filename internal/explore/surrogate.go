@@ -63,7 +63,7 @@ func (m Model) estimate(t layerTerms) float64 {
 }
 
 // execEstimate returns predicted end-to-end execution cycles: the sum
-// over layers of max(compute, memory), mirroring seda's runScheme.
+// over layers of max(compute, memory), as seda's RunNetworkOptsCtx sums a row.
 func (m Model) execEstimate(layers []layerTerms) float64 {
 	var sum float64
 	for _, t := range layers {

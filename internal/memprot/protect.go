@@ -14,20 +14,19 @@ import (
 )
 
 // Arena recycles overlay storage across ProtectAllArenaCtx
-// evaluations. On a multi-workload sweep the per-scheme overlays are
+// evaluations. On a multi-workload sweep each scheme's overlays are
 // consumed (by the DRAM model) and discarded once per workload;
-// drawing them from an arena lets the next workload refill the
-// previous one's backing arrays instead of growing fresh ones, which
-// removes the overlay — the dominant allocation of the protection
-// phase — from the steady-state profile.
+// drawing them from an arena lets the next scheme or workload refill
+// the previous one's backing arrays instead of growing fresh ones,
+// which removes the overlay — the dominant allocation of the
+// protection phase — from the steady-state profile.
 //
-// The free list is FIFO and ProtectAllArenaCtx both acquires and
-// releases overlays in layer-major (layer, scheme) order, so on
-// repeated evaluations each slot tends to get back a buffer grown to
-// its own previous size — an SGX layer's 100k-entry array is not
-// wasted on a Baseline layer that needs none. Release keeps no buffer
-// at more than twice the size its last use filled: evaluations of
-// different networks shift the FIFO, and whole buffers would ratchet
+// The free list is FIFO, and ProtectAllArenaCtx acquires overlays in
+// result order, then layer order, the order Release pushes them back
+// in, so on repeated evaluations each layer tends to get back a buffer
+// grown to a size it has needed before. Release keeps no buffer at
+// more than twice the size its last use filled: schemes and networks
+// of different sizes shift the FIFO, and whole buffers would ratchet
 // up to the largest overlay ever held. The arena holds strong
 // references (unlike sync.Pool), so a GC mid-sweep cannot empty it.
 // Safe for concurrent use.
@@ -61,9 +60,9 @@ func (a *Arena) get() *trace.Overlay {
 	return &trace.Overlay{}
 }
 
-// Release returns every overlay in the results to the arena. The
-// results (and anything aliasing their Deltas) must not be used
-// afterwards.
+// Release returns every overlay in the results to the arena, in
+// result order, then layer order. The results (and anything aliasing
+// their Deltas) must not be used afterwards.
 func (a *Arena) Release(rs []*Result) {
 	if a == nil {
 		return
@@ -80,107 +79,104 @@ func (a *Arena) Release(rs []*Result) {
 		a.free = a.free[:n]
 		a.head = 0
 	}
-	// Push in layer-major (layer, scheme) order — the same order
-	// ProtectAllArenaCtx acquires in — so each slot's buffer comes back
-	// around to an equivalent slot next evaluation.
-	layers := 0
 	for _, r := range rs {
-		if r != nil && len(r.Layers) > layers {
-			layers = len(r.Layers)
+		if r == nil {
+			continue
 		}
-	}
-	for i := 0; i < layers; i++ {
-		for _, r := range rs {
-			if r == nil || i >= len(r.Layers) {
+		for i := range r.Layers {
+			ov := r.Layers[i].Deltas
+			if ov == nil {
 				continue
 			}
-			if ov := r.Layers[i].Deltas; ov != nil {
-				r.Layers[i].Deltas = nil
-				if cap(ov.Accesses) > 2*len(ov.Accesses) {
-					// Oversized for its last use (see Arena): without
-					// this, serving varied networks grew the retained
-					// overlays with every request (~100 MB after 300
-					// single-point explores on one replica).
-					*ov = trace.Overlay{}
-				}
-				a.free = append(a.free, ov)
+			r.Layers[i].Deltas = nil
+			if cap(ov.Accesses) > 2*len(ov.Accesses) {
+				// Oversized for its last use (see Arena): without
+				// this, serving varied networks grew the retained
+				// overlays with every request (~100 MB after 300
+				// single-point explores on one replica).
+				*ov = trace.Overlay{}
 			}
+			a.free = append(a.free, ov)
 		}
 	}
 	a.mu.Unlock()
 }
 
-// ProtectAllArenaCtx evaluates a set of schemes over one simulated
-// network around a shared, immutable data spine: each layer's trace is
-// walked exactly once, with every access fanned out to all scheme
-// emitters. Schemes never copy the data stream — each ProtectedLayer's
-// Spine field aliases the scalesim layer trace, and the scheme
-// contributes only its metadata/over-fetch overlay, anchored into the
-// spine. The DRAM model consumes the two streams directly
-// (dram.Simulator.RunOverlayCtx); ProtectedLayer.Materialize rebuilds
-// the flat merge where a caller needs one.
+// ProtectAllArenaCtx evaluates schemes over one simulated network, one
+// scheme after another, each in its own walk of every layer's trace
+// (protectScheme). Schemes never copy the data stream — each
+// ProtectedLayer's Spine field aliases the scalesim layer trace, and
+// the scheme contributes only its metadata/over-fetch overlay,
+// anchored into the spine. The DRAM model consumes the two streams
+// directly (dram.Simulator.RunOverlayCtx); ProtectedLayer.Materialize
+// rebuilds the flat merge where a caller needs one. The pipeline
+// passes one scheme at a time, so only that scheme's overlays are
+// live while it drains.
 //
 // Overlay storage is drawn from arena, which may be nil (see Arena for
 // the recycling contract). The context is checked once per network
 // layer — the protection walk is layer-streaming, so that is the
-// natural all-or-nothing boundary. On cancellation the partial results
-// are released back to the arena (nothing escapes to the caller, who
-// must not Release on error) and ctx.Err() is returned.
+// natural all-or-nothing boundary. On an invalid scheme or
+// cancellation every result already built is released back to the
+// arena (nothing escapes to the caller, who must not Release on error)
+// and the error is returned.
 func ProtectAllArenaCtx(ctx context.Context, schemes []Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) ([]*Result, error) {
-	ctx, span := obs.Start(ctx, obs.StageProtect)
-	defer span.End()
-	ps := make([]*protector, len(schemes))
-	results := make([]*Result, len(schemes))
-	for k, s := range schemes {
-		if err := s.Validate(); err != nil {
+	results := make([]*Result, 0, len(schemes))
+	for _, s := range schemes {
+		r, err := protectScheme(ctx, s, net, opts, arena)
+		if err != nil {
+			arena.Release(results)
 			return nil, err
 		}
-		ps[k] = newProtector(s, opts)
-		if s.Kind == SeDA {
-			asp := obs.StartChild(ctx, obs.StageAuthblock)
-			ps[k].precomputeSeDABlocks(net)
-			asp.End()
-		}
-		results[k] = &Result{
-			Scheme: s,
-			Layers: make([]ProtectedLayer, len(net.Layers)),
-		}
+		results = append(results, r)
 	}
+	return results, nil
+}
+
+// protectScheme walks every layer of net once for scheme s, under a
+// protect span whose detail is the scheme name.
+func protectScheme(ctx context.Context, s Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	ctx, span := obs.Start(ctx, obs.StageProtect)
+	defer span.End()
+	if span != nil { // Name formats: untraced walks skip it
+		span.SetDetail(s.Name())
+	}
+	p := newProtector(s, opts)
+	if s.Kind == SeDA {
+		asp := obs.StartChild(ctx, obs.StageAuthblock)
+		p.precomputeSeDABlocks(net)
+		asp.End()
+	}
+	res := &Result{Scheme: s, Layers: make([]ProtectedLayer, len(net.Layers))}
 	done := ctx.Done()
 	for i := range net.Layers {
 		if done != nil {
 			select {
 			case <-done:
-				arena.Release(results)
+				arena.Release([]*Result{res})
 				return nil, ctx.Err()
 			default:
 			}
 		}
 		lsp := obs.StartChild(ctx, obs.StageProtectLayer)
 		lr := &net.Layers[i]
-		for k := range ps {
-			results[k].Layers[i] = ProtectedLayer{
-				LayerID: lr.LayerID,
-				Spine:   lr.Trace,
-				Deltas:  arena.get(),
-			}
-			ps[k].beginLayer(lr, &results[k].Layers[i])
+		res.Layers[i] = ProtectedLayer{
+			LayerID: lr.LayerID,
+			Spine:   lr.Trace,
+			Deltas:  arena.get(),
 		}
+		p.beginLayer(lr, &res.Layers[i])
 		for j := range lr.Trace.Accesses {
-			a := &lr.Trace.Accesses[j]
-			for k := range ps {
-				ps[k].access(j, a)
-			}
+			p.access(j, &lr.Trace.Accesses[j])
 		}
-		for k := range ps {
-			ps[k].endLayer()
-		}
+		p.endLayer()
 		lsp.End()
 	}
-	for k := range ps {
-		ps[k].drain(results[k])
-	}
-	return results, nil
+	p.drain(res)
+	return res, nil
 }
 
 // OptBlkCache memoizes SeDA authblock searches by run-set geometry,
@@ -376,7 +372,7 @@ func (p *protector) drain(res *Result) {
 
 // protector holds per-network scheme state (metadata caches persist
 // across layers within one inference) plus the streaming cursor for
-// the layer currently being walked. ProtectAllArenaCtx drives it:
+// the layer currently being walked. protectScheme drives it:
 // beginLayer, then access for every spine index in order, then
 // endLayer.
 type protector struct {
@@ -433,7 +429,7 @@ func (p *protector) beginLayer(lr *scalesim.LayerResult, pl *ProtectedLayer) {
 	}
 }
 
-// access fans one spine access (spine index j) into the scheme's
+// access feeds one spine access (spine index j) to the scheme's
 // overlay emitter.
 func (p *protector) access(j int, a *trace.Access) {
 	p.anchor = j + 1 // metadata trails its triggering access

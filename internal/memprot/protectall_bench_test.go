@@ -37,21 +37,24 @@ func benchNet(b *testing.B, name string, server bool) *scalesim.NetworkResult {
 	return res
 }
 
-// BenchmarkProtectAll measures the protection phase on the sweep hot
-// path in three configurations:
+// BenchmarkProtectAll measures the protection phase of a six-scheme
+// evaluation in three configurations:
 //
 //   - independent: six single-scheme walks, each materializing its
 //     flat augmented trace — the seed pipeline's shape.
-//   - shared-spine: one ProtectAllArenaCtx walk without an arena;
-//     schemes emit overlay deltas off the shared data spine, nothing
-//     is materialized.
-//   - shared-spine-arena: ProtectAllArenaCtx drawing overlay storage from
-//     a warmed arena — the seda sweep's steady state, where workload
-//     N+1 refills the buffers workload N grew. This is the
-//     configuration the >= 4x per-scheme allocated-bytes acceptance
-//     target refers to (recorded in BENCH_PIPELINE.json): with the
-//     spine shared and the overlays recycled, steady-state allocation
-//     is the SeDA block search plus bookkeeping, not the trace data.
+//   - shared-spine: one ProtectAllArenaCtx call without an arena; each
+//     scheme in turn walks the shared data spine and emits only its
+//     overlay deltas, nothing is materialized.
+//   - shared-spine-arena: the same call drawing overlay storage from a
+//     warmed arena, where evaluation N+1 refills the buffers
+//     evaluation N grew. This is the configuration the >= 4x
+//     per-scheme allocated-bytes acceptance target refers to
+//     (recorded in BENCH_PIPELINE.json): with the spine shared and the
+//     overlays recycled, steady-state allocation is the SeDA block
+//     search plus bookkeeping, not the trace data. It releases all six
+//     schemes' overlays together; the seda pipeline releases each
+//     scheme's before walking the next, so there only one scheme's
+//     overlays are live.
 func BenchmarkProtectAll(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string

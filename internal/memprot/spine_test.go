@@ -1,7 +1,9 @@
 package memprot
 
 import (
+	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/scalesim"
@@ -36,8 +38,8 @@ func TestProtectAllSharesOneSpine(t *testing.T) {
 	}
 }
 
-// TestProtectAllLeavesSpineUntouched: scheme emitters must treat the
-// shared spine as immutable.
+// TestProtectAllLeavesSpineUntouched: every scheme's walk must treat
+// the shared spine as immutable.
 func TestProtectAllLeavesSpineUntouched(t *testing.T) {
 	net := edgeNet(t, "let")
 	before := make([][]trace.Access, len(net.Layers))
@@ -55,8 +57,8 @@ func TestProtectAllLeavesSpineUntouched(t *testing.T) {
 }
 
 // TestProtectMatchesProtectAllMaterialized: the single-scheme flat
-// reference (protectFlat) and the six-scheme overlay walk describe the
-// same augmented trace and overhead, access for access.
+// reference (protectFlat) and the six-scheme overlay evaluation
+// describe the same augmented trace and overhead, access for access.
 func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 	net := edgeNet(t, "ncf")
 	prots, err := protectAll(AllSchemes(), net, DefaultOptions())
@@ -80,12 +82,19 @@ func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 	}
 }
 
-// TestProtectAllMatchesIndependentRuns: fanning one walk out to six
-// emitters gives byte-identical overlays to six independent walks
-// (scheme state never leaks across emitters).
+// TestProtectAllMatchesIndependentRuns: walking six schemes back to
+// back on overlays recycled through a warm arena gives the same
+// overlays as six fresh solo walks (scheme state never leaks from one
+// walk into the next, nor through a recycled buffer).
 func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 	net := edgeNet(t, "sent")
-	all, err := protectAll(AllSchemes(), net, DefaultOptions())
+	arena := NewArena()
+	warm, err := ProtectAllArenaCtx(context.Background(), AllSchemes(), edgeNet(t, "alex"), DefaultOptions(), arena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arena.Release(warm)
+	all, err := ProtectAllArenaCtx(context.Background(), AllSchemes(), net, DefaultOptions(), arena)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +104,9 @@ func TestProtectAllMatchesIndependentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range all[k].Layers {
-			if !reflect.DeepEqual(all[k].Layers[i].Deltas, solo[0].Layers[i].Deltas) {
-				t.Fatalf("%s layer %d: overlay differs between fan-out and solo runs", s.Name(), i)
+			got, want := all[k].Layers[i].Deltas, solo[0].Layers[i].Deltas
+			if !slices.Equal(got.Accesses, want.Accesses) || !slices.Equal(got.Anchors, want.Anchors) {
+				t.Fatalf("%s layer %d: overlay differs between the six-scheme and solo runs", s.Name(), i)
 			}
 		}
 	}
@@ -301,10 +311,16 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 	}
 }
 
-// TestProtectAllRejectsInvalidScheme mirrors the single-scheme guard.
+// TestProtectAllRejectsInvalidScheme mirrors the single-scheme guard,
+// and the overlays of the schemes walked before the invalid one go
+// back to the arena.
 func TestProtectAllRejectsInvalidScheme(t *testing.T) {
 	net := edgeNet(t, "let")
-	if _, err := protectAll([]Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions()); err == nil {
+	arena := NewArena()
+	if _, err := ProtectAllArenaCtx(context.Background(), []Scheme{SchemeSGX64, {Kind: MGX, Block: 7}}, net, DefaultOptions(), arena); err == nil {
 		t.Error("invalid scheme accepted")
+	}
+	if got := len(arena.free) - arena.head; got != len(net.Layers) {
+		t.Errorf("arena holds %d overlays after the rejected call, want SGX-64B's %d", got, len(net.Layers))
 	}
 }

@@ -29,6 +29,11 @@ func TestNetworkShortNamesMatchPaper(t *testing.T) {
 			t.Errorf("network %d = %q, want %q", i, got[i], want[i])
 		}
 	}
+	// Names hands out a copy of the list it builds once.
+	got[0] = "changed"
+	if again := Names(); again[0] != want[0] {
+		t.Errorf("a caller's edit reached the next Names(): %v", again)
+	}
 }
 
 func TestByName(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 )
 
 // This file defines the 13 benchmark workloads of the paper's
@@ -358,14 +359,18 @@ func ByName(name string) *Network {
 }
 
 // Names returns the short names in figure order.
-func Names() []string {
+func Names() []string { return slices.Clone(names()) }
+
+// names builds the name list once: every suite response a replica
+// serves orders its rows by it, and All builds every layer table.
+var names = sync.OnceValue(func() []string {
 	all := All()
 	out := make([]string, len(all))
 	for i, n := range all {
 		out[i] = n.Name
 	}
 	return out
-}
+})
 
 // ParseList resolves a comma-separated workload list against the
 // suite: empty selects All(), names match as in ByName (surrounding

@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -67,8 +69,8 @@ func verifyHistogram(t *testing.T, ds []time.Duration) *Histogram {
 		t.Fatalf("_count = %v (err %v), want %d", v, err, len(ds))
 	}
 
-	// Every internal bucket, the unexposed sub-octave ones too, holds
-	// exactly the observations in (previous bound, its bound].
+	// Every internal bucket, the overflow one too, holds exactly the
+	// observations in (previous bound, its bound].
 	for i := range h.counts {
 		n := 0
 		for _, d := range exact {
@@ -153,14 +155,9 @@ func TestHistogramRoundTrip(t *testing.T) {
 	})
 
 	t.Run("BucketMonotonic", func(t *testing.T) {
-		for i := 1; i < histBounds; i++ {
-			if histBound[i] <= histBound[i-1] {
-				t.Fatalf("bounds not increasing at %d: %s <= %s", i, histBound[i], histBound[i-1])
-			}
-		}
 		for k := 0; k <= histOctaves; k++ {
-			if want := time.Duration(1<<k) * time.Microsecond; histBound[k*histSub] != want {
-				t.Fatalf("bound %d = %s, want 2^%d µs", k*histSub, histBound[k*histSub], k)
+			if want := time.Duration(1<<k) * time.Microsecond; histBound[k] != want {
+				t.Fatalf("bound %d = %s, want 2^%d µs", k, histBound[k], k)
 			}
 		}
 		// A duration lands in the first bucket whose bound holds it.
@@ -172,11 +169,72 @@ func TestHistogramRoundTrip(t *testing.T) {
 			for h.counts[i].Load() == 0 {
 				i++
 			}
-			if i < histBounds && d > histBound[i] || i > 0 && d <= histBound[i-1] {
+			if !inBucket(i, d) {
 				t.Fatalf("%s placed in bucket %d", d, i)
 			}
 		}
 	})
+}
+
+// subOctaveExposition is the exposition of the histogram layout the
+// octave one replaced: 8 buckets per octave with bounds
+// ⌊1µs·2^(i/8)⌋ ns, found by binary search, of which only every 8th
+// (le = 2^k µs) was written.
+func subOctaveExposition(name, labels string, ds []time.Duration) string {
+	var bounds [histOctaves*8 + 1]time.Duration
+	for i := range bounds {
+		bounds[i] = time.Duration(math.Floor(float64(time.Microsecond) * math.Pow(2, float64(i)/8)))
+	}
+	var counts [len(bounds) + 1]uint64
+	var sum time.Duration
+	for _, d := range ds {
+		d = max(d, 0)
+		i, _ := slices.BinarySearch(bounds[:], d)
+		counts[i]++
+		sum += d
+	}
+	var b strings.Builder
+	var cum uint64
+	for i, n := range counts {
+		cum += n
+		if i < len(bounds) && i%8 == 0 {
+			fmt.Fprintf(&b, "%s_bucket%s %d\n", name, bucketLabels(labels, formatFloat(float64(bounds[i])/1e9)), cum)
+		}
+	}
+	fmt.Fprintf(&b, "%s_bucket%s %d\n", name, bucketLabels(labels, "+Inf"), cum)
+	fmt.Fprintf(&b, "%s_sum%s %s\n", name, labels, formatFloat(float64(sum)/1e9))
+	fmt.Fprintf(&b, "%s_count%s %d\n", name, labels, cum)
+	return b.String()
+}
+
+// TestOctaveLayoutMatchesSubOctaveExposition: for the same
+// observations, the octave layout writes the same /metrics bytes as
+// the 8-per-octave layout it replaced, bounds, neighbours and values
+// past full scale included.
+func TestOctaveLayoutMatchesSubOctaveExposition(t *testing.T) {
+	rng := rand.New(rand.NewPCG(26, 8))
+	for trial := 0; trial < 100; trial++ {
+		ds := make([]time.Duration, rng.IntN(400))
+		for i := range ds {
+			switch rng.IntN(4) {
+			case 0:
+				ds[i] = time.Duration(1<<rng.IntN(histOctaves+1))*time.Microsecond + time.Duration(rng.IntN(3)-1)
+			case 1:
+				ds[i] = -time.Duration(rng.IntN(2000))
+			default:
+				ds[i] = time.Duration(math.Pow(2*float64(fullScale), rng.Float64()))
+			}
+		}
+		var h Histogram
+		for _, d := range ds {
+			h.Observe(d)
+		}
+		var b strings.Builder
+		writeHistogram(&b, "seda_stage_duration_seconds", `{stage="protect"}`, &h)
+		if want := subOctaveExposition("seda_stage_duration_seconds", `{stage="protect"}`, ds); b.String() != want {
+			t.Fatalf("trial %d: octave exposition\n%s\ndiffers from the sub-octave one\n%s", trial, b.String(), want)
+		}
+	}
 }
 
 // TestHistogramObserveAllocs pins Observe at zero allocations.

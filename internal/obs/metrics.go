@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -82,35 +82,31 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// Histogram is the one latency histogram: HDR-style log buckets with a
-// single fixed layout shared by every /metrics family. Bucket 0 holds
-// d ≤ 1µs; each later bucket's upper bound is 2^(1/8) (~9.05%) above
-// the previous one, 8 per octave across 30 octaves (1µs .. 2^30µs ≈
-// 17.9min, 241 finite bounds), and one overflow bucket holds
-// everything beyond full scale. Buckets are upper-inclusive (Prometheus
-// le semantics) and membership comes from the one bound table, so
-// Observe and the exposition cannot disagree. The sum is kept exactly
-// in nanoseconds. Observations are lock-free atomics; the zero value
-// is ready to use.
+// Histogram is the one latency histogram: log buckets with a single
+// fixed layout shared by every /metrics family. Bucket 0 holds
+// d ≤ 1µs; bucket k holds 2^(k-1)µs < d ≤ 2^k µs, one per octave
+// across 30 octaves (1µs .. 2^30µs ≈ 17.9min, 31 finite bounds), and
+// one overflow bucket holds everything beyond full scale. Buckets are
+// upper-inclusive (Prometheus le semantics), and every bound is
+// exposed, so Observe and the exposition count the same buckets. The
+// sum is kept exactly in nanoseconds. Observations are lock-free
+// atomics; the zero value is ready to use.
 type Histogram struct {
 	counts [histBounds + 1]atomic.Uint64 // last slot: beyond full scale
 	sum    atomic.Int64                  // nanoseconds
 }
 
 const (
-	histSub      = 8 // buckets per octave: resolution factor 2^(1/8)
 	histOctaves  = 30
-	histBounds   = histOctaves*histSub + 1
+	histBounds   = histOctaves + 1
 	histMinBound = time.Microsecond
 )
 
-// histBound is the bound table: histBound[i] is bucket i's inclusive
-// upper bound, 1µs·2^(i/8) rounded down to whole nanoseconds (a
-// duration is an integer, so d ≤ the floor iff d ≤ the exact bound).
-// Every 8th entry is exactly 2^k µs.
+// histBound is the bound table: histBound[k] is bucket k's inclusive
+// upper bound, exactly 2^k µs.
 var histBound = func() (b [histBounds]time.Duration) {
-	for i := range b {
-		b[i] = time.Duration(math.Floor(float64(histMinBound) * math.Pow(2, float64(i)/histSub)))
+	for k := range b {
+		b[k] = histMinBound << k
 	}
 	return b
 }()
@@ -120,7 +116,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	i, _ := slices.BinarySearch(histBound[:], d) // first bound ≥ d, i.e. d ≤ le
+	// d ≤ 2^k µs exactly when ⌊(d-1)/1µs⌋ < 2^k, so the first bound
+	// holding d is bits.Len64 of that quotient (0 for d ≤ 1µs; Go's
+	// division truncates, so d = 0 gives 0 too).
+	i := min(bits.Len64(uint64((d-1)/histMinBound)), histBounds)
 	h.counts[i].Add(1)
 	h.sum.Add(int64(d))
 }
@@ -363,18 +362,17 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	return err
 }
 
-// writeHistogram exposes every 8th bound of the layout, le = 2^k µs
-// for k = 0…30, plus +Inf; each line counts all observations ≤ le.
+// writeHistogram exposes every bound of the layout, le = 2^k µs for
+// k = 0…30, plus +Inf; each line counts all observations ≤ le.
 // _count is the +Inf total, so the two always agree.
 func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
 	var cum uint64
-	for i := range h.counts {
+	for i, bound := range histBound {
 		cum += h.counts[i].Load()
-		if i < histBounds && i%histSub == 0 {
-			le := formatFloat(float64(histBound[i]) / 1e9)
-			fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, le), cum)
-		}
+		le := formatFloat(float64(bound) / 1e9)
+		fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, le), cum)
 	}
+	cum += h.counts[histBounds].Load()
 	fmt.Fprintf(b, "%s_bucket%s %d\n", name, bucketLabels(labels, "+Inf"), cum)
 	fmt.Fprintf(b, "%s_sum%s %s\n", name, labels, formatFloat(float64(h.Sum())/1e9))
 	fmt.Fprintf(b, "%s_count%s %d\n", name, labels, cum)

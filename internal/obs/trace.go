@@ -32,15 +32,17 @@ import (
 
 // Stage names: the fixed span taxonomy. Instrumentation sites must
 // use these constants (bounded cardinality — seda-serve feeds span
-// names into the seda_stage_duration_seconds{stage=...} histogram).
+// names into the seda_stage_duration_seconds{stage=...} histogram, so
+// a stage timed once per scheme, such as protect and dram, adds one
+// observation per scheme walk).
 const (
 	StageSuite        = "suite"             // one NPU x workload-set evaluation (seda.runSuiteWith)
 	StageWorkload     = "workload"          // one workload dispatch in the suite pool
 	StageScalesim     = "scalesim"          // systolic-array schedule (scalesim.SimulateNetwork)
-	StageProtect      = "protect"           // protection walk (memprot.ProtectAllArenaCtx)
+	StageProtect      = "protect"           // one scheme's protection walk, detail = scheme (memprot.ProtectAllArenaCtx)
 	StageProtectLayer = "protect.layer"     // one layer of the protection walk
 	StageAuthblock    = "authblock.search"  // SeDA auth-block geometry search
-	StageDRAM         = "dram"              // one scheme's DRAM timing loop (seda.drainLayers)
+	StageDRAM         = "dram"              // one scheme's DRAM timing loop, detail = scheme (seda.visitLayers)
 	StageDRAMDrain    = "dram.drain"        // one layer's overlay explode/drain (dram.RunOverlayCtx)
 	StageCacheGet     = "rescache.get"      // cache lookup incl. coalesced wait
 	StageCacheDisk    = "rescache.disk"     // disk-layer read or write
@@ -129,14 +131,6 @@ func (t *Tracer) Finish() {
 		cb(root.name, dur)
 	}
 	active.Add(-1)
-}
-
-// Root returns the root span.
-func (t *Tracer) Root() *Span {
-	if t == nil {
-		return nil
-	}
-	return t.root
 }
 
 // Start opens a child span of the span carried by ctx and returns a

@@ -51,7 +51,7 @@ func TestArmedButForeignContextAllocs(t *testing.T) {
 
 func TestSpanTreeNestingAndMerge(t *testing.T) {
 	ctx, tr := NewTracer(context.Background(), "request")
-	tr.Root().SetDetail("GET /v1/sweep")
+	tr.root.SetDetail("GET /v1/sweep")
 
 	wctx, w := Start(ctx, StageWorkload)
 	w.SetDetail("ncf")
@@ -273,9 +273,6 @@ func TestExportRacesDetachedWork(t *testing.T) {
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Finish()
-	if tr.Root() != nil {
-		t.Fatal("nil tracer has a root")
-	}
 	if tree := tr.Tree(); tree.Name != "" {
 		t.Fatalf("nil tracer tree = %+v", tree)
 	}

@@ -171,15 +171,6 @@ type NetworkResult struct {
 	Layers  []LayerResult
 }
 
-// TotalComputeCycles sums compute cycles.
-func (n *NetworkResult) TotalComputeCycles() uint64 {
-	var s uint64
-	for i := range n.Layers {
-		s += n.Layers[i].ComputeCycles
-	}
-	return s
-}
-
 // TotalDataBytes sums data traffic.
 func (n *NetworkResult) TotalDataBytes() uint64 {
 	var s uint64

@@ -326,7 +326,11 @@ func TestAllNetworksSimulateOnBothNPUs(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", n.Name, err)
 			}
-			if res.TotalComputeCycles() == 0 {
+			var compute uint64
+			for i := range res.Layers {
+				compute += res.Layers[i].ComputeCycles
+			}
+			if compute == 0 {
 				t.Errorf("%s: zero compute cycles", n.Name)
 			}
 			if res.TotalDataBytes() == 0 {

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -497,6 +499,37 @@ func FuzzAcceptQuality(f *testing.F) {
 			if q := acceptQuality(header, mt); !(q >= 0 && q <= 1) {
 				t.Fatalf("acceptQuality(%q, %q) = %v, outside [0, 1]", header, mt, q)
 			}
+		}
+	})
+}
+
+// FuzzIfNoneMatch: inmMatches never panics on any If-None-Match
+// header, and a list matches whenever it holds a wildcard or our tag,
+// strong or weak (W/), at any position and with surrounding spaces.
+func FuzzIfNoneMatch(f *testing.F) {
+	for _, seed := range []string{"", "*", `"abc"`, `W/"abc", "def"`, ",,", ` , * ,`, `W/`, `"`} {
+		f.Add(seed, []byte{0xab, 0xcd}, uint8(0), false, uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, header string, raw []byte, pos uint8, weak bool, pad uint8) {
+		etag := `"` + hex.EncodeToString(raw) + `"` // the shape sweepETag writes
+		inmMatches(header, etag)
+
+		parts := strings.Split(header, ",")
+		at := int(pos) % (len(parts) + 1)
+		space := []string{"", " ", "  ", "\t", " \t "}[int(pad)%5]
+		insert := func(item string) string {
+			list := append(slices.Clone(parts[:at]), space+item+space)
+			return strings.Join(append(list, parts[at:]...), ",")
+		}
+		tag := etag
+		if weak {
+			tag = "W/" + etag
+		}
+		if h := insert(tag); !inmMatches(h, etag) {
+			t.Fatalf("inmMatches(%q, %q) = false, want a match", h, etag)
+		}
+		if h := insert("*"); !inmMatches(h, etag) {
+			t.Fatalf("inmMatches(%q, %q) = false, want the wildcard to match", h, etag)
 		}
 	})
 }

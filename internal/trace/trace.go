@@ -121,11 +121,6 @@ func (t *Trace) Reserve(n int) {
 	t.Accesses = grown
 }
 
-// AppendAll concatenates another trace.
-func (t *Trace) AppendAll(o *Trace) {
-	t.Accesses = append(t.Accesses, o.Accesses...)
-}
-
 // Len returns the number of accesses.
 func (t *Trace) Len() int { return len(t.Accesses) }
 

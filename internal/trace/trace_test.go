@@ -41,18 +41,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestAppendAll(t *testing.T) {
-	a := &Trace{}
-	a.Append(Access{Addr: 1})
-	b := &Trace{}
-	b.Append(Access{Addr: 2})
-	b.Append(Access{Addr: 3})
-	a.AppendAll(b)
-	if a.Len() != 3 {
-		t.Errorf("len = %d, want 3", a.Len())
-	}
-}
-
 func TestStringers(t *testing.T) {
 	if Read.String() != "R" || Write.String() != "W" {
 		t.Error("Kind strings wrong")

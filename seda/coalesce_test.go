@@ -149,7 +149,7 @@ func TestRunNetworkMatchesRawOverlays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-evaluate by hand with raw overlays, mirroring runScheme.
+	// Re-evaluate by hand with raw overlays, mirroring RunNetworkOptsCtx.
 	rawOpts := memprot.DefaultOptions()
 	rawOpts.CoalesceOverlays = false
 	arr, err := npu.arrayConfig()

@@ -42,8 +42,9 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 }
 
 // TestSuiteSpanTree checks the shape and arithmetic of a traced
-// sweep: suite → workload → {scalesim, protect,
-// dram}, and the workload's sequential phases fit inside its span.
+// sweep: suite → workload → {scalesim, protect × 6, dram × 6}, one
+// protect and one dram span per scheme, each named for its scheme, and
+// the workload's sequential phases fit inside its span.
 func TestSuiteSpanTree(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
@@ -62,46 +63,36 @@ func TestSuiteSpanTree(t *testing.T) {
 	if len(suite.Spans) != 2 {
 		t.Fatalf("suite children (want 2 workload nodes): %+v", suite.Spans)
 	}
-	var dramCount int
+	schemes := map[string]bool{}
+	for _, s := range Schemes() {
+		schemes[s.Name()] = true
+	}
+	counts := map[string]int{}
 	for _, workload := range suite.Spans {
 		if workload.Name != obs.StageWorkload || workload.Detail == "" {
 			t.Fatalf("suite child is not a detailed workload span: %+v", workload)
 		}
-		var childMs, dramMs float64
-		seen := map[string]bool{}
+		var childMs float64
 		for _, sp := range workload.Spans {
-			seen[sp.Name] = true
-			if sp.Name != obs.StageDRAM {
-				childMs += sp.Ms
-			} else {
-				dramMs = max(dramMs, sp.Ms)
-				n := sp.Count
-				if n == 0 {
-					n = 1
-				}
-				dramCount += n
+			childMs += sp.Ms
+			n := max(sp.Count, 1)
+			counts[sp.Name] += n
+			if (sp.Name == obs.StageProtect || sp.Name == obs.StageDRAM) && (!schemes[sp.Detail] || n != 1) {
+				t.Errorf("workload %s: %s span detail %q ×%d, want one span per scheme name",
+					workload.Detail, sp.Name, sp.Detail, n)
 			}
 		}
-		for _, want := range []string{obs.StageScalesim, obs.StageProtect, obs.StageDRAM} {
-			if !seen[want] {
-				t.Errorf("workload %s span missing %s child: %+v", workload.Detail, want, workload.Spans)
-			}
-		}
-		// scalesim, protect and the DRAM phase run one after another
-		// inside the workload span; the six scheme drains of the DRAM
-		// phase overlap, so the phase lasts as long as the slowest one.
-		// The sum cannot exceed the workload span (1ms slack for the µs
-		// rounding of each exported node).
-		childMs += dramMs
+		// scalesim, then each scheme's protect and dram, run one after
+		// another inside the workload span, so their sum cannot exceed
+		// it (1ms slack for the µs rounding of each exported node).
 		if childMs > workload.Ms+1 {
 			t.Errorf("workload %s: stage durations %.3fms exceed workload span %.3fms",
 				workload.Detail, childMs, workload.Ms)
 		}
 	}
-	// DRAM spans carry the scheme name as detail: 6 schemes × 2
-	// workloads, one span each.
-	if want := 2 * len(Schemes()); dramCount != want {
-		t.Errorf("dram span count %d, want %d", dramCount, want)
+	n := len(Schemes())
+	if counts[obs.StageScalesim] != 2 || counts[obs.StageProtect] != 2*n || counts[obs.StageDRAM] != 2*n {
+		t.Errorf("span counts %v, want 2 scalesim and %d each of protect and dram", counts, 2*n)
 	}
 }
 

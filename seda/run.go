@@ -11,12 +11,12 @@ import (
 	"repro/internal/scalesim"
 )
 
-// protArena recycles protection-overlay storage across every network
-// evaluated in this process (see memprot.Arena). Overlays never escape
-// the package: RunNetworkOptsCtx returns only aggregated rows, and a
-// WalkSchemeCtx layer is valid only during its callback, so the
-// overlays are released as soon as the walk or the DRAM phase has
-// consumed them.
+// protArena recycles protection-overlay storage across every scheme
+// and network evaluated in this process (see memprot.Arena). Overlays
+// never escape the package: RunNetworkOptsCtx returns only aggregated
+// rows, and a WalkSchemeCtx layer is valid only during its callback,
+// so each scheme's overlays are released as soon as its layers have
+// been visited, before the next scheme is protected.
 var protArena = memprot.NewArena()
 
 // dramArena shares DRAM scratch state (per-channel span queues, bank
@@ -68,16 +68,20 @@ func (r RunResult) TrafficOverhead() float64 { return r.NormTraffic - 1 }
 func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 
 // RunNetworkOptsCtx evaluates every scheme on one network and returns
-// one row per scheme, ordered as Schemes() (baseline last). The six
-// schemes' DRAM phases run in that order on the calling goroutine, and
-// the first error returns; concurrency comes from the caller, such as
-// the suite's workload pool. opts selects nothing.
+// one row per scheme, ordered as Schemes() (baseline last). The
+// network is scheduled once; then each scheme in turn is protected,
+// drained through npu's DRAM model and released on the calling
+// goroutine, so only one scheme's overlays are live at a time, and the
+// first error returns. Concurrency comes from the caller, such as the
+// suite's workload pool. opts selects nothing.
 //
-// The evaluation is built around a shared data spine: the scalesim
-// trace is walked once by memprot.ProtectAllArenaCtx, which hands every
-// scheme the same read-only data stream plus a per-scheme metadata
-// overlay. The DRAM phase then consumes spine+overlay pairs directly,
-// each scheme drawing its scratch queues from one shared arena.
+// Every scheme is walked off a shared data spine: the scalesim trace
+// is never copied, and memprot.ProtectAllArenaCtx adds only a
+// per-scheme metadata overlay. The DRAM phase consumes spine+overlay
+// pairs directly, drawing its scratch queues from one shared arena.
+// Execution time is the sum over layers of max(compute, memory): the
+// accelerator double-buffers, so within a layer compute and DRAM
+// overlap, but layer boundaries synchronize.
 //
 // The context reaches the protection walk (checked per layer) and the
 // DRAM drain loops (checked every pollCycles of simulated time). A
@@ -85,21 +89,20 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 // uncancellable context (context.Background) adds no measurable work.
 func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
 	schemes := Schemes()
-	sim, prots, err := protect(ctx, npu, net, schemes)
+	rows := make([]RunResult, len(schemes))
+	for k, s := range schemes {
+		rows[k] = RunResult{NPU: npu.Name, Network: net.Name, Scheme: s}
+	}
+	err := walk(ctx, npu, net, schemes, true, func(k int, l Layer) {
+		row := &rows[k]
+		compute := l.Sim.ComputeCycles
+		row.ExecCycles += max(compute, l.DRAMCycles)
+		row.ComputeCycles += compute
+		row.DataBytes += l.Prot.Overhead.DataBytes
+		row.MetaBytes += l.Prot.Overhead.MetaBytes()
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer protArena.Release(prots)
-
-	// DRAM timing per scheme, one after another on this goroutine: the
-	// suite's workload pool is the pipeline's only level of parallelism.
-	// Each scheme owns its DRAM model and draws its scratch from the
-	// process-wide arena.
-	rows := make([]RunResult, len(schemes))
-	for i := range schemes {
-		if rows[i], err = runScheme(ctx, npu, net, sim, prots[i]); err != nil {
-			return nil, err
-		}
 	}
 
 	base, err := SchemeRow(rows, memprot.SchemeBaseline)
@@ -120,46 +123,91 @@ func safeRatio(num, den float64) float64 {
 	return num / den
 }
 
-// protect is the first half of every evaluation: it validates npu, runs
-// the systolic-array schedule, and walks each layer's trace once for
-// all of schemes. Overlays come from protArena — on a sweep each
-// workload refills the buffers the previous one grew — and the caller
-// hands them back with protArena.Release. A dead context returns
+// Layer is one layer of a WalkSchemeCtx walk.
+type Layer struct {
+	// Sim is the layer's systolic-array schedule, including its
+	// scheme-independent compute cycles.
+	Sim *scalesim.LayerResult
+
+	// Prot is the layer's protected stream (the shared data spine plus
+	// the scheme's metadata overlay) and traffic breakdown. Its storage
+	// returns to the process-wide arena when the scheme's walk ends, so
+	// it is valid only during the callback.
+	Prot *memprot.ProtectedLayer
+
+	// DRAMCycles is the layer's drained DRAM time, set only when the
+	// walk drains.
+	DRAMCycles uint64
+}
+
+// WalkSchemeCtx evaluates one scheme on one network through the same
+// loop and process-wide scratch as RunNetworkOptsCtx, handing fn each
+// layer in order; with drain, each layer is drained through npu's DRAM
+// model before its callback. It is the uncached single-scheme
+// measurement: the layers' sums of max(compute, DRAMCycles) and
+// overheads are exactly the scheme's RunNetworkOptsCtx row
+// (TestWalkSchemeMatchesSuiteRows). The walk releases its overlays
+// before it returns.
+func WalkSchemeCtx(ctx context.Context, npu NPUConfig, net *model.Network, scheme memprot.Scheme, drain bool, fn func(Layer)) error {
+	return walk(ctx, npu, net, []memprot.Scheme{scheme}, drain, func(_ int, l Layer) { fn(l) })
+}
+
+// walk is every evaluation's one loop: it validates npu, runs the
+// systolic-array schedule once, then for each scheme in order protects
+// the network (overlays from protArena — on a sweep each scheme and
+// workload refills the buffers the previous one grew), optionally
+// drains each layer through npu's DRAM model with its scratch drawn
+// from dramArena, hands fn the scheme's index and each layer, and
+// releases the overlays before the next scheme. A dead context returns
 // before the schedule is simulated.
-func protect(ctx context.Context, npu NPUConfig, net *model.Network, schemes []memprot.Scheme) (*scalesim.NetworkResult, []*memprot.Result, error) {
+func walk(ctx context.Context, npu NPUConfig, net *model.Network, schemes []memprot.Scheme, drain bool, fn func(k int, l Layer)) error {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	if err := npu.Validate(); err != nil {
-		return nil, nil, err
+		return err
 	}
 	arr, err := npu.arrayConfig()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	ssp := obs.StartChild(ctx, obs.StageScalesim)
 	sim, err := arr.SimulateNetwork(net)
 	ssp.End()
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	popts := memprot.DefaultOptions()
 	popts.OptBlkCache = optBlkCache
-	prots, err := memprot.ProtectAllArenaCtx(ctx, schemes, sim, popts, protArena)
-	if err != nil {
-		return nil, nil, err
+	for k := range schemes {
+		prots, err := memprot.ProtectAllArenaCtx(ctx, schemes[k:k+1], sim, popts, protArena)
+		if err != nil {
+			return err
+		}
+		err = visitLayers(ctx, npu, sim, prots[0], drain, func(l Layer) { fn(k, l) })
+		protArena.Release(prots)
+		if err != nil {
+			return err
+		}
 	}
-	return sim, prots, nil
+	return nil
 }
 
-// drainLayers runs one scheme's protected layers (shared spine plus
-// per-scheme overlay), in order, through npu's DRAM timing model with
-// its scratch drawn from the process-wide arena, and hands fn each
-// layer's index and drained cycles.
-func drainLayers(ctx context.Context, npu NPUConfig, prot *memprot.Result, fn func(i int, cycles uint64)) error {
+// visitLayers hands fn each of one scheme's protected layers in order,
+// with drain first running it through npu's DRAM timing model under a
+// dram span named for the scheme.
+func visitLayers(ctx context.Context, npu NPUConfig, sim *scalesim.NetworkResult, prot *memprot.Result, drain bool, fn func(Layer)) error {
+	if !drain {
+		for i := range prot.Layers {
+			fn(Layer{Sim: &sim.Layers[i], Prot: &prot.Layers[i]})
+		}
+		return nil
+	}
 	ctx, span := obs.Start(ctx, obs.StageDRAM)
-	span.SetDetail(prot.Scheme.Name())
 	defer span.End()
+	if span != nil { // Name formats: untraced drains skip it
+		span.SetDetail(prot.Scheme.Name())
+	}
 	dsim, err := dram.New(npu.DRAMConfig())
 	if err != nil {
 		return err
@@ -171,75 +219,7 @@ func drainLayers(ctx context.Context, npu NPUConfig, prot *memprot.Result, fn fu
 		if err != nil {
 			return err
 		}
-		fn(i, st.Cycles)
-	}
-	return nil
-}
-
-// runScheme drains one scheme's protected layers into its row.
-// Execution time is the sum over layers of max(compute, memory): the
-// accelerator double-buffers, so within a layer compute and DRAM
-// overlap, but layer boundaries synchronize.
-func runScheme(ctx context.Context, npu NPUConfig, net *model.Network, sim *scalesim.NetworkResult, prot *memprot.Result) (RunResult, error) {
-	row := RunResult{
-		NPU:     npu.Name,
-		Network: net.Name,
-		Scheme:  prot.Scheme,
-	}
-	err := drainLayers(ctx, npu, prot, func(i int, cycles uint64) {
-		pl := &prot.Layers[i]
-		compute := sim.Layers[i].ComputeCycles
-		row.ExecCycles += max(compute, cycles)
-		row.ComputeCycles += compute
-		row.DataBytes += pl.Overhead.DataBytes
-		row.MetaBytes += pl.Overhead.MetaBytes()
-	})
-	if err != nil {
-		return RunResult{}, err
-	}
-	return row, nil
-}
-
-// Layer is one layer of a WalkSchemeCtx walk.
-type Layer struct {
-	// Sim is the layer's systolic-array schedule, including its
-	// scheme-independent compute cycles.
-	Sim *scalesim.LayerResult
-
-	// Prot is the layer's protected stream (the shared data spine plus
-	// the scheme's metadata overlay) and traffic breakdown. Its storage
-	// returns to the process-wide arena when the walk ends, so it is
-	// valid only during the callback.
-	Prot *memprot.ProtectedLayer
-
-	// DRAMCycles is the layer's drained DRAM time, set only when the
-	// walk drains.
-	DRAMCycles uint64
-}
-
-// WalkSchemeCtx evaluates one scheme on one network through the same
-// protect step, drain loop and process-wide scratch as
-// RunNetworkOptsCtx, handing fn each layer in order; with drain, each
-// layer is drained through npu's DRAM model before its callback. It is
-// the uncached single-scheme measurement: the layers' sums of
-// max(compute, DRAMCycles) and overheads are exactly the scheme's
-// RunNetworkOptsCtx row (TestWalkSchemeMatchesSuiteRows). The walk
-// releases its overlays before it returns.
-func WalkSchemeCtx(ctx context.Context, npu NPUConfig, net *model.Network, scheme memprot.Scheme, drain bool, fn func(Layer)) error {
-	sim, prots, err := protect(ctx, npu, net, []memprot.Scheme{scheme})
-	if err != nil {
-		return err
-	}
-	defer protArena.Release(prots)
-	prot := prots[0]
-	layer := func(i int, cycles uint64) {
-		fn(Layer{Sim: &sim.Layers[i], Prot: &prot.Layers[i], DRAMCycles: cycles})
-	}
-	if drain {
-		return drainLayers(ctx, npu, prot, layer)
-	}
-	for i := range prot.Layers {
-		layer(i, 0)
+		fn(Layer{Sim: &sim.Layers[i], Prot: pl, DRAMCycles: st.Cycles})
 	}
 	return nil
 }
