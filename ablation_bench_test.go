@@ -1,8 +1,8 @@
 package repro
 
 // Ablation benchmarks for the design choices DESIGN.md calls out:
-// dataflow mapping, metadata-cache sizing, and protection-block
-// granularity. These are not paper figures; they quantify the knobs
+// metadata-cache sizing and protection-block granularity (the dataflow
+// ablation lives with the dataflow model in internal/scalesim). These are not paper figures; they quantify the knobs
 // around SeDA's operating point.
 
 import (
@@ -17,41 +17,6 @@ import (
 	"repro/internal/scalesim"
 )
 
-// BenchmarkAblationDataflow compares the three systolic dataflow
-// mappings' compute cycles on ResNet-18 for both NPU array sizes.
-func BenchmarkAblationDataflow(b *testing.B) {
-	for _, cfg := range []struct {
-		name       string
-		rows, cols int
-		sram       int
-	}{
-		{"server", 256, 256, 24 << 20},
-		{"edge", 32, 32, 480 << 10},
-	} {
-		c, err := scalesim.New(cfg.rows, cfg.cols, cfg.sram)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim, err := c.SimulateNetwork(model.ByName("rest"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(cfg.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				totals := map[scalesim.Dataflow]uint64{}
-				for li := range sim.Layers {
-					for df, cyc := range c.ComputeCyclesByDataflow(&sim.Layers[li]) {
-						totals[df] += cyc
-					}
-				}
-				b.ReportMetric(float64(totals[scalesim.WeightStationary]), "ws-cycles")
-				b.ReportMetric(float64(totals[scalesim.OutputStationary]), "os-cycles")
-				b.ReportMetric(float64(totals[scalesim.InputStationary]), "is-cycles")
-			}
-		})
-	}
-}
-
 // protectOne walks a single scheme over sim. The ablations read only
 // the overhead accounting, so the flat trace is never materialized.
 func protectOne(s memprot.Scheme, sim *scalesim.NetworkResult, opts memprot.Options) (*memprot.Result, error) {
@@ -60,6 +25,20 @@ func protectOne(s memprot.Scheme, sim *scalesim.NetworkResult, opts memprot.Opti
 		return nil, err
 	}
 	return rs[0], nil
+}
+
+// trafficOverhead returns a protected run's (data+meta)/data − 1, the
+// normalized memory-traffic overhead of Fig. 5.
+func trafficOverhead(r *memprot.Result) float64 {
+	var data, meta uint64
+	for i := range r.Layers {
+		data += r.Layers[i].Overhead.DataBytes
+		meta += r.Layers[i].Overhead.MetaBytes()
+	}
+	if data == 0 {
+		return 0
+	}
+	return float64(meta) / float64(data)
 }
 
 // BenchmarkAblationMetadataCaches sweeps the SGX VN/MAC cache sizes
@@ -85,7 +64,7 @@ func BenchmarkAblationMetadataCaches(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.TrafficOverheadRatio()*100, "sgx64-traffic-%")
+				b.ReportMetric(trafficOverhead(res)*100, "sgx64-traffic-%")
 			}
 		})
 	}
@@ -112,7 +91,7 @@ func BenchmarkAblationBlockGranularity(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(res.TrafficOverheadRatio()*100, "traffic-%")
+				b.ReportMetric(trafficOverhead(res)*100, "traffic-%")
 			}
 		})
 	}
@@ -122,7 +101,7 @@ func BenchmarkAblationBlockGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ReportMetric(res.TrafficOverheadRatio()*100, "traffic-%")
+			b.ReportMetric(trafficOverhead(res)*100, "traffic-%")
 		}
 	})
 	_ = authblock.MinBlock

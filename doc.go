@@ -43,8 +43,9 @@
 //
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; see DESIGN.md for the experiment index and
-// the pipeline's execution model (zero-copy traces, one scheme at a
-// time — each protected, drained and released before the next — a
-// span-queue DRAM drain, and one level of parallelism: the suite's
-// workload pool), and EXPERIMENTS.md for paper-vs-measured numbers.
+// the pipeline's execution model (zero-copy traces, one layer at a
+// time — each protected and drained before the next, into one reused
+// overlay — a span-queue DRAM drain, and one level of parallelism: the
+// suite's workload pool), and EXPERIMENTS.md for paper-vs-measured
+// numbers.
 package repro

@@ -92,7 +92,7 @@ func TestIntegrationTrafficOrderingFullSuiteServer(t *testing.T) {
 		}
 		oh := map[string]float64{}
 		for _, res := range prots {
-			oh[res.Scheme.Name()] = res.TrafficOverheadRatio()
+			oh[res.Scheme.Name()] = trafficOverhead(res)
 		}
 		order := []string{"SGX-64B", "MGX-64B", "MGX-512B", "SeDA", "Baseline"}
 		for i := 0; i+1 < len(order); i++ {

@@ -41,17 +41,6 @@ type Stats struct {
 	Fills      uint64 // line fills (each costs one line read from DRAM)
 }
 
-// Accesses returns the total number of lookups.
-func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
-
-// HitRate returns hits / accesses, or 0 for an untouched cache.
-func (s Stats) HitRate() float64 {
-	if s.Accesses() == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses())
-}
-
 // Cache is a set-associative LRU cache simulator. Way w of set s is
 // slot s*Ways+w of two flat arrays: the line's tag, and its state,
 // lastUse<<1 | dirty, where lastUse is the tick of the line's latest

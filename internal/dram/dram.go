@@ -133,15 +133,6 @@ type Stats struct {
 	MaxChanBusy uint64
 }
 
-// RowHitRate returns rowHits / (rowHits+rowMisses+rowEmpty).
-func (s Stats) RowHitRate() float64 {
-	tot := s.RowHits + s.RowMisses + s.RowEmpty
-	if tot == 0 {
-		return 0
-	}
-	return float64(s.RowHits) / float64(tot)
-}
-
 // request is one burst, fully decoded at explode time: the channel is
 // implicit in which queue it lands in, and bank/row are computed once
 // so the scheduler's inner loop never touches an address again. The

@@ -8,8 +8,7 @@
 //
 // Calibration and the surrogate pass walk one scheme through seda
 // (seda.WalkSchemeCtx) and so share seda's process-wide scratch with
-// the confirmations: one overlay arena, one DRAM state pool, and one
-// authblock memo.
+// the confirmations: one DRAM state pool and one authblock memo.
 //
 // Pruning follows one rule (see confirmWalk): points are visited by
 // (cost, lower bound) ascending, and a point is skipped only when a

@@ -44,10 +44,9 @@ func TestDrainPreservesConservation(t *testing.T) {
 	net := edgeNet(t, "alex")
 	r := protect(t, SchemeSGX512, net)
 	for _, pl := range r.Layers {
-		st := pl.Trace.ComputeStats()
-		if st.MetaBytes() != pl.Overhead.MetaBytes() {
+		if meta := metaBytes(pl.Trace); meta != pl.Overhead.MetaBytes() {
 			t.Fatalf("layer %d: trace meta %d != counters %d",
-				pl.LayerID, st.MetaBytes(), pl.Overhead.MetaBytes())
+				pl.LayerID, meta, pl.Overhead.MetaBytes())
 		}
 	}
 }

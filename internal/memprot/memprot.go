@@ -229,8 +229,8 @@ func (o LayerOverhead) MetaBytes() uint64 {
 // scalesim layer and shared by every scheme evaluated off the same
 // simulation — and the Deltas overlay holding only what this scheme
 // added, anchored into the spine. dram.Simulator.RunOverlayCtx
-// consumes the two streams directly; Materialize flattens them for
-// consumers that want one slice.
+// consumes the two streams directly; trace.Overlay.Materialize
+// flattens them for consumers that want one slice.
 type ProtectedLayer struct {
 	LayerID int
 
@@ -241,59 +241,19 @@ type ProtectedLayer struct {
 	// Deltas is this scheme's metadata/over-fetch overlay.
 	Deltas *trace.Overlay
 
-	// Trace is the flattened spine+deltas merge, nil until
-	// Materialize builds it.
-	Trace *trace.Trace
-
 	Overhead LayerOverhead
-}
 
-// Materialize returns the layer's flat augmented trace, building it
-// from the spine and overlay on first use.
-func (pl *ProtectedLayer) Materialize() *trace.Trace {
-	if pl.Trace == nil {
-		pl.Trace = pl.Deltas.Materialize(pl.Spine)
-	}
-	return pl.Trace
-}
-
-// Result is a protected network run.
-type Result struct {
-	Scheme Scheme
-	Layers []ProtectedLayer
-
-	// DrainWrites is how many trailing overlay accesses of the final
-	// layer were emitted by the end-of-inference metadata-cache drain
-	// (SGX only; zero for the other schemes).
+	// DrainWrites is how many trailing Deltas accesses the
+	// end-of-inference metadata-cache flush emitted (SGX's last layer
+	// only; zero elsewhere).
 	DrainWrites int
 }
 
-// TotalDataBytes sums baseline traffic across layers.
-func (r *Result) TotalDataBytes() uint64 {
-	var s uint64
-	for i := range r.Layers {
-		s += r.Layers[i].Overhead.DataBytes
-	}
-	return s
-}
-
-// TotalMetaBytes sums protection overhead across layers.
-func (r *Result) TotalMetaBytes() uint64 {
-	var s uint64
-	for i := range r.Layers {
-		s += r.Layers[i].Overhead.MetaBytes()
-	}
-	return s
-}
-
-// TrafficOverheadRatio returns (data+meta)/data − 1, the normalized
-// memory-traffic overhead of Fig. 5.
-func (r *Result) TrafficOverheadRatio() float64 {
-	d := r.TotalDataBytes()
-	if d == 0 {
-		return 0
-	}
-	return float64(r.TotalMetaBytes()) / float64(d)
+// Result is a protected network run: every layer of one scheme, as
+// ProtectAllArenaCtx collects them.
+type Result struct {
+	Scheme Scheme
+	Layers []ProtectedLayer
 }
 
 // regionBase returns the base address of the tensor region containing

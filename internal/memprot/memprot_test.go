@@ -40,28 +40,83 @@ func protectAll(schemes []Scheme, net *scalesim.NetworkResult, opts Options) ([]
 	return ProtectAllArenaCtx(context.Background(), schemes, net, opts, nil)
 }
 
-// protectFlat evaluates one scheme and materializes every layer's flat
-// augmented trace: the seed pipeline's shape, kept as the reference
-// the shared-spine overlay path is checked against.
-func protectFlat(s Scheme, net *scalesim.NetworkResult, opts Options) (*Result, error) {
+// flatResult is one scheme's protected network with every layer's
+// flat augmented trace (spine and overlay merged): the seed pipeline's
+// shape, kept as the reference the shared-spine overlay path is
+// checked against.
+type flatResult struct {
+	Scheme Scheme
+	Layers []flatLayer
+}
+
+type flatLayer struct {
+	ProtectedLayer
+	Trace *trace.Trace
+}
+
+// protectFlat evaluates one scheme and materializes every layer.
+func protectFlat(s Scheme, net *scalesim.NetworkResult, opts Options) (*flatResult, error) {
 	rs, err := protectAll([]Scheme{s}, net, opts)
 	if err != nil {
 		return nil, err
 	}
-	r := rs[0]
-	for i := range r.Layers {
-		r.Layers[i].Materialize()
+	r := &flatResult{Scheme: s, Layers: make([]flatLayer, len(rs[0].Layers))}
+	for i, pl := range rs[0].Layers {
+		r.Layers[i] = flatLayer{pl, pl.Deltas.Materialize(pl.Spine)}
 	}
 	return r, nil
 }
 
-func protect(t *testing.T, s Scheme, net *scalesim.NetworkResult) *Result {
+func protect(t *testing.T, s Scheme, net *scalesim.NetworkResult) *flatResult {
 	t.Helper()
 	r, err := protectFlat(s, net, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TotalDataBytes sums baseline traffic across layers.
+func (r *flatResult) TotalDataBytes() uint64 {
+	var s uint64
+	for i := range r.Layers {
+		s += r.Layers[i].Overhead.DataBytes
+	}
+	return s
+}
+
+// TotalMetaBytes sums protection overhead across layers.
+func (r *flatResult) TotalMetaBytes() uint64 {
+	var s uint64
+	for i := range r.Layers {
+		s += r.Layers[i].Overhead.MetaBytes()
+	}
+	return s
+}
+
+// TrafficOverheadRatio returns (data+meta)/data − 1, the normalized
+// memory-traffic overhead of Fig. 5.
+func (r *flatResult) TrafficOverheadRatio() float64 {
+	d := r.TotalDataBytes()
+	if d == 0 {
+		return 0
+	}
+	return float64(r.TotalMetaBytes()) / float64(d)
+}
+
+// classBytes sums a flat trace's bytes by class.
+func classBytes(tr *trace.Trace) map[trace.Class]uint64 {
+	m := map[trace.Class]uint64{}
+	for _, a := range tr.Accesses {
+		m[a.Class] += uint64(a.Bytes)
+	}
+	return m
+}
+
+// metaBytes sums everything a protection scheme added to a trace.
+func metaBytes(tr *trace.Trace) uint64 {
+	m := classBytes(tr)
+	return m[trace.MACMeta] + m[trace.VNMeta] + m[trace.TreeMeta] + m[trace.OverFetch]
 }
 
 func TestSchemeNames(t *testing.T) {
@@ -263,14 +318,13 @@ func TestTraceStatsMatchOverheadCounters(t *testing.T) {
 	for _, s := range AllSchemes() {
 		r := protect(t, s, net)
 		for _, pl := range r.Layers {
-			st := pl.Trace.ComputeStats()
-			if st.BytesByClass[trace.Data] != pl.Overhead.DataBytes {
+			if data := classBytes(pl.Trace)[trace.Data]; data != pl.Overhead.DataBytes {
 				t.Errorf("%s layer %d: trace data %d != counter %d",
-					s.Name(), pl.LayerID, st.BytesByClass[trace.Data], pl.Overhead.DataBytes)
+					s.Name(), pl.LayerID, data, pl.Overhead.DataBytes)
 			}
-			if st.MetaBytes() != pl.Overhead.MetaBytes() {
+			if meta := metaBytes(pl.Trace); meta != pl.Overhead.MetaBytes() {
 				t.Errorf("%s layer %d: trace meta %d != counter %d",
-					s.Name(), pl.LayerID, st.MetaBytes(), pl.Overhead.MetaBytes())
+					s.Name(), pl.LayerID, meta, pl.Overhead.MetaBytes())
 			}
 		}
 	}
@@ -337,27 +391,23 @@ func TestProtectRejectsInvalidScheme(t *testing.T) {
 	}
 }
 
-// TestArenaReleaseDropsOversizedBuffers: an overlay whose backing
-// array is more than twice what its last use filled goes back to the
-// arena empty, so FIFO reuse across networks of different sizes
-// cannot ratchet every pooled buffer up to the largest overlay seen.
-// A buffer its last use needed keeps its capacity.
-func TestArenaReleaseDropsOversizedBuffers(t *testing.T) {
+// TestArenaRecyclesReleasedOverlaysFIFO: released overlays come back
+// in the order they were pushed, emptied but with their capacity kept,
+// so a repeated evaluation refills the buffers the previous one grew.
+func TestArenaRecyclesReleasedOverlaysFIFO(t *testing.T) {
 	overlay := func(n, c int) *trace.Overlay {
 		return &trace.Overlay{Accesses: make([]trace.Access, n, c), Anchors: make([]int32, n, c)}
 	}
-	oversized, fitted, empty := overlay(10, 1000), overlay(600, 1000), overlay(0, 64)
+	first, second, empty := overlay(10, 1000), overlay(600, 1000), overlay(0, 64)
 	a := NewArena()
-	a.Release([]*Result{{Layers: []ProtectedLayer{{Deltas: oversized}, {Deltas: fitted}, {Deltas: empty}}}})
-	if cap(oversized.Accesses) != 0 || cap(oversized.Anchors) != 0 || cap(empty.Accesses) != 0 {
-		t.Errorf("oversized buffers kept: caps %d/%d, empty %d", cap(oversized.Accesses), cap(oversized.Anchors), cap(empty.Accesses))
-	}
-	if cap(fitted.Accesses) != 1000 || cap(fitted.Anchors) != 1000 {
-		t.Errorf("fitted buffer lost its capacity: %d/%d", cap(fitted.Accesses), cap(fitted.Anchors))
-	}
-	for i, want := range []*trace.Overlay{oversized, fitted, empty} {
-		if got := a.get(); got != want || got.Len() != 0 {
-			t.Errorf("get %d: %p (len %d), want %p reset", i, got, got.Len(), want)
+	a.Release([]*Result{{Layers: []ProtectedLayer{{Deltas: first}, {Deltas: second}, {Deltas: empty}}}})
+	for i, want := range []*trace.Overlay{first, second, empty} {
+		c := cap(want.Accesses)
+		if got := a.get(); got != want || got.Len() != 0 || cap(got.Accesses) != c {
+			t.Errorf("get %d: %p (len %d, cap %d), want %p reset with cap %d", i, got, got.Len(), cap(got.Accesses), want, c)
 		}
+	}
+	if a.get() == first {
+		t.Error("an overlay was handed out twice")
 	}
 }

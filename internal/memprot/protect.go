@@ -14,25 +14,19 @@ import (
 )
 
 // Arena recycles overlay storage across ProtectAllArenaCtx
-// evaluations. On a multi-workload sweep each scheme's overlays are
-// consumed (by the DRAM model) and discarded once per workload;
-// drawing them from an arena lets the next scheme or workload refill
-// the previous one's backing arrays instead of growing fresh ones,
-// which removes the overlay — the dominant allocation of the
-// protection phase — from the steady-state profile.
-//
-// The free list is FIFO, and ProtectAllArenaCtx acquires overlays in
-// result order, then layer order, the order Release pushes them back
-// in, so on repeated evaluations each layer tends to get back a buffer
-// grown to a size it has needed before. Release keeps no buffer at
-// more than twice the size its last use filled: schemes and networks
-// of different sizes shift the FIFO, and whole buffers would ratchet
-// up to the largest overlay ever held. The arena holds strong
-// references (unlike sync.Pool), so a GC mid-sweep cannot empty it.
-// Safe for concurrent use.
+// evaluations, so a batch caller that protects the same networks
+// repeatedly refills the backing arrays the previous evaluation grew
+// instead of growing fresh ones. The free list is FIFO, and
+// ProtectAllArenaCtx acquires overlays in result order, then layer
+// order, the order Release pushes them back in, so on repeated
+// evaluations each layer gets back the buffer it used before. The
+// arena holds strong references (unlike sync.Pool), so a GC cannot
+// empty it. Safe for concurrent use.
 //
 // Callers that pass an Arena to ProtectAllArenaCtx own the release
 // discipline: call Release once the results are no longer referenced.
+// The streaming walk (WalkCtx) needs no arena: its caller reuses one
+// overlay for every layer.
 type Arena struct {
 	mu   sync.Mutex
 	free []*trace.Overlay
@@ -71,7 +65,7 @@ func (a *Arena) Release(rs []*Result) {
 	if a.head > 0 {
 		// Compact the consumed prefix so the queue's backing array
 		// stays bounded by the peak live inventory even when
-		// concurrent workloads keep it partially stocked.
+		// concurrent callers keep it partially stocked.
 		n := copy(a.free, a.free[a.head:])
 		for i := n; i < len(a.free); i++ {
 			a.free[i] = nil
@@ -84,65 +78,52 @@ func (a *Arena) Release(rs []*Result) {
 			continue
 		}
 		for i := range r.Layers {
-			ov := r.Layers[i].Deltas
-			if ov == nil {
-				continue
+			if ov := r.Layers[i].Deltas; ov != nil {
+				r.Layers[i].Deltas = nil
+				a.free = append(a.free, ov)
 			}
-			r.Layers[i].Deltas = nil
-			if cap(ov.Accesses) > 2*len(ov.Accesses) {
-				// Oversized for its last use (see Arena): without
-				// this, serving varied networks grew the retained
-				// overlays with every request (~100 MB after 300
-				// single-point explores on one replica).
-				*ov = trace.Overlay{}
-			}
-			a.free = append(a.free, ov)
 		}
 	}
 	a.mu.Unlock()
 }
 
-// ProtectAllArenaCtx evaluates schemes over one simulated network, one
-// scheme after another, each in its own walk of every layer's trace
-// (protectScheme). Schemes never copy the data stream — each
-// ProtectedLayer's Spine field aliases the scalesim layer trace, and
-// the scheme contributes only its metadata/over-fetch overlay,
-// anchored into the spine. The DRAM model consumes the two streams
-// directly (dram.Simulator.RunOverlayCtx); ProtectedLayer.Materialize
-// rebuilds the flat merge where a caller needs one. The pipeline
-// passes one scheme at a time, so only that scheme's overlays are
-// live while it drains.
-//
-// Overlay storage is drawn from arena, which may be nil (see Arena for
-// the recycling contract). The context is checked once per network
-// layer — the protection walk is layer-streaming, so that is the
-// natural all-or-nothing boundary. On an invalid scheme or
-// cancellation every result already built is released back to the
-// arena (nothing escapes to the caller, who must not Release on error)
-// and the error is returned.
+// ProtectAllArenaCtx protects net under each scheme in turn and keeps
+// every layer: it collects WalkCtx's layers into one Result per
+// scheme, each layer in its own overlay drawn from arena (which may be
+// nil; see Arena for the recycling contract). Schemes never copy the
+// data stream — each ProtectedLayer's Spine aliases the scalesim layer
+// trace. On an invalid scheme or cancellation every overlay already
+// drawn goes back to the arena (nothing escapes to the caller, who
+// must not Release on error) and the error is returned.
 func ProtectAllArenaCtx(ctx context.Context, schemes []Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) ([]*Result, error) {
 	results := make([]*Result, 0, len(schemes))
 	for _, s := range schemes {
-		r, err := protectScheme(ctx, s, net, opts, arena)
+		r := &Result{Scheme: s, Layers: make([]ProtectedLayer, 0, len(net.Layers))}
+		results = append(results, r)
+		err := WalkCtx(ctx, s, net, opts, arena.get, func(pl *ProtectedLayer) error {
+			r.Layers = append(r.Layers, *pl)
+			return nil
+		})
 		if err != nil {
 			arena.Release(results)
 			return nil, err
 		}
-		results = append(results, r)
 	}
 	return results, nil
 }
 
-// protectScheme walks every layer of net once for scheme s, under a
-// protect span whose detail is the scheme name.
-func protectScheme(ctx context.Context, s Scheme, net *scalesim.NetworkResult, opts Options, arena *Arena) (*Result, error) {
+// WalkCtx protects net under scheme s one layer at a time, in layer
+// order: each layer's metadata and over-fetch accesses go into the
+// overlay next returns, and fn receives the finished layer before the
+// next one is walked. The ProtectedLayer is valid only during fn; its
+// Spine aliases the scalesim layer trace, so the data stream is never
+// copied. The SGX end-of-inference flush of the metadata caches is
+// part of the last layer. The context is checked before each layer,
+// and the first error (an invalid scheme, cancellation, or fn's)
+// returns.
+func WalkCtx(ctx context.Context, s Scheme, net *scalesim.NetworkResult, opts Options, next func() *trace.Overlay, fn func(*ProtectedLayer) error) error {
 	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	ctx, span := obs.Start(ctx, obs.StageProtect)
-	defer span.End()
-	if span != nil { // Name formats: untraced walks skip it
-		span.SetDetail(s.Name())
+		return err
 	}
 	p := newProtector(s, opts)
 	if s.Kind == SeDA {
@@ -150,33 +131,33 @@ func protectScheme(ctx context.Context, s Scheme, net *scalesim.NetworkResult, o
 		p.precomputeSeDABlocks(net)
 		asp.End()
 	}
-	res := &Result{Scheme: s, Layers: make([]ProtectedLayer, len(net.Layers))}
 	done := ctx.Done()
+	var pl ProtectedLayer
 	for i := range net.Layers {
 		if done != nil {
 			select {
 			case <-done:
-				arena.Release([]*Result{res})
-				return nil, ctx.Err()
+				return ctx.Err()
 			default:
 			}
 		}
 		lsp := obs.StartChild(ctx, obs.StageProtectLayer)
 		lr := &net.Layers[i]
-		res.Layers[i] = ProtectedLayer{
-			LayerID: lr.LayerID,
-			Spine:   lr.Trace,
-			Deltas:  arena.get(),
-		}
-		p.beginLayer(lr, &res.Layers[i])
+		pl = ProtectedLayer{LayerID: lr.LayerID, Spine: lr.Trace, Deltas: next()}
+		p.beginLayer(lr, &pl)
 		for j := range lr.Trace.Accesses {
 			p.access(j, &lr.Trace.Accesses[j])
 		}
 		p.endLayer()
+		if i == len(net.Layers)-1 {
+			p.flush(&pl)
+		}
 		lsp.End()
+		if err := fn(&pl); err != nil {
+			return err
+		}
 	}
-	p.drain(res)
-	return res, nil
+	return nil
 }
 
 // OptBlkCache memoizes SeDA authblock searches by run-set geometry,
@@ -207,13 +188,6 @@ const optBlkCacheMax = 1 << 16
 // NewOptBlkCache builds an empty search cache.
 func NewOptBlkCache() *OptBlkCache {
 	return &OptBlkCache{m: make(map[optBlkKey]uint64)}
-}
-
-// Entries returns how many searches are memoized.
-func (c *OptBlkCache) Entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
 }
 
 // Hits returns how many searches were answered from the cache.
@@ -322,23 +296,22 @@ func (p *protector) precomputeSeDABlocks(net *scalesim.NetworkResult) {
 	}
 }
 
-// drain writes back the dirty metadata remaining in the SGX caches at
+// flush writes back the dirty metadata remaining in the SGX caches at
 // the end of the inference, charging the traffic (and overlay
-// accesses) to the final layer. Other schemes hold no cached metadata.
-// Each cache's flush is charged at the top line of its own metadata
-// region — the MAC cache in [MACBase, VNBase), the VN cache in
-// [VNBase, TreeBase) — so per-class traffic lands in the right region
-// and maps to the channels that region's lines actually use.
-func (p *protector) drain(res *Result) {
-	if p.scheme.Kind != SGX || len(res.Layers) == 0 {
+// accesses) to the final layer, pl. Other schemes hold no cached
+// metadata. Each cache's flush is charged at the top line of its own
+// metadata region — the MAC cache in [MACBase, VNBase), the VN cache
+// in [VNBase, TreeBase) — so per-class traffic lands in the right
+// region and maps to the channels that region's lines actually use.
+func (p *protector) flush(pl *ProtectedLayer) {
+	if p.scheme.Kind != SGX {
 		return
 	}
-	last := &res.Layers[len(res.Layers)-1]
 	line := uint64(p.opts.CacheLine)
-	anchor := last.Spine.Len()
+	anchor := pl.Spine.Len()
 	var lastCycle uint64
-	if n := last.Spine.Len(); n > 0 {
-		lastCycle = last.Spine.Accesses[n-1].Cycle
+	if anchor > 0 {
+		lastCycle = pl.Spine.Accesses[anchor-1].Cycle
 	}
 	for _, c := range []struct {
 		cache *cache.Cache
@@ -346,35 +319,35 @@ func (p *protector) drain(res *Result) {
 		addr  uint64
 		bytes *uint64
 	}{
-		{p.macc, trace.MACMeta, VNBase - line, &last.Overhead.MACBytes},
-		{p.vnc, trace.VNMeta, TreeBase - line, &last.Overhead.VNBytes},
+		{p.macc, trace.MACMeta, VNBase - line, &pl.Overhead.MACBytes},
+		{p.vnc, trace.VNMeta, TreeBase - line, &pl.Overhead.VNBytes},
 	} {
 		wb := c.cache.Flush()
 		if wb == 0 {
 			continue
 		}
-		// The drained lines' individual addresses are immaterial for
+		// The flushed lines' individual addresses are immaterial for
 		// timing (back-to-back metadata writes); emit one aggregate
 		// write per cache, addressed inside that cache's region.
-		last.Deltas.Append(anchor, trace.Access{
+		pl.Deltas.Append(anchor, trace.Access{
 			Cycle:  lastCycle,
 			Addr:   c.addr,
 			Bytes:  uint32(wb * line),
 			Kind:   trace.Write,
 			Class:  c.class,
 			Tensor: trace.Metadata,
-			Layer:  uint16(last.LayerID),
+			Layer:  uint16(pl.LayerID),
 		})
-		res.DrainWrites++
+		pl.DrainWrites++
 		*c.bytes += wb * line
 	}
 }
 
 // protector holds per-network scheme state (metadata caches persist
 // across layers within one inference) plus the streaming cursor for
-// the layer currently being walked. protectScheme drives it:
-// beginLayer, then access for every spine index in order, then
-// endLayer.
+// the layer currently being walked. WalkCtx drives it: beginLayer,
+// then access for every spine index in order, then endLayer, and
+// flush after the last layer.
 type protector struct {
 	scheme Scheme
 	opts   Options

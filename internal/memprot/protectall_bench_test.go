@@ -51,10 +51,10 @@ func benchNet(b *testing.B, name string, server bool) *scalesim.NetworkResult {
 //     per-scheme allocated-bytes acceptance target refers to
 //     (recorded in BENCH_PIPELINE.json): with the spine shared and the
 //     overlays recycled, steady-state allocation is the SeDA block
-//     search plus bookkeeping, not the trace data. It releases all six
-//     schemes' overlays together; the seda pipeline releases each
-//     scheme's before walking the next, so there only one scheme's
-//     overlays are live.
+//     search plus bookkeeping, not the trace data. It keeps every
+//     layer of all six schemes live until the release; the seda
+//     pipeline instead streams memprot.WalkCtx into one overlay it
+//     resets per layer, so only one layer's overlay is ever live.
 func BenchmarkProtectAll(b *testing.B) {
 	for _, cfg := range []struct {
 		name   string

@@ -31,9 +31,6 @@ func TestProtectAllSharesOneSpine(t *testing.T) {
 				t.Fatalf("%s layer %d: spine is a copy, not the scalesim trace",
 					r.Scheme.Name(), i)
 			}
-			if r.Layers[i].Trace != nil {
-				t.Fatalf("%s layer %d: the walk materialized a flat trace", r.Scheme.Name(), i)
-			}
 		}
 	}
 }
@@ -68,7 +65,7 @@ func TestProtectMatchesProtectAllMaterialized(t *testing.T) {
 	for _, r := range prots {
 		flat := protect(t, r.Scheme, net)
 		for i := range r.Layers {
-			got := r.Layers[i].Materialize()
+			got := r.Layers[i].Deltas.Materialize(r.Layers[i].Spine)
 			want := flat.Layers[i].Trace
 			if !reflect.DeepEqual(got.Accesses, want.Accesses) {
 				t.Fatalf("%s layer %d: materialized overlay differs from the single-scheme flat trace",
@@ -126,11 +123,11 @@ func TestDrainAddressesPerCacheRegion(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := &prots[0].Layers[len(prots[0].Layers)-1]
-		if prots[0].DrainWrites == 0 {
+		if last.DrainWrites == 0 {
 			t.Fatalf("%s: no drain writes recorded", s.Name())
 		}
 		var macDrain, vnDrain int
-		for j := last.Deltas.Len() - prots[0].DrainWrites; j < last.Deltas.Len(); j++ {
+		for j := last.Deltas.Len() - last.DrainWrites; j < last.Deltas.Len(); j++ {
 			a := last.Deltas.Accesses[j]
 			if int(last.Deltas.Anchors[j]) != last.Spine.Len() {
 				t.Fatalf("%s: drain access anchored mid-spine at %d", s.Name(), last.Deltas.Anchors[j])
@@ -183,10 +180,7 @@ func TestMetadataRegionsNeverOverlap(t *testing.T) {
 			vn := map[uint64]*mdInterval{}
 			for li := range prots[0].Layers {
 				pl := &prots[0].Layers[li]
-				nd := pl.Deltas.Len()
-				if li == len(prots[0].Layers)-1 {
-					nd -= prots[0].DrainWrites // drain aggregates, covered elsewhere
-				}
+				nd := pl.Deltas.Len() - pl.DrainWrites // drain aggregates, covered elsewhere
 				for j := 0; j < nd; j++ {
 					a := pl.Deltas.Accesses[j]
 					anchor := int(pl.Deltas.Anchors[j])
@@ -273,7 +267,7 @@ func TestMetadataRegionsDisjointAtFullSpan(t *testing.T) {
 		pl := &prots[0].Layers[0]
 		macR := map[uint64]*mdInterval{}
 		vnR := map[uint64]*mdInterval{}
-		nd := pl.Deltas.Len() - prots[0].DrainWrites
+		nd := pl.Deltas.Len() - pl.DrainWrites
 		for j := 0; j < nd; j++ {
 			a := pl.Deltas.Accesses[j]
 			anchor := int(pl.Deltas.Anchors[j])

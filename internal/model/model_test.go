@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -29,10 +30,38 @@ func TestNetworkShortNamesMatchPaper(t *testing.T) {
 			t.Errorf("network %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	// Names hands out a copy of the list it builds once.
+	// Names hands out a fresh list each call.
 	got[0] = "changed"
 	if again := Names(); again[0] != want[0] {
 		t.Errorf("a caller's edit reached the next Names(): %v", again)
+	}
+}
+
+// TestZooNamesMatchNetworks: each zoo entry's name is the short name
+// of the network its constructor builds.
+func TestZooNamesMatchNetworks(t *testing.T) {
+	for _, z := range zoo {
+		if n := z.build(); n.Name != z.name {
+			t.Errorf("zoo entry %q builds %q", z.name, n.Name)
+		}
+	}
+}
+
+// TestParseListBuildsOnlyWhatItReturns: resolving one workload yields
+// the same network All() does, without building the other twelve
+// layer tables.
+func TestParseListBuildsOnlyWhatItReturns(t *testing.T) {
+	nets, err := ParseList("let")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(nets) != 1 || !reflect.DeepEqual(nets[0], All()[0]) {
+		t.Fatalf("ParseList(let) = %+v, want All()'s let", nets)
+	}
+	one := testing.AllocsPerRun(20, func() { ParseList("let") }) //nolint:errcheck
+	all := testing.AllocsPerRun(20, func() { All() })
+	if one*5 >= all {
+		t.Errorf("ParseList(let) allocates %v times per call, All() %v: want under a fifth", one, all)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 )
 
 // This file defines the 13 benchmark workloads of the paper's
@@ -336,13 +335,26 @@ func YoloTiny() *Network {
 	}
 }
 
+// zoo is the suite in the paper's figure order: each network's short
+// name next to its constructor, so a lookup builds only the layer
+// tables it returns (TestZooNamesMatchNetworks keeps the names in step).
+var zoo = []struct {
+	name  string
+	build func() *Network
+}{
+	{"let", LeNet}, {"alex", AlexNet}, {"mob", MobileNet}, {"rest", ResNet18},
+	{"goo", GoogLeNet}, {"dlrm", DLRM}, {"algo", AlphaGoZero}, {"ds2", DeepSpeech2},
+	{"fast", FasterRCNN}, {"ncf", NCF}, {"sent", SentimentalSeqCNN}, {"trf", TransformerFwd},
+	{"yolo", YoloTiny},
+}
+
 // All returns the 13 benchmark networks in the paper's figure order.
 func All() []*Network {
-	return []*Network{
-		LeNet(), AlexNet(), MobileNet(), ResNet18(), GoogLeNet(),
-		DLRM(), AlphaGoZero(), DeepSpeech2(), FasterRCNN(), NCF(),
-		SentimentalSeqCNN(), TransformerFwd(), YoloTiny(),
+	out := make([]*Network, len(zoo))
+	for i, z := range zoo {
+		out[i] = z.build()
 	}
+	return out
 }
 
 // ByName returns the network with the given short name, or nil. The
@@ -350,47 +362,52 @@ func All() []*Network {
 // callers reporting a failed lookup should list Names() so users see
 // the valid set.
 func ByName(name string) *Network {
-	for _, n := range All() {
-		if strings.EqualFold(n.Name, name) {
-			return n
-		}
+	if i := zooIndex(name); i >= 0 {
+		return zoo[i].build()
 	}
 	return nil
 }
 
-// Names returns the short names in figure order.
-func Names() []string { return slices.Clone(names()) }
+// zooIndex returns the position of the named network in zoo, or -1.
+func zooIndex(name string) int {
+	for i, z := range zoo {
+		if strings.EqualFold(z.name, name) {
+			return i
+		}
+	}
+	return -1
+}
 
-// names builds the name list once: every suite response a replica
-// serves orders its rows by it, and All builds every layer table.
-var names = sync.OnceValue(func() []string {
-	all := All()
-	out := make([]string, len(all))
-	for i, n := range all {
-		out[i] = n.Name
+// Names returns the short names in figure order.
+func Names() []string {
+	out := make([]string, len(zoo))
+	for i, z := range zoo {
+		out[i] = z.name
 	}
 	return out
-})
+}
 
 // ParseList resolves a comma-separated workload list against the
 // suite: empty selects All(), names match as in ByName (surrounding
 // spaces ignored), and a repeated name keeps only its first
 // occurrence, so "let,LET" denotes the same list as "let".
 func ParseList(raw string) ([]*Network, error) {
-	all := All()
 	if raw == "" {
-		return all, nil
+		return All(), nil
 	}
-	var nets []*Network
+	var picked []int
 	for _, name := range strings.Split(raw, ",") {
-		name = strings.TrimSpace(name)
-		i := slices.IndexFunc(all, func(n *Network) bool { return strings.EqualFold(n.Name, name) })
+		i := zooIndex(strings.TrimSpace(name))
 		if i < 0 {
-			return nil, fmt.Errorf("unknown workload %q (known: %s)", name, strings.Join(Names(), ", "))
+			return nil, fmt.Errorf("unknown workload %q (known: %s)", strings.TrimSpace(name), strings.Join(Names(), ", "))
 		}
-		if !slices.Contains(nets, all[i]) {
-			nets = append(nets, all[i])
+		if !slices.Contains(picked, i) {
+			picked = append(picked, i)
 		}
+	}
+	nets := make([]*Network, len(picked))
+	for k, i := range picked {
+		nets[k] = zoo[i].build()
 	}
 	return nets, nil
 }

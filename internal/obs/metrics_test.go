@@ -130,20 +130,20 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramVec(t *testing.T) {
 	r := NewRegistry()
 	hv := r.HistogramVec("seda_stage_duration_seconds", "Stage durations.", "stage")
-	hv.With(StageDRAM).Observe(2 * time.Millisecond)
-	hv.With(StageDRAM).Observe(4 * time.Millisecond)
-	hv.With(StageProtect).Observe(500 * time.Millisecond)
-	if hv.With(StageDRAM) != hv.With(StageDRAM) {
+	hv.With(StageScheme).Observe(2 * time.Millisecond)
+	hv.With(StageScheme).Observe(4 * time.Millisecond)
+	hv.With(StageProtectLayer).Observe(500 * time.Millisecond)
+	if hv.With(StageScheme) != hv.With(StageScheme) {
 		t.Fatal("With is not stable")
 	}
 
 	fams := roundTrip(t, r)
 	fam := fams["seda_stage_duration_seconds"]
-	if n, err := fam.HistCount(map[string]string{"stage": StageDRAM}); err != nil || n != 2 {
-		t.Fatalf("dram count = %v err=%v", n, err)
+	if n, err := fam.HistCount(map[string]string{"stage": StageScheme}); err != nil || n != 2 {
+		t.Fatalf("scheme count = %v err=%v", n, err)
 	}
-	if n, err := fam.HistCount(map[string]string{"stage": StageProtect}); err != nil || n != 1 {
-		t.Fatalf("protect count = %v err=%v", n, err)
+	if n, err := fam.HistCount(map[string]string{"stage": StageProtectLayer}); err != nil || n != 1 {
+		t.Fatalf("protect.layer count = %v err=%v", n, err)
 	}
 }
 

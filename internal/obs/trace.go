@@ -33,16 +33,16 @@ import (
 // Stage names: the fixed span taxonomy. Instrumentation sites must
 // use these constants (bounded cardinality — seda-serve feeds span
 // names into the seda_stage_duration_seconds{stage=...} histogram, so
-// a stage timed once per scheme, such as protect and dram, adds one
-// observation per scheme walk).
+// the scheme stage adds one observation per scheme walk). A scheme
+// span's children are authblock.search (SeDA only) and, per layer, one
+// protect.layer and one dram.drain.
 const (
 	StageSuite        = "suite"             // one NPU x workload-set evaluation (seda.runSuiteWith)
 	StageWorkload     = "workload"          // one workload dispatch in the suite pool
 	StageScalesim     = "scalesim"          // systolic-array schedule (scalesim.SimulateNetwork)
-	StageProtect      = "protect"           // one scheme's protection walk, detail = scheme (memprot.ProtectAllArenaCtx)
-	StageProtectLayer = "protect.layer"     // one layer of the protection walk
+	StageScheme       = "scheme"            // one scheme's layer-by-layer protect and drain, detail = scheme (seda.walk)
+	StageProtectLayer = "protect.layer"     // one layer of the protection walk (memprot.WalkCtx)
 	StageAuthblock    = "authblock.search"  // SeDA auth-block geometry search
-	StageDRAM         = "dram"              // one scheme's DRAM timing loop, detail = scheme (seda.visitLayers)
 	StageDRAMDrain    = "dram.drain"        // one layer's overlay explode/drain (dram.RunOverlayCtx)
 	StageCacheGet     = "rescache.get"      // cache lookup incl. coalesced wait
 	StageCacheDisk    = "rescache.disk"     // disk-layer read or write

@@ -20,10 +20,10 @@ func TestDisabledFastPathAllocs(t *testing.T) {
 	}
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		c2, sp := Start(ctx, StageDRAM)
+		c2, sp := Start(ctx, StageScheme)
 		sp.SetDetail("x")
 		sp.End()
-		sp2 := StartChild(c2, StageProtect)
+		sp2 := StartChild(c2, StageProtectLayer)
 		sp2.End()
 	})
 	if allocs != 0 {
@@ -40,7 +40,7 @@ func TestArmedButForeignContextAllocs(t *testing.T) {
 	defer tr.Finish()
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		_, sp := Start(ctx, StageDRAM)
+		_, sp := Start(ctx, StageScheme)
 		sp.End()
 		StartChild(ctx, StageDRAMDrain).End()
 	})
@@ -60,7 +60,7 @@ func TestSpanTreeNestingAndMerge(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		sp.End()
 	}
-	dctx, d := Start(wctx, StageDRAM)
+	dctx, d := Start(wctx, StageScheme)
 	d.SetDetail("SeDA")
 	StartChild(dctx, StageDRAMDrain).End()
 	d.End()
@@ -79,7 +79,7 @@ func TestSpanTreeNestingAndMerge(t *testing.T) {
 	}
 	wl := tree.Spans[0]
 	// The three same-named drain spans merge into one node carrying
-	// count=3; the per-scheme dram span stays separate (detail differs
+	// count=3; the per-scheme span stays separate (detail differs
 	// from nothing — different name entirely).
 	if len(wl.Spans) != 2 {
 		t.Fatalf("workload children = %+v", wl.Spans)
@@ -88,12 +88,12 @@ func TestSpanTreeNestingAndMerge(t *testing.T) {
 	if drain.Name != StageDRAMDrain || drain.Count != 3 || drain.Ms < 3 {
 		t.Fatalf("merged drain node = %+v", drain)
 	}
-	dram := wl.Spans[1]
-	if dram.Name != StageDRAM || dram.Detail != "SeDA" || dram.Count != 0 {
-		t.Fatalf("dram node = %+v", dram)
+	scheme := wl.Spans[1]
+	if scheme.Name != StageScheme || scheme.Detail != "SeDA" || scheme.Count != 0 {
+		t.Fatalf("scheme node = %+v", scheme)
 	}
-	if len(dram.Spans) != 1 || dram.Spans[0].Count != 0 {
-		t.Fatalf("dram children = %+v", dram.Spans)
+	if len(scheme.Spans) != 1 || scheme.Spans[0].Count != 0 {
+		t.Fatalf("scheme children = %+v", scheme.Spans)
 	}
 
 	// Children of a span cannot outlast it by construction here, so

@@ -50,7 +50,7 @@ func TestChaosDiskReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte("payload")
-	if _, _, err := c1.GetOrCompute("aa11", func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(c1, "aa11", func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -64,7 +64,7 @@ func TestChaosDiskReadError(t *testing.T) {
 	if err := failpoint.Enable(FailpointDiskGet, "error"); err != nil {
 		t.Fatal(err)
 	}
-	blob, hit, err := c2.GetOrCompute("aa11", func() ([]byte, error) { return want, nil })
+	blob, hit, err := getOrCompute(c2, "aa11", func() ([]byte, error) { return want, nil })
 	if err != nil || hit || !bytes.Equal(blob, want) {
 		t.Fatalf("blob=%q hit=%v err=%v, want fresh recompute of %q", blob, hit, err, want)
 	}
@@ -79,7 +79,7 @@ func TestChaosDiskReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blob, hit, err := c3.GetOrCompute("aa11", nil); err != nil || !hit || !bytes.Equal(blob, want) {
+	if blob, hit, err := getOrCompute(c3, "aa11", nil); err != nil || !hit || !bytes.Equal(blob, want) {
 		t.Fatalf("after disarm: blob=%q hit=%v err=%v", blob, hit, err)
 	}
 }
@@ -95,7 +95,7 @@ func TestChaosDiskWriteError(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte("memory only")
-	blob, _, err := c.GetOrCompute("bb22", func() ([]byte, error) { return want, nil })
+	blob, _, err := getOrCompute(c, "bb22", func() ([]byte, error) { return want, nil })
 	if err != nil || !bytes.Equal(blob, want) {
 		t.Fatalf("blob=%q err=%v", blob, err)
 	}
@@ -104,7 +104,7 @@ func TestChaosDiskWriteError(t *testing.T) {
 	}
 	// The write never landed: the entry is served from memory here but
 	// invisible to a fresh cache on the same dir.
-	if blob, hit, _ := c.GetOrCompute("bb22", nil); !hit || !bytes.Equal(blob, want) {
+	if blob, hit, _ := getOrCompute(c, "bb22", nil); !hit || !bytes.Equal(blob, want) {
 		t.Fatalf("memory entry lost: blob=%q hit=%v", blob, hit)
 	}
 	failpoint.Reset()
@@ -112,7 +112,7 @@ func TestChaosDiskWriteError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.Get("bb22"); ok {
+	if _, ok := get(c2, "bb22"); ok {
 		t.Fatal("failed disk write still produced a disk entry")
 	}
 }
@@ -128,7 +128,7 @@ func TestChaosCorruptBlobNeverServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte("the one true result")
-	if _, _, err := c1.GetOrCompute("cc33", func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(c1, "cc33", func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -139,7 +139,7 @@ func TestChaosCorruptBlobNeverServed(t *testing.T) {
 	if err := failpoint.Enable(FailpointDiskCorrupt, "corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	blob, hit, err := c2.GetOrCompute("cc33", func() ([]byte, error) { return want, nil })
+	blob, hit, err := getOrCompute(c2, "cc33", func() ([]byte, error) { return want, nil })
 	if err != nil || !bytes.Equal(blob, want) {
 		t.Fatalf("blob=%q err=%v, corrupted bytes must not surface", blob, err)
 	}
@@ -158,7 +158,7 @@ func TestChaosCorruptBlobNeverServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blob, hit, err := c3.GetOrCompute("cc33", nil); err != nil || !hit || !bytes.Equal(blob, want) {
+	if blob, hit, err := getOrCompute(c3, "cc33", nil); err != nil || !hit || !bytes.Equal(blob, want) {
 		t.Fatalf("self-heal failed: blob=%q hit=%v err=%v", blob, hit, err)
 	}
 }
@@ -173,7 +173,7 @@ func TestDiskFooterDetectsRealCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []byte("precious result bytes")
-	if _, _, err := c.GetOrCompute("dd44", func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(c, "dd44", func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "dd44")
@@ -199,7 +199,7 @@ func TestDiskFooterDetectsRealCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := c2.Stats().DiskReadErrors
-		blob, hit, err := c2.GetOrCompute("dd44", func() ([]byte, error) { return want, nil })
+		blob, hit, err := getOrCompute(c2, "dd44", func() ([]byte, error) { return want, nil })
 		if err != nil || hit || !bytes.Equal(blob, want) {
 			t.Fatalf("%s: blob=%q hit=%v err=%v", name, blob, hit, err)
 		}
@@ -247,7 +247,7 @@ func TestChaosSlowComputeCancelFreesSlot(t *testing.T) {
 
 	// The slot is reusable: a different key computes without shedding.
 	failpoint.Reset()
-	if _, _, err := c.GetOrCompute("ff66", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
+	if _, _, err := getOrCompute(c, "ff66", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
 		t.Fatalf("slot not reusable: %v", err)
 	}
 }
@@ -265,7 +265,7 @@ func TestChaosComputePanic(t *testing.T) {
 	errs := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, _, err := c.GetOrCompute("0a0b", func() ([]byte, error) { return []byte("x"), nil })
+			_, _, err := getOrCompute(c, "0a0b", func() ([]byte, error) { return []byte("x"), nil })
 			errs <- err
 		}()
 	}
@@ -287,7 +287,7 @@ func TestChaosComputePanic(t *testing.T) {
 
 	// The cache recovers fully once the fault is gone.
 	failpoint.Reset()
-	if blob, _, err := c.GetOrCompute("0a0b", func() ([]byte, error) { return []byte("ok"), nil }); err != nil || string(blob) != "ok" {
+	if blob, _, err := getOrCompute(c, "0a0b", func() ([]byte, error) { return []byte("ok"), nil }); err != nil || string(blob) != "ok" {
 		t.Fatalf("post-panic compute: blob=%q err=%v", blob, err)
 	}
 }
@@ -332,7 +332,7 @@ func TestComputeTimeoutFreesSlot(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	waitInflightZero(t, c)
-	if _, _, err := c.GetOrCompute("3a3b", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
+	if _, _, err := getOrCompute(c, "3a3b", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
 		t.Fatalf("slot not reusable after timeout: %v", err)
 	}
 }
@@ -405,7 +405,7 @@ func TestFollowerDetachLeavesLeader(t *testing.T) {
 	release := make(chan struct{})
 	leaderRes := make(chan []byte, 1)
 	go func() {
-		blob, _, _ := c.GetOrCompute("5e5f", func() ([]byte, error) {
+		blob, _, _ := getOrCompute(c, "5e5f", func() ([]byte, error) {
 			close(begun)
 			<-release
 			return []byte("leader result"), nil
@@ -469,7 +469,7 @@ func TestEvictRacesGetOrCompute(t *testing.T) {
 					}
 					cancel()
 				default:
-					blob, _, err := c.GetOrCompute(key, func() ([]byte, error) { return want, nil })
+					blob, _, err := getOrCompute(c, key, func() ([]byte, error) { return want, nil })
 					if err != nil && !errors.Is(err, ErrSaturated) {
 						t.Errorf("goroutine %d: err %v", g, err)
 					} else if err == nil && !bytes.Equal(blob, want) {
@@ -481,11 +481,11 @@ func TestEvictRacesGetOrCompute(t *testing.T) {
 	}
 	wg.Wait()
 	waitInflightZero(t, c)
-	blob, _, err := c.GetOrCompute(key, func() ([]byte, error) { return want, nil })
+	blob, _, err := getOrCompute(c, key, func() ([]byte, error) { return want, nil })
 	if err != nil || !bytes.Equal(blob, want) {
 		t.Fatalf("cache unusable after race: blob=%q err=%v", blob, err)
 	}
-	if n := c.Len(); n > DefaultMaxEntries {
+	if n := c.Stats().Entries; n > DefaultMaxEntries {
 		t.Fatalf("LRU inconsistent: %d entries", n)
 	}
 }
@@ -509,7 +509,7 @@ func TestPreCancelledCtx(t *testing.T) {
 	}
 	// Memory hits are served even under a dead context (no waiting
 	// involved) — matches the "hit before ctx check" fast path.
-	if _, _, err := c.GetOrCompute("8e8f", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+	if _, _, err := getOrCompute(c, "8e8f", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	if blob, hit, err := c.GetOrComputeCtx(ctx, "8e8f", nil); err != nil || !hit || string(blob) != "v" {

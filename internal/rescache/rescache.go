@@ -51,14 +51,14 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrSaturated is returned by GetOrCompute when the cache cannot serve
+// ErrSaturated is returned by GetOrComputeCtx when the cache cannot serve
 // a key from any layer and the bounded compute capacity
 // (Options.MaxInflightComputes) is fully occupied by other keys. The
 // result is not cached, so a later call retries; servers map it to a
 // 503 with Retry-After.
 var ErrSaturated = errors.New("rescache: compute capacity saturated")
 
-// ErrCacheOnly is returned by GetOrCompute on a cache-only instance
+// ErrCacheOnly is returned by GetOrComputeCtx on a cache-only instance
 // (Options.CacheOnly) when the key is in neither the memory nor the
 // disk layer. A cache-only instance never evaluates: it is the
 // degraded-serving tier of a cluster front-end, answering only what
@@ -115,7 +115,7 @@ type Options struct {
 	// computing at once; 0 means unlimited. Hits (memory, disk) and
 	// coalesced waiters never consume a slot — only a full miss that
 	// would start a fresh evaluation does — and when no slot is free
-	// GetOrCompute sheds the request with ErrSaturated instead of
+	// GetOrComputeCtx sheds the request with ErrSaturated instead of
 	// queueing unbounded CPU work.
 	MaxInflightComputes int
 	// ComputeTimeout bounds each computation's wall-clock time; 0
@@ -231,46 +231,13 @@ func New(opts Options) (*Cache, error) {
 	return c, nil
 }
 
-// Get returns the cached blob for key, consulting memory then disk.
-// A disk hit is promoted into memory.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	if blob, ok := c.memGetLocked(key); ok {
-		c.mu.Unlock()
-		return blob, true
-	}
-	c.mu.Unlock()
-
-	blob, ok := c.diskGet(context.Background(), key)
-	if !ok {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.stats.DiskHits++
-	c.memAddLocked(key, blob)
-	c.mu.Unlock()
-	return blob, true
-}
-
-// GetOrCompute returns the blob for key, computing it at most once per
-// process no matter how many goroutines ask concurrently. hit reports
-// whether the caller's own request was served without running compute
-// (memory hit, disk hit, or coalesced onto another caller's in-flight
-// computation). Errors from compute are returned to every coalesced
-// caller and are not cached.
-//
-// GetOrCompute never detaches (it waits until the computation
-// resolves); cancellation-aware callers use GetOrComputeCtx.
-func (c *Cache) GetOrCompute(key string, compute func() ([]byte, error)) (blob []byte, hit bool, err error) {
-	var fn func(context.Context) ([]byte, error)
-	if compute != nil {
-		fn = func(context.Context) ([]byte, error) { return compute() }
-	}
-	return c.GetOrComputeCtx(context.Background(), key, fn)
-}
-
-// GetOrComputeCtx is GetOrCompute under a caller context. The context
-// governs only this caller's wait, not the computation: compute runs
+// GetOrComputeCtx returns the blob for key, computing it at most once
+// per process no matter how many goroutines ask concurrently. hit
+// reports whether the caller's own request was served without running
+// compute (memory hit, disk hit, or coalesced onto another caller's
+// in-flight computation). Errors from compute are returned to every
+// coalesced caller and are not cached. The context governs only this
+// caller's wait, not the computation: compute runs
 // on its own goroutine under a context derived from the cache (plus
 // Options.ComputeTimeout), and ctx expiring makes this call return
 // ctx.Err() immediately — the compute slot is not leaked, other
@@ -471,13 +438,6 @@ func (c *Cache) Stats() Stats {
 	s.Entries = c.ll.Len()
 	s.Inflight = len(c.inflight)
 	return s
-}
-
-// Len returns the in-memory entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 func (c *Cache) memGetLocked(key string) ([]byte, bool) {

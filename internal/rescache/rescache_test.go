@@ -27,11 +27,11 @@ func TestGetOrComputeMemoryHit(t *testing.T) {
 	calls := 0
 	compute := func() ([]byte, error) { calls++; return []byte("v1"), nil }
 
-	blob, hit, err := c.GetOrCompute(key, compute)
+	blob, hit, err := getOrCompute(c, key, compute)
 	if err != nil || hit || string(blob) != "v1" {
 		t.Fatalf("first lookup: blob=%q hit=%v err=%v", blob, hit, err)
 	}
-	blob, hit, err = c.GetOrCompute(key, compute)
+	blob, hit, err = getOrCompute(c, key, compute)
 	if err != nil || !hit || string(blob) != "v1" {
 		t.Fatalf("second lookup: blob=%q hit=%v err=%v", blob, hit, err)
 	}
@@ -56,7 +56,7 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			blob, _, err := c.GetOrCompute("f00d", func() ([]byte, error) {
+			blob, _, err := getOrCompute(c, "f00d", func() ([]byte, error) {
 				computes.Add(1)
 				<-release // hold the computation open so every worker arrives
 				return []byte("result"), nil
@@ -95,7 +95,7 @@ func TestDistinctKeysComputeIndependently(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("%02x", i)
 		want := []byte(key + "-value")
-		blob, hit, err := c.GetOrCompute(key, func() ([]byte, error) { return want, nil })
+		blob, hit, err := getOrCompute(c, key, func() ([]byte, error) { return want, nil })
 		if err != nil || hit || !bytes.Equal(blob, want) {
 			t.Fatalf("key %s: blob=%q hit=%v err=%v", key, blob, hit, err)
 		}
@@ -108,11 +108,11 @@ func TestDistinctKeysComputeIndependently(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := mustNew(t, Options{})
 	boom := errors.New("boom")
-	_, _, err := c.GetOrCompute("0abc", func() ([]byte, error) { return nil, boom })
+	_, _, err := getOrCompute(c, "0abc", func() ([]byte, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	blob, hit, err := c.GetOrCompute("0abc", func() ([]byte, error) { return []byte("ok"), nil })
+	blob, hit, err := getOrCompute(c, "0abc", func() ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || hit || string(blob) != "ok" {
 		t.Fatalf("after error: blob=%q hit=%v err=%v", blob, hit, err)
 	}
@@ -125,24 +125,24 @@ func TestLRUEviction(t *testing.T) {
 	c := mustNew(t, Options{MaxEntries: 2})
 	put := func(key string) {
 		t.Helper()
-		if _, _, err := c.GetOrCompute(key, func() ([]byte, error) { return []byte(key), nil }); err != nil {
+		if _, _, err := getOrCompute(c, key, func() ([]byte, error) { return []byte(key), nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
 	put("01")
 	put("02")
-	if _, ok := c.Get("01"); !ok { // touch 01 so 02 is the LRU victim
+	if _, ok := get(c, "01"); !ok { // touch 01 so 02 is the LRU victim
 		t.Fatal("01 missing before eviction")
 	}
 	put("03")
-	if _, ok := c.Get("02"); ok {
+	if _, ok := get(c, "02"); ok {
 		t.Fatal("02 should have been evicted")
 	}
-	if _, ok := c.Get("01"); !ok {
+	if _, ok := get(c, "01"); !ok {
 		t.Fatal("01 should have survived (recently used)")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("len = %d, want 2", c.Stats().Entries)
 	}
 }
 
@@ -150,7 +150,7 @@ func TestDiskLayerWarmStart(t *testing.T) {
 	dir := t.TempDir()
 	c1 := mustNew(t, Options{Dir: dir})
 	want := []byte("persisted")
-	if _, _, err := c1.GetOrCompute("beef", func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(c1, "beef", func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "beef")); err != nil {
@@ -160,7 +160,7 @@ func TestDiskLayerWarmStart(t *testing.T) {
 	// A fresh cache over the same directory serves the key without
 	// computing — the warm-start path.
 	c2 := mustNew(t, Options{Dir: dir})
-	blob, hit, err := c2.GetOrCompute("beef", func() ([]byte, error) {
+	blob, hit, err := getOrCompute(c2, "beef", func() ([]byte, error) {
 		t.Fatal("compute ran despite disk entry")
 		return nil, nil
 	})
@@ -172,7 +172,7 @@ func TestDiskLayerWarmStart(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Promoted: the next lookup is a memory hit.
-	if _, hit, _ := c2.GetOrCompute("beef", nil); !hit {
+	if _, hit, _ := getOrCompute(c2, "beef", nil); !hit {
 		t.Fatal("promoted entry not served from memory")
 	}
 	if st := c2.Stats(); st.Hits != 1 {
@@ -183,7 +183,7 @@ func TestDiskLayerWarmStart(t *testing.T) {
 func TestDiskRejectsNonHexKeys(t *testing.T) {
 	dir := t.TempDir()
 	c := mustNew(t, Options{Dir: dir})
-	if _, _, err := c.GetOrCompute("../escape", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
+	if _, _, err := getOrCompute(c, "../escape", func() ([]byte, error) { return []byte("x"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	ents, err := os.ReadDir(dir)
@@ -198,18 +198,18 @@ func TestDiskRejectsNonHexKeys(t *testing.T) {
 func TestEvictRemovesMemoryAndDisk(t *testing.T) {
 	dir := t.TempDir()
 	c := mustNew(t, Options{Dir: dir})
-	if _, _, err := c.GetOrCompute("dead", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
+	if _, _, err := getOrCompute(c, "dead", func() ([]byte, error) { return []byte("v"), nil }); err != nil {
 		t.Fatal(err)
 	}
 	c.Evict("dead")
-	if _, ok := c.Get("dead"); ok {
+	if _, ok := get(c, "dead"); ok {
 		t.Fatal("entry survived eviction")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "dead")); !os.IsNotExist(err) {
 		t.Fatalf("disk entry survived eviction: %v", err)
 	}
 	// The next lookup recomputes and refills both layers.
-	blob, hit, err := c.GetOrCompute("dead", func() ([]byte, error) { return []byte("v2"), nil })
+	blob, hit, err := getOrCompute(c, "dead", func() ([]byte, error) { return []byte("v2"), nil })
 	if err != nil || hit || string(blob) != "v2" {
 		t.Fatalf("post-evict: blob=%q hit=%v err=%v", blob, hit, err)
 	}
@@ -226,7 +226,7 @@ func TestBoundedComputesShed(t *testing.T) {
 	started := make(chan struct{})
 	leader := make(chan error, 1)
 	go func() {
-		_, _, err := c.GetOrCompute("aa01", func() ([]byte, error) {
+		_, _, err := getOrCompute(c, "aa01", func() ([]byte, error) {
 			close(started)
 			<-block
 			return []byte("a"), nil
@@ -236,7 +236,7 @@ func TestBoundedComputesShed(t *testing.T) {
 	<-started
 
 	// Distinct key while the slot is held: shed, not queued.
-	if _, _, err := c.GetOrCompute("bb02", func() ([]byte, error) {
+	if _, _, err := getOrCompute(c, "bb02", func() ([]byte, error) {
 		t.Error("shed compute ran")
 		return nil, nil
 	}); !errors.Is(err, ErrSaturated) {
@@ -246,7 +246,7 @@ func TestBoundedComputesShed(t *testing.T) {
 	// Identical key: coalesces (no slot needed), shares the result.
 	coal := make(chan string, 1)
 	go func() {
-		blob, hit, err := c.GetOrCompute("aa01", func() ([]byte, error) {
+		blob, hit, err := getOrCompute(c, "aa01", func() ([]byte, error) {
 			t.Error("coalesced caller computed")
 			return nil, nil
 		})
@@ -274,7 +274,7 @@ func TestBoundedComputesShed(t *testing.T) {
 	}
 
 	// The shed key was never cached; with the slot free it computes.
-	blob, hit, err := c.GetOrCompute("bb02", func() ([]byte, error) { return []byte("b"), nil })
+	blob, hit, err := getOrCompute(c, "bb02", func() ([]byte, error) { return []byte("b"), nil })
 	if err != nil || hit || string(blob) != "b" {
 		t.Fatalf("post-saturation retry: blob=%q hit=%v err=%v", blob, hit, err)
 	}
@@ -288,14 +288,14 @@ func TestBoundedComputesShed(t *testing.T) {
 	hold := make(chan struct{})
 	begun := make(chan struct{})
 	go func() {
-		c.GetOrCompute("cc03", func() ([]byte, error) { //nolint:errcheck
+		getOrCompute(c, "cc03", func() ([]byte, error) { //nolint:errcheck
 			close(begun)
 			<-hold
 			return []byte("c"), nil
 		})
 	}()
 	<-begun
-	if blob, hit, err := c.GetOrCompute("aa01", nil); err != nil || !hit || string(blob) != "a" {
+	if blob, hit, err := getOrCompute(c, "aa01", nil); err != nil || !hit || string(blob) != "a" {
 		t.Fatalf("hit during saturation: blob=%q hit=%v err=%v", blob, hit, err)
 	}
 	close(hold)

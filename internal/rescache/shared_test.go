@@ -45,11 +45,11 @@ func TestSharedDirWarmHandoff(t *testing.T) {
 
 	key := sharedKey(1)
 	want := []byte("computed-by-a")
-	if _, _, err := a.GetOrCompute(key, func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(a, key, func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
-	got, hit, err := b.GetOrCompute(key, func() ([]byte, error) {
+	got, hit, err := getOrCompute(b, key, func() ([]byte, error) {
 		t.Error("instance B recomputed a key instance A already published")
 		return nil, errors.New("unreachable")
 	})
@@ -89,7 +89,7 @@ func TestSharedDirConcurrentPublish(t *testing.T) {
 				defer wg.Done()
 				for round := 0; round < 8; round++ {
 					for i := 0; i < keys; i++ {
-						got, _, err := c.GetOrCompute(sharedKey(i), func() ([]byte, error) { return blob(i), nil })
+						got, _, err := getOrCompute(c, sharedKey(i), func() ([]byte, error) { return blob(i), nil })
 						if err != nil {
 							t.Error(err)
 							return
@@ -135,7 +135,7 @@ func TestSharedDirSelfHeal(t *testing.T) {
 
 	key := sharedKey(2)
 	want := []byte("precious-result")
-	if _, _, err := a.GetOrCompute(key, func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(a, key, func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -151,7 +151,7 @@ func TestSharedDirSelfHeal(t *testing.T) {
 	}
 
 	recomputed := false
-	got, hit, err := b.GetOrCompute(key, func() ([]byte, error) {
+	got, hit, err := getOrCompute(b, key, func() ([]byte, error) {
 		recomputed = true
 		return want, nil
 	})
@@ -168,7 +168,7 @@ func TestSharedDirSelfHeal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := fresh.Get(key)
+	got, ok := get(fresh, key)
 	if !ok || string(got) != string(want) {
 		t.Fatalf("read-back after heal: %q ok=%v", got, ok)
 	}
@@ -192,7 +192,7 @@ func TestSharedDirCorruptFailpoint(t *testing.T) {
 
 	key := sharedKey(3)
 	want := []byte("sealed-entry")
-	if _, _, err := a.GetOrCompute(key, func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(a, key, func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,7 +201,7 @@ func TestSharedDirCorruptFailpoint(t *testing.T) {
 	if err := failpoint.Enable(FailpointDiskCorrupt, "corrupt"); err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := b.GetOrCompute(key, func() ([]byte, error) { return want, nil })
+	got, hit, err := getOrCompute(b, key, func() ([]byte, error) { return want, nil })
 	if err != nil || hit || string(got) != string(want) {
 		t.Fatalf("corrupt-read lookup: got %q hit=%v err=%v", got, hit, err)
 	}
@@ -213,12 +213,12 @@ func TestSharedDirCorruptFailpoint(t *testing.T) {
 	// B's recompute republished a sealed entry; A evicts its memory copy
 	// and still reads the shared entry clean.
 	a.Evict(key)
-	if _, _, err := a.GetOrCompute(key, func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(a, key, func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// Evict removed the disk entry too, so A recomputed and republished:
 	// either way the final read must verify.
-	got, ok := b.Get(key)
+	got, ok := get(b, key)
 	if !ok || string(got) != string(want) {
 		t.Fatalf("final read: %q ok=%v", got, ok)
 	}
@@ -241,11 +241,11 @@ func TestCacheOnlyInstance(t *testing.T) {
 
 	published := sharedKey(4)
 	want := []byte("from-the-fleet")
-	if _, _, err := replica.GetOrCompute(published, func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(replica, published, func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
 
-	got, hit, err := degraded.GetOrCompute(published, func() ([]byte, error) {
+	got, hit, err := getOrCompute(degraded, published, func() ([]byte, error) {
 		t.Error("cache-only instance ran a compute")
 		return nil, errors.New("unreachable")
 	})
@@ -253,7 +253,7 @@ func TestCacheOnlyInstance(t *testing.T) {
 		t.Fatalf("degraded hit: got %q hit=%v err=%v", got, hit, err)
 	}
 
-	_, _, err = degraded.GetOrCompute(sharedKey(5), func() ([]byte, error) {
+	_, _, err = getOrCompute(degraded, sharedKey(5), func() ([]byte, error) {
 		t.Error("cache-only instance ran a compute on a miss")
 		return nil, errors.New("unreachable")
 	})
@@ -265,10 +265,10 @@ func TestCacheOnlyInstance(t *testing.T) {
 		t.Fatalf("degraded stats %+v, want Errors=0 Shed=0 Computes=0 DiskHits=1", st)
 	}
 	// A later publish by the fleet turns the same miss into a hit.
-	if _, _, err := replica.GetOrCompute(sharedKey(5), func() ([]byte, error) { return want, nil }); err != nil {
+	if _, _, err := getOrCompute(replica, sharedKey(5), func() ([]byte, error) { return want, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := degraded.GetOrCompute(sharedKey(5), nil); err != nil || !hit {
+	if _, hit, err := getOrCompute(degraded, sharedKey(5), nil); err != nil || !hit {
 		t.Fatalf("degraded after publish: hit=%v err=%v", hit, err)
 	}
 }

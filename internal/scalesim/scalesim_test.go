@@ -216,10 +216,7 @@ func TestHaloBytesPresentForOverlappingTiles(t *testing.T) {
 	c := &Config{ArrayRows: 8, ArrayCols: 8, SRAMBytes: 8 * 1024,
 		IfmapFrac: 0.45, WeightFrac: 0.35, OfmapFrac: 0.20, DoubleBuffered: true}
 	l := model.CV("c", 66, 66, 3, 3, 8, 16, 1)
-	lr, err := c.SimulateLayer(l, 0, WeightsBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := c.simulateLayer(l, 0, WeightsBase)
 	if lr.Tiling.RowTiles < 2 {
 		t.Fatalf("expected multiple row tiles, got %d", lr.Tiling.RowTiles)
 	}
@@ -240,10 +237,7 @@ func TestNoHaloForStrideEqFilter(t *testing.T) {
 	c := &Config{ArrayRows: 8, ArrayCols: 8, SRAMBytes: 8 * 1024,
 		IfmapFrac: 0.45, WeightFrac: 0.35, OfmapFrac: 0.20, DoubleBuffered: true}
 	l := model.CV("c", 64, 64, 2, 2, 8, 8, 2) // stride == filt: disjoint tiles
-	lr, err := c.SimulateLayer(l, 0, WeightsBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := c.simulateLayer(l, 0, WeightsBase)
 	if lr.HaloBytes != 0 {
 		t.Errorf("halo bytes %d for non-overlapping tiles", lr.HaloBytes)
 	}
@@ -252,10 +246,7 @@ func TestNoHaloForStrideEqFilter(t *testing.T) {
 func TestGEMMTileContiguity(t *testing.T) {
 	c := edgeCfg(t)
 	l := model.FC("g", 512, 512, 512)
-	lr, err := c.SimulateLayer(l, 0, WeightsBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := c.simulateLayer(l, 0, WeightsBase)
 	for _, a := range lr.Trace.Accesses {
 		if a.Tensor == trace.IFMap && a.Bytes%uint32(l.Channels) != 0 {
 			t.Errorf("GEMM ifmap run %d not a multiple of K=%d", a.Bytes, l.Channels)

@@ -128,7 +128,7 @@ func goldenTraceDigest(t *trace.Trace) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:8])
 }
 
-// TestScheduleGolden replays every golden case through SimulateLayer
+// TestScheduleGolden replays every golden case through simulateLayer
 // and checks each pinned quantity.
 func TestScheduleGolden(t *testing.T) {
 	for _, g := range schedGolden {
@@ -137,10 +137,7 @@ func TestScheduleGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr, err := cfg.SimulateLayer(schedGoldenLayers[g.layer], 1, WeightsBase+4096)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lr := cfg.simulateLayer(schedGoldenLayers[g.layer], 1, WeightsBase+4096)
 		name := g.cfg + "/" + g.layer
 		if lr.ComputeCycles != g.compute {
 			t.Errorf("%s: compute %d want %d", name, lr.ComputeCycles, g.compute)
@@ -158,11 +155,19 @@ func TestScheduleGolden(t *testing.T) {
 			til.WeightPasses != g.wPasses {
 			t.Errorf("%s: tiling %+v diverged from golden %+v", name, til, g)
 		}
-		st := lr.Trace.ComputeStats()
-		if st.AccessCount != g.accesses || st.ReadBytes != g.readBytes ||
-			st.WriteBytes != g.writeBytes || st.HighestCycle != g.highCycle {
+		var readBytes, writeBytes, highCycle uint64
+		for _, a := range lr.Trace.Accesses {
+			if a.Kind == trace.Read {
+				readBytes += uint64(a.Bytes)
+			} else {
+				writeBytes += uint64(a.Bytes)
+			}
+			highCycle = max(highCycle, a.Cycle)
+		}
+		if accesses := uint64(lr.Trace.Len()); accesses != g.accesses || readBytes != g.readBytes ||
+			writeBytes != g.writeBytes || highCycle != g.highCycle {
 			t.Errorf("%s: stats acc=%d r=%d w=%d hc=%d want %d/%d/%d/%d", name,
-				st.AccessCount, st.ReadBytes, st.WriteBytes, st.HighestCycle,
+				accesses, readBytes, writeBytes, highCycle,
 				g.accesses, g.readBytes, g.writeBytes, g.highCycle)
 		}
 		if lr.IfmapBytes != g.ifBytes || lr.WeightBytes != g.wBytes ||
@@ -182,10 +187,7 @@ func TestScheduleGolden(t *testing.T) {
 // the remainder cases into aligned ones.
 func TestScheduleGoldenCoversRemainders(t *testing.T) {
 	edge, _ := New(32, 32, 480<<10)
-	lr, err := edge.SimulateLayer(schedGoldenLayers["fc"], 1, WeightsBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := edge.simulateLayer(schedGoldenLayers["fc"], 1, WeightsBase)
 	if lr.Tiling.RowTiles*lr.Tiling.Th == lr.Layer.OfmapH() {
 		t.Error("fc no longer has a remainder row tile on the edge geometry")
 	}
@@ -193,10 +195,7 @@ func TestScheduleGoldenCoversRemainders(t *testing.T) {
 		t.Error("fc no longer has a remainder filter group on the edge geometry")
 	}
 	deg, _ := New(1, 1, 8<<10)
-	lr, err = deg.SimulateLayer(schedGoldenLayers["conv-odd"], 1, WeightsBase)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr = deg.simulateLayer(schedGoldenLayers["conv-odd"], 1, WeightsBase)
 	if lr.Tiling.Groups*lr.Tiling.Nt == lr.Layer.NumFilt {
 		t.Error("conv-odd no longer has a remainder filter group on the 1x1 geometry")
 	}

@@ -24,15 +24,6 @@ func (c *Config) SimulateNetwork(n *model.Network) (*NetworkResult, error) {
 	return res, nil
 }
 
-// SimulateLayer runs a single layer with its weights at the given
-// base address.
-func (c *Config) SimulateLayer(l model.Layer, layerID int, weightBase uint64) (LayerResult, error) {
-	if err := l.Validate(); err != nil {
-		return LayerResult{}, err
-	}
-	return c.simulateLayer(l, layerID, weightBase), nil
-}
-
 // dims normalizes a layer to the weight-stationary view. Activations
 // use NHWC row-major layout, so a full-width band of rows is one
 // contiguous byte run; weights use [M][R·S·C] layout, so a filter

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"encoding/hex"
 	"encoding/json"
@@ -401,7 +402,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !ok {
 		t.Fatal("metrics missing seda_stage_duration_seconds")
 	}
-	for _, stage := range []string{obs.StageSuite, obs.StageWorkload, obs.StageScalesim, obs.StageProtect, obs.StageDRAM, obs.StageCompute} {
+	for _, stage := range []string{obs.StageSuite, obs.StageWorkload, obs.StageScalesim, obs.StageScheme, obs.StageProtectLayer, obs.StageDRAMDrain, obs.StageCompute} {
 		if n, err := stages.HistCount(map[string]string{"stage": stage}); err != nil || n == 0 {
 			t.Errorf("stage histogram %s count %v err %v, want > 0", stage, n, err)
 		}
@@ -644,7 +645,7 @@ func TestSweepShedsWhenSaturated(t *testing.T) {
 	begun := make(chan struct{})
 	occupier := make(chan error, 1)
 	go func() {
-		_, _, err := cache.GetOrCompute("00ff", func() ([]byte, error) {
+		_, _, err := cache.GetOrComputeCtx(context.Background(), "00ff", func(context.Context) ([]byte, error) {
 			close(begun)
 			<-held
 			return []byte("x"), nil

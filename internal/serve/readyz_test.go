@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"slices"
@@ -44,7 +45,7 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 	begun := make(chan struct{})
 	occupier := make(chan error, 1)
 	go func() {
-		_, _, err := cache.GetOrCompute("00ff", func() ([]byte, error) {
+		_, _, err := cache.GetOrComputeCtx(context.Background(), "00ff", func(context.Context) ([]byte, error) {
 			close(begun)
 			<-held
 			return []byte("x"), nil

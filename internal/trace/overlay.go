@@ -106,8 +106,8 @@ func ForEachMerged(spine *Trace, ov *Overlay, fn func(*Access)) {
 	}
 }
 
-// MergedLen returns the length of the merged stream.
-func MergedLen(spine *Trace, ov *Overlay) int {
+// mergedLen returns the length of the merged stream.
+func mergedLen(spine *Trace, ov *Overlay) int {
 	n := spine.Len()
 	if ov != nil {
 		n += ov.Len()
@@ -121,7 +121,7 @@ func MergedLen(spine *Trace, ov *Overlay) int {
 // per-access tests) use it to see exactly what a scheme's augmented
 // trace looks like.
 func (o *Overlay) Materialize(spine *Trace) *Trace {
-	out := &Trace{Accesses: make([]Access, 0, MergedLen(spine, o))}
+	out := &Trace{Accesses: make([]Access, 0, mergedLen(spine, o))}
 	ForEachMerged(spine, o, func(a *Access) {
 		out.Accesses = append(out.Accesses, *a)
 	})

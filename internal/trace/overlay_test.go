@@ -135,8 +135,8 @@ func TestOverlayMergeOrder(t *testing.T) {
 	}
 
 	m := ov.Materialize(spine)
-	if m.Len() != MergedLen(spine, ov) {
-		t.Fatalf("materialized length %d != %d", m.Len(), MergedLen(spine, ov))
+	if m.Len() != mergedLen(spine, ov) {
+		t.Fatalf("materialized length %d != %d", m.Len(), mergedLen(spine, ov))
 	}
 	for i, a := range m.Accesses {
 		if a.Addr != want[i] {

@@ -6,10 +6,7 @@
 // paper's evaluation pipeline (§IV-A).
 package trace
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // Kind distinguishes reads from writes.
 type Kind uint8
@@ -100,7 +97,7 @@ type Access struct {
 	Tile   uint32
 }
 
-// Trace is an ordered sequence of accesses plus summary statistics.
+// Trace is an ordered sequence of accesses.
 type Trace struct {
 	Accesses []Access
 }
@@ -123,58 +120,3 @@ func (t *Trace) Reserve(n int) {
 
 // Len returns the number of accesses.
 func (t *Trace) Len() int { return len(t.Accesses) }
-
-// Stats summarizes a trace's byte counts.
-type Stats struct {
-	ReadBytes      uint64
-	WriteBytes     uint64
-	BytesByClass   [int(numClasses)]uint64
-	AccessCount    uint64
-	DataAccesses   uint64
-	MetaAccesses   uint64
-	HighestCycle   uint64
-	DistinctLayers int
-}
-
-// TotalBytes returns read + write bytes.
-func (s Stats) TotalBytes() uint64 { return s.ReadBytes + s.WriteBytes }
-
-// DataBytes returns bytes attributed to baseline tensor traffic.
-func (s Stats) DataBytes() uint64 { return s.BytesByClass[Data] }
-
-// MetaBytes returns bytes of all security-metadata classes plus
-// over-fetch (everything a protection scheme added).
-func (s Stats) MetaBytes() uint64 {
-	return s.BytesByClass[MACMeta] + s.BytesByClass[VNMeta] +
-		s.BytesByClass[TreeMeta] + s.BytesByClass[OverFetch]
-}
-
-// ComputeStats walks the trace and summarizes it. Layer IDs are
-// uint16, so distinct layers are tracked in a fixed 64 Ki-bit bitset
-// instead of a map — the walk performs no heap allocation.
-func (t *Trace) ComputeStats() Stats {
-	var s Stats
-	var layers [1 << 16 / 64]uint64
-	for _, a := range t.Accesses {
-		s.AccessCount++
-		if a.Kind == Read {
-			s.ReadBytes += uint64(a.Bytes)
-		} else {
-			s.WriteBytes += uint64(a.Bytes)
-		}
-		s.BytesByClass[a.Class] += uint64(a.Bytes)
-		if a.Class == Data {
-			s.DataAccesses++
-		} else {
-			s.MetaAccesses++
-		}
-		if a.Cycle > s.HighestCycle {
-			s.HighestCycle = a.Cycle
-		}
-		layers[a.Layer>>6] |= 1 << (a.Layer & 63)
-	}
-	for _, w := range layers {
-		s.DistinctLayers += bits.OnesCount64(w)
-	}
-	return s
-}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/rescache"
@@ -50,10 +51,11 @@ func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 		}
 		return json.Marshal(fresh)
 	}
-	// A blob that fails to decode into the expected shape can only come
-	// from a damaged disk entry (freshly computed blobs are our own
-	// marshaling of a full scheme set): evict it and recompute once, so
-	// the cache self-heals instead of pinning the corruption in memory.
+	// A blob that fails to decode into rows checkRows accepts can only
+	// come from a damaged or foreign disk entry (freshly computed blobs
+	// are our own marshaling of a full scheme set): evict it and
+	// recompute once, so the cache self-heals instead of pinning the
+	// corruption in memory.
 	for attempt := 0; ; attempt++ {
 		blob, hit, err := c.GetOrComputeCtx(ctx, key, compute)
 		if err != nil {
@@ -61,8 +63,8 @@ func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 		}
 		var decoded []RunResult
 		derr := json.Unmarshal(blob, &decoded)
-		if derr == nil && len(decoded) != len(Schemes()) {
-			derr = fmt.Errorf("%d rows, want %d", len(decoded), len(Schemes()))
+		if derr == nil {
+			derr = checkRows(decoded, npu, net)
 		}
 		if derr != nil {
 			if attempt == 0 {
@@ -73,6 +75,34 @@ func runNetworkCachedCtx(ctx context.Context, c *rescache.Cache, npu NPUConfig, 
 		}
 		return decoded, hit, nil
 	}
+}
+
+// checkRows rejects decoded rows that cannot be RunNetworkOptsCtx's
+// evaluation of net on npu. A disk entry's footer proves only that its
+// bytes are whole, not that the process that sealed them wrote these
+// rows, so the rows must name this workload, platform and Schemes() in
+// order, share one data volume and compute time across schemes (both
+// are scheme-independent), and carry the ratios their counts imply.
+func checkRows(rows []RunResult, npu NPUConfig, net *model.Network) error {
+	schemes := Schemes()
+	if len(rows) != len(schemes) {
+		return fmt.Errorf("%d rows, want %d", len(rows), len(schemes))
+	}
+	want := make([]RunResult, len(rows))
+	for k, r := range rows {
+		if r.DataBytes != rows[0].DataBytes || r.ComputeCycles != rows[0].ComputeCycles {
+			return fmt.Errorf("row %d: scheme-independent counts differ from row 0", k)
+		}
+		want[k] = RunResult{NPU: npu.Name, Network: net.Name, Scheme: schemes[k],
+			DataBytes: r.DataBytes, MetaBytes: r.MetaBytes, ExecCycles: r.ExecCycles, ComputeCycles: r.ComputeCycles}
+	}
+	if err := normalize(want); err != nil {
+		return err
+	}
+	if !slices.Equal(rows, want) {
+		return fmt.Errorf("rows are not %s/%s's evaluation", npu.Name, net.Name)
+	}
+	return nil
 }
 
 // RunSuiteCachedCtx is RunSuiteOptsCtx with the per-network cache in

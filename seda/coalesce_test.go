@@ -125,16 +125,35 @@ func TestCoalescedMaterializedTraceConserved(t *testing.T) {
 	}
 	for k := range raws {
 		for i := range raws[k].Layers {
-			rst := raws[k].Layers[i].Materialize().ComputeStats()
-			cst := coals[k].Layers[i].Materialize().ComputeStats()
-			if rst.BytesByClass != cst.BytesByClass ||
-				rst.ReadBytes != cst.ReadBytes || rst.WriteBytes != cst.WriteBytes ||
-				rst.HighestCycle != cst.HighestCycle {
+			rst, cst := totalsOf(&raws[k].Layers[i]), totalsOf(&coals[k].Layers[i])
+			if rst != cst {
 				t.Errorf("%s layer %d: materialized totals diverged:\nraw  %+v\ncoal %+v",
 					raws[k].Scheme.Name(), i, rst, cst)
 			}
 		}
 	}
+}
+
+// traceTotals is a flat trace's byte totals per class and per kind,
+// and its last issue cycle.
+type traceTotals struct {
+	byClass           [trace.OverFetch + 1]uint64
+	read, write, last uint64
+}
+
+// totalsOf materializes a protected layer and sums its flat trace.
+func totalsOf(pl *memprot.ProtectedLayer) traceTotals {
+	var s traceTotals
+	for _, a := range pl.Deltas.Materialize(pl.Spine).Accesses {
+		s.byClass[a.Class] += uint64(a.Bytes)
+		if a.Kind == trace.Read {
+			s.read += uint64(a.Bytes)
+		} else {
+			s.write += uint64(a.Bytes)
+		}
+		s.last = max(s.last, a.Cycle)
+	}
+	return s
 }
 
 // TestRunNetworkMatchesRawOverlays pins the end-to-end figure

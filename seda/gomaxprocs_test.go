@@ -15,9 +15,10 @@ import (
 // workloads at GOMAXPROCS 2, so two workers, with no testing.Short()
 // skip, so the `-race -short` CI job exercises concurrent
 // RunNetworkOptsCtx calls — the pipeline's only level of parallelism —
-// sharing the process-wide memprot overlay arena and dram queue arena,
-// the paths an unsynchronized arena would corrupt. Results must still
-// match the GOMAXPROCS 1 run, which evaluates one workload at a time.
+// sharing the process-wide dram queue arena and SeDA's optBlk memo
+// (each walk owns its overlay), the paths an unsynchronized arena or
+// memo would corrupt. Results must still match the GOMAXPROCS 1 run,
+// which evaluates one workload at a time.
 func TestSuiteWorkerPoolSharedArenas(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	npu := EdgeNPU()

@@ -3,8 +3,10 @@ package seda
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -42,9 +44,11 @@ func TestTracedSuiteOutputByteIdentical(t *testing.T) {
 }
 
 // TestSuiteSpanTree checks the shape and arithmetic of a traced
-// sweep: suite → workload → {scalesim, protect × 6, dram × 6}, one
-// protect and one dram span per scheme, each named for its scheme, and
-// the workload's sequential phases fit inside its span.
+// sweep: suite → workload → {scalesim, scheme × 6}, one scheme span per
+// scheme name, each holding one protect.layer and one dram.drain span
+// per layer (merged into two counted nodes) and, under SeDA only, the
+// authblock search. Everything inside a workload runs one step after
+// another, so children fit inside their parent at both levels.
 func TestSuiteSpanTree(t *testing.T) {
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
@@ -63,36 +67,48 @@ func TestSuiteSpanTree(t *testing.T) {
 	if len(suite.Spans) != 2 {
 		t.Fatalf("suite children (want 2 workload nodes): %+v", suite.Spans)
 	}
-	schemes := map[string]bool{}
-	for _, s := range Schemes() {
-		schemes[s.Name()] = true
+	// fits checks that sp's children sum to at most sp (1ms slack for
+	// the µs rounding of each exported node).
+	fits := func(sp obs.SpanJSON) {
+		var childMs float64
+		for _, c := range sp.Spans {
+			childMs += c.Ms
+		}
+		if childMs > sp.Ms+1 {
+			t.Errorf("%s %s: children sum to %.3fms, more than the span's %.3fms", sp.Name, sp.Detail, childMs, sp.Ms)
+		}
 	}
-	counts := map[string]int{}
 	for _, workload := range suite.Spans {
 		if workload.Name != obs.StageWorkload || workload.Detail == "" {
 			t.Fatalf("suite child is not a detailed workload span: %+v", workload)
 		}
-		var childMs float64
+		fits(workload)
+		layers := len(model.ByName(workload.Detail).Layers)
+		counts := map[string]int{}
 		for _, sp := range workload.Spans {
-			childMs += sp.Ms
-			n := max(sp.Count, 1)
-			counts[sp.Name] += n
-			if (sp.Name == obs.StageProtect || sp.Name == obs.StageDRAM) && (!schemes[sp.Detail] || n != 1) {
-				t.Errorf("workload %s: %s span detail %q ×%d, want one span per scheme name",
-					workload.Detail, sp.Name, sp.Detail, n)
+			counts[sp.Name] += max(sp.Count, 1)
+			if sp.Name != obs.StageScheme {
+				continue
+			}
+			if sp.Count > 1 {
+				t.Errorf("workload %s: %d scheme spans named %q, want one", workload.Detail, sp.Count, sp.Detail)
+			}
+			fits(sp)
+			inner := map[string]int{}
+			for _, c := range sp.Spans {
+				inner[c.Name] += max(c.Count, 1)
+			}
+			want := map[string]int{obs.StageProtectLayer: layers, obs.StageDRAMDrain: layers}
+			if sp.Detail == memprot.SchemeSeDA.Name() {
+				want[obs.StageAuthblock] = 1
+			}
+			if !reflect.DeepEqual(inner, want) {
+				t.Errorf("workload %s scheme %s: children %v, want %v", workload.Detail, sp.Detail, inner, want)
 			}
 		}
-		// scalesim, then each scheme's protect and dram, run one after
-		// another inside the workload span, so their sum cannot exceed
-		// it (1ms slack for the µs rounding of each exported node).
-		if childMs > workload.Ms+1 {
-			t.Errorf("workload %s: stage durations %.3fms exceed workload span %.3fms",
-				workload.Detail, childMs, workload.Ms)
+		if want := map[string]int{obs.StageScalesim: 1, obs.StageScheme: len(Schemes())}; !reflect.DeepEqual(counts, want) {
+			t.Errorf("workload %s: children %v, want %v", workload.Detail, counts, want)
 		}
-	}
-	n := len(Schemes())
-	if counts[obs.StageScalesim] != 2 || counts[obs.StageProtect] != 2*n || counts[obs.StageDRAM] != 2*n {
-		t.Errorf("span counts %v, want 2 scalesim and %d each of protect and dram", counts, 2*n)
 	}
 }
 
@@ -122,7 +138,7 @@ func TestCachedSuiteSpansAttachThroughCache(t *testing.T) {
 		return false
 	}
 	tree := tr.Tree()
-	for _, want := range []string{obs.StageCacheGet, obs.StageCompute, obs.StageDRAM} {
+	for _, want := range []string{obs.StageCacheGet, obs.StageCompute, obs.StageScheme} {
 		if !found(tree, want) {
 			t.Errorf("cached sweep trace missing %s span:\n%s", want, mustJSON(t, tr))
 		}

@@ -9,15 +9,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/scalesim"
+	"repro/internal/trace"
 )
-
-// protArena recycles protection-overlay storage across every scheme
-// and network evaluated in this process (see memprot.Arena). Overlays
-// never escape the package: RunNetworkOptsCtx returns only aggregated
-// rows, and a WalkSchemeCtx layer is valid only during its callback,
-// so each scheme's overlays are released as soon as its layers have
-// been visited, before the next scheme is protected.
-var protArena = memprot.NewArena()
 
 // dramArena shares DRAM scratch state (per-channel span queues, bank
 // arrays, window rings) across every simulator in the process: the six
@@ -69,19 +62,19 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 
 // RunNetworkOptsCtx evaluates every scheme on one network and returns
 // one row per scheme, ordered as Schemes() (baseline last). The
-// network is scheduled once; then each scheme in turn is protected,
-// drained through npu's DRAM model and released on the calling
-// goroutine, so only one scheme's overlays are live at a time, and the
+// network is scheduled once; then each scheme in turn is protected and
+// drained through npu's DRAM model one layer at a time on the calling
+// goroutine, so only one layer's overlay is live at a time, and the
 // first error returns. Concurrency comes from the caller, such as the
 // suite's workload pool. opts selects nothing.
 //
 // Every scheme is walked off a shared data spine: the scalesim trace
-// is never copied, and memprot.ProtectAllArenaCtx adds only a
-// per-scheme metadata overlay. The DRAM phase consumes spine+overlay
-// pairs directly, drawing its scratch queues from one shared arena.
-// Execution time is the sum over layers of max(compute, memory): the
-// accelerator double-buffers, so within a layer compute and DRAM
-// overlap, but layer boundaries synchronize.
+// is never copied, and memprot.WalkCtx adds only a per-layer metadata
+// overlay. The DRAM phase consumes spine+overlay pairs directly,
+// drawing its scratch queues from one shared arena. Execution time is
+// the sum over layers of max(compute, memory): the accelerator
+// double-buffers, so within a layer compute and DRAM overlap, but
+// layer boundaries synchronize.
 //
 // The context reaches the protection walk (checked per layer) and the
 // DRAM drain loops (checked every pollCycles of simulated time). A
@@ -105,15 +98,24 @@ func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, o
 		return nil, err
 	}
 
+	if err := normalize(rows); err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// normalize sets every row's NormTraffic and NormPerf against the
+// baseline row's traffic and execution time.
+func normalize(rows []RunResult) error {
 	base, err := SchemeRow(rows, memprot.SchemeBaseline)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := range rows {
 		rows[i].NormTraffic = safeRatio(float64(rows[i].DataBytes+rows[i].MetaBytes), float64(base.DataBytes))
 		rows[i].NormPerf = safeRatio(float64(base.ExecCycles), float64(rows[i].ExecCycles))
 	}
-	return rows, nil
+	return nil
 }
 
 func safeRatio(num, den float64) float64 {
@@ -130,9 +132,9 @@ type Layer struct {
 	Sim *scalesim.LayerResult
 
 	// Prot is the layer's protected stream (the shared data spine plus
-	// the scheme's metadata overlay) and traffic breakdown. Its storage
-	// returns to the process-wide arena when the scheme's walk ends, so
-	// it is valid only during the callback.
+	// the scheme's metadata overlay) and traffic breakdown. The walk
+	// reuses its overlay for the next layer, so it is valid only
+	// during the callback.
 	Prot *memprot.ProtectedLayer
 
 	// DRAMCycles is the layer's drained DRAM time, set only when the
@@ -146,19 +148,17 @@ type Layer struct {
 // model before its callback. It is the uncached single-scheme
 // measurement: the layers' sums of max(compute, DRAMCycles) and
 // overheads are exactly the scheme's RunNetworkOptsCtx row
-// (TestWalkSchemeMatchesSuiteRows). The walk releases its overlays
-// before it returns.
+// (TestWalkSchemeMatchesSuiteRows).
 func WalkSchemeCtx(ctx context.Context, npu NPUConfig, net *model.Network, scheme memprot.Scheme, drain bool, fn func(Layer)) error {
 	return walk(ctx, npu, net, []memprot.Scheme{scheme}, drain, func(_ int, l Layer) { fn(l) })
 }
 
 // walk is every evaluation's one loop: it validates npu, runs the
-// systolic-array schedule once, then for each scheme in order protects
-// the network (overlays from protArena — on a sweep each scheme and
-// workload refills the buffers the previous one grew), optionally
-// drains each layer through npu's DRAM model with its scratch drawn
-// from dramArena, hands fn the scheme's index and each layer, and
-// releases the overlays before the next scheme. A dead context returns
+// systolic-array schedule once, then for each scheme in order and each
+// layer in turn protects the layer into one overlay (reset per layer
+// and shared by all of the call's schemes), optionally drains it
+// through npu's DRAM model with its scratch drawn from dramArena, and
+// hands fn the scheme's index and the layer. A dead context returns
 // before the schedule is simulated.
 func walk(ctx context.Context, npu NPUConfig, net *model.Network, schemes []memprot.Scheme, drain bool, fn func(k int, l Layer)) error {
 	if err := ctx.Err(); err != nil {
@@ -179,49 +179,49 @@ func walk(ctx context.Context, npu NPUConfig, net *model.Network, schemes []memp
 	}
 	popts := memprot.DefaultOptions()
 	popts.OptBlkCache = optBlkCache
-	for k := range schemes {
-		prots, err := memprot.ProtectAllArenaCtx(ctx, schemes[k:k+1], sim, popts, protArena)
-		if err != nil {
-			return err
-		}
-		err = visitLayers(ctx, npu, sim, prots[0], drain, func(l Layer) { fn(k, l) })
-		protArena.Release(prots)
-		if err != nil {
+	ov := &trace.Overlay{}
+	next := func() *trace.Overlay {
+		ov.Reset()
+		return ov
+	}
+	for k, s := range schemes {
+		if err := walkScheme(ctx, npu, sim, s, popts, next, drain, func(l Layer) { fn(k, l) }); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// visitLayers hands fn each of one scheme's protected layers in order,
-// with drain first running it through npu's DRAM timing model under a
-// dram span named for the scheme.
-func visitLayers(ctx context.Context, npu NPUConfig, sim *scalesim.NetworkResult, prot *memprot.Result, drain bool, fn func(Layer)) error {
-	if !drain {
-		for i := range prot.Layers {
-			fn(Layer{Sim: &sim.Layers[i], Prot: &prot.Layers[i]})
-		}
-		return nil
-	}
-	ctx, span := obs.Start(ctx, obs.StageDRAM)
+// walkScheme protects and, with drain, drains one scheme's layers in
+// turn under a scheme span named for it.
+func walkScheme(ctx context.Context, npu NPUConfig, sim *scalesim.NetworkResult, s memprot.Scheme, popts memprot.Options, next func() *trace.Overlay, drain bool, fn func(Layer)) error {
+	ctx, span := obs.Start(ctx, obs.StageScheme)
 	defer span.End()
-	if span != nil { // Name formats: untraced drains skip it
-		span.SetDetail(prot.Scheme.Name())
+	if span != nil { // Name formats: untraced walks skip it
+		span.SetDetail(s.Name())
 	}
-	dsim, err := dram.New(npu.DRAMConfig())
-	if err != nil {
-		return err
-	}
-	dsim.SetArena(dramArena)
-	for i := range prot.Layers {
-		pl := &prot.Layers[i]
-		st, err := dsim.RunOverlayCtx(ctx, pl.Spine, pl.Deltas)
-		if err != nil {
+	var dsim *dram.Simulator
+	if drain {
+		var err error
+		if dsim, err = dram.New(npu.DRAMConfig()); err != nil {
 			return err
 		}
-		fn(Layer{Sim: &sim.Layers[i], Prot: pl, DRAMCycles: st.Cycles})
+		dsim.SetArena(dramArena)
 	}
-	return nil
+	i := 0
+	return memprot.WalkCtx(ctx, s, sim, popts, next, func(pl *memprot.ProtectedLayer) error {
+		l := Layer{Sim: &sim.Layers[i], Prot: pl}
+		i++
+		if dsim != nil {
+			st, err := dsim.RunOverlayCtx(ctx, pl.Spine, pl.Deltas)
+			if err != nil {
+				return err
+			}
+			l.DRAMCycles = st.Cycles
+		}
+		fn(l)
+		return nil
+	})
 }
 
 // SchemeRow finds the row for a scheme in RunNetworkOptsCtx output.

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/memprot"
 	"repro/internal/model"
 )
 
@@ -74,6 +76,76 @@ func TestWalkSchemeMatchesSuiteRows(t *testing.T) {
 		return true
 	}
 	qc := &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(24))}
+	if err := quick.Check(check, qc); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestStreamedWalkMatchesCollectedLayers is the layer-streaming
+// walk's property test: on random small platforms, walking all six
+// schemes through one overlay reused layer after layer must hand each
+// callback exactly the layer memprot.ProtectAllArenaCtx builds with a
+// fresh overlay per layer, all kept live (accesses, anchors and
+// overhead), and every callback's anchors must be nondecreasing and
+// inside its spine.
+func TestStreamedWalkMatchesCollectedLayers(t *testing.T) {
+	n := 24
+	if testing.Short() {
+		n = 6
+	}
+	ctx := context.Background()
+	schemes := Schemes()
+	check := func(c walkCase) bool {
+		net := model.ByName(c.net)
+		arr, err := c.npu.arrayConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := arr.SimulateNetwork(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := memprot.ProtectAllArenaCtx(ctx, schemes, sim, memprot.DefaultOptions(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ok := true
+		next := make([]int, len(schemes))
+		err = walk(ctx, c.npu, net, schemes, false, func(k int, l Layer) {
+			i := next[k]
+			next[k]++
+			name := fmt.Sprintf("%s/%s/%s layer %d", c.npu.Name, c.net, schemes[k].Name(), i)
+			ref, got := &want[k].Layers[i], l.Prot
+			if !slices.Equal(got.Deltas.Accesses, ref.Deltas.Accesses) || !slices.Equal(got.Deltas.Anchors, ref.Deltas.Anchors) {
+				t.Errorf("%s: streamed overlay (%d entries) differs from the collected one (%d)", name, got.Deltas.Len(), ref.Deltas.Len())
+				ok = false
+			}
+			if got.Overhead != ref.Overhead || got.DrainWrites != ref.DrainWrites {
+				t.Errorf("%s: overhead %+v (drain %d), want %+v (drain %d)", name, got.Overhead, got.DrainWrites, ref.Overhead, ref.DrainWrites)
+				ok = false
+			}
+			prev := int32(0)
+			for _, a := range got.Deltas.Anchors {
+				if a < prev || int(a) > got.Spine.Len() {
+					t.Errorf("%s: anchor %d after %d, spine length %d", name, a, prev, got.Spine.Len())
+					ok = false
+					break
+				}
+				prev = a
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range schemes {
+			if next[k] != len(sim.Layers) {
+				t.Errorf("%s/%s/%s: %d callbacks, want %d", c.npu.Name, c.net, schemes[k].Name(), next[k], len(sim.Layers))
+				ok = false
+			}
+		}
+		return ok
+	}
+	qc := &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(27))}
 	if err := quick.Check(check, qc); err != nil {
 		t.Error(err)
 	}
