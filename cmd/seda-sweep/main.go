@@ -106,12 +106,12 @@ func main() {
 
 	var srv, edg *seda.SuiteResult
 	if needServer {
-		if srv, err = seda.RunSuiteCachedCtx(ctx, cache, server, model.All()); err != nil {
+		if srv, err = seda.RunSuiteCachedCtx(ctx, cache, server, model.All(), seda.Schemes()); err != nil {
 			fatal(err)
 		}
 	}
 	if needEdge {
-		if edg, err = seda.RunSuiteCachedCtx(ctx, cache, edge, model.All()); err != nil {
+		if edg, err = seda.RunSuiteCachedCtx(ctx, cache, edge, model.All(), seda.Schemes()); err != nil {
 			fatal(err)
 		}
 	}

@@ -27,8 +27,9 @@
 //	internal/cluster   fault-tolerant routing over a fleet of serve replicas
 //
 // The pipeline is deterministic, so results are memoizable:
-// seda.RunSuiteCachedCtx serves rows through
-// internal/rescache keyed by seda.ConfigFingerprint, and the
+// seda.RunSuiteCachedCtx serves the rows of a scheme subset through
+// internal/rescache keyed by its config fingerprint (for a sweep's six
+// schemes, seda.ConfigFingerprint), and the
 // cmd/seda-serve HTTP server ("sweep-as-a-service") exposes the cached
 // sweeps as JSON or CSV with singleflight deduplication of concurrent
 // identical requests. cmd/seda-router fronts N such replicas with

@@ -468,3 +468,44 @@ func FuzzDrainMatchesOracle(f *testing.F) {
 		checkAgainstOracle(t, data)
 	})
 }
+
+// TestDrainFloor: on random geometries, timings and traces, no drain
+// finishes before two floors that hold whatever the scheduler picks.
+// The busiest channel carries at least ⌈bursts/channels⌉ bursts, each
+// holding its bus for TBurst; and the last-issued burst cannot start
+// before its issue cycle, then pays TCL before its TBurst of data.
+func TestDrainFloor(t *testing.T) {
+	n := 1500
+	if testing.Short() {
+		n = 200
+	}
+	check := func(c drainCase) bool {
+		cfg, tr := decodeCase(c)
+		if tr.Len() == 0 {
+			return true
+		}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatalf("decodeCase built an invalid config: %v", err)
+		}
+		st := drainWith(t, s, tr, (*Simulator).drainChannel)
+		var lastIssue uint64
+		for _, a := range tr.Accesses {
+			lastIssue = max(lastIssue, a.Cycle)
+		}
+		bursts := st.Reads + st.Writes
+		chans := uint64(cfg.Channels)
+		busFloor := (bursts + chans - 1) / chans * cfg.TBurst
+		issueFloor := lastIssue + cfg.TCL + cfg.TBurst
+		if st.Cycles < max(busFloor, issueFloor) {
+			t.Errorf("config %+v, %d accesses, %d bursts: drained in %d cycles, below the bus floor %d or the issue floor %d",
+				cfg, tr.Len(), bursts, st.Cycles, busFloor, issueFloor)
+			return false
+		}
+		return true
+	}
+	qc := &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(28))}
+	if err := quick.Check(check, qc); err != nil {
+		t.Error(err)
+	}
+}

@@ -3,8 +3,10 @@
 // spec's cartesian product, prices every point with a calibrated
 // analytic DRAM surrogate (no cycle-accurate scheduling), and confirms
 // through the full cycle-accurate pipeline only the points no earlier
-// confirmation proves dominated — reusing the standard result cache,
-// so a later exploration of the same point hits its confirmation.
+// confirmation proves dominated. A confirmation evaluates just the
+// explored scheme and Baseline, through the standard result cache
+// under that scheme subset's key, so a later exploration of the same
+// point under the same scheme hits its confirmation.
 //
 // Calibration and the surrogate pass walk one scheme through seda
 // (seda.WalkSchemeCtx) and so share seda's process-wide scratch with
@@ -204,21 +206,23 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 		return res, nil
 	}
 
-	// Confirm cycle-accurately through the standard cached pipeline;
-	// each confirmation is a full scheme-set suite of the point, so a
-	// later exploration of the same point, under any scheme, hits its
-	// rows in the cache.
+	// Confirm cycle-accurately through the standard cached pipeline,
+	// evaluating only the explored scheme and the Baseline its rows are
+	// normalised against. Each confirmation is cached under that scheme
+	// subset, so a later exploration of the same point under the same
+	// scheme hits its rows; a sweep or another scheme does not.
 	ctx, confirmSpan := obs.Start(ctx, obs.StageConfirm)
 	defer confirmSpan.End()
 	cost := make([]float64, len(res.Points))
 	for i := range res.Points {
 		cost[i] = res.Points[i].Cost
 	}
+	schemes := confirmSchemes(opts.Scheme)
 	confirmed, err := confirmWalk(cost, lower, func(p int) (float64, error) {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
-		suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads)
+		suite, err := seda.RunSuiteCachedCtx(ctx, opts.Cache, res.Points[p].Config, opts.Workloads, schemes)
 		if err != nil {
 			return 0, fmt.Errorf("explore: confirming %s: %w", res.Points[p].Config.Name, err)
 		}
@@ -239,6 +243,16 @@ func Run(ctx context.Context, spec *Spec, base seda.NPUConfig, opts Options) (*R
 	}
 	res.Frontier = frontierOf(res.Points, confirmed, true)
 	return res, nil
+}
+
+// confirmSchemes is the scheme subset a confirmation evaluates: the
+// explored scheme and Baseline, in seda.Schemes() order (Baseline is
+// last), or Baseline alone when it is the explored scheme.
+func confirmSchemes(s memprot.Scheme) []memprot.Scheme {
+	if s == memprot.SchemeBaseline {
+		return []memprot.Scheme{s}
+	}
+	return []memprot.Scheme{s, memprot.SchemeBaseline}
 }
 
 // surrogatePass prices every point analytically, returning each

@@ -230,8 +230,7 @@ func TestExploreLowerBoundHolds(t *testing.T) {
 // channels, memory bandwidth); grids over insensitive axes degenerate
 // into exact plateaus that no sound pruning can separate. It also pins
 // that a rerun against the same cache confirms entirely from cached
-// entries — explored points land under the standard config
-// fingerprints.
+// entries.
 func TestExplorePrunesLargeGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-point grid in -short mode")
@@ -283,6 +282,54 @@ func TestExplorePrunesLargeGrid(t *testing.T) {
 	for k := range res.Frontier {
 		if res.Points[res.Frontier[k]].Config.Name != res2.Points[res2.Frontier[k]].Config.Name {
 			t.Errorf("warm rerun frontier diverged at %d", k)
+		}
+	}
+}
+
+// TestConfirmationCachesItsSchemeSubset: on an empty cache, each
+// confirmation computes one entry per workload, under the {scheme,
+// Baseline} subset's key ({Baseline} alone when Baseline is explored),
+// so a six-scheme sweep of a confirmed point finds nothing cached and
+// computes afresh, and its row of the explored scheme carries the
+// confirmed cycles.
+func TestConfirmationCachesItsSchemeSubset(t *testing.T) {
+	for _, scheme := range []memprot.Scheme{memprot.SchemeSeDA, memprot.SchemeBaseline} {
+		cache, err := rescache.New(rescache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := nets(t, "let", "ncf")
+		res, err := Run(context.Background(), mustSpec(t, "rows=16|32"), seda.EdgeNPU(),
+			Options{Workloads: ws, Scheme: scheme, Cache: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cache.Stats().Computes, uint64(res.Confirmed()*len(ws)); got != want {
+			t.Errorf("%s: %d computes for %d confirmations of %d workloads", scheme.Name(), got, res.Confirmed(), len(ws))
+		}
+		for _, p := range res.Points {
+			if !p.Confirmed {
+				continue
+			}
+			before := cache.Stats().Computes
+			suite, err := seda.RunSuiteCachedCtx(context.Background(), cache, p.Config, ws, seda.Schemes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cache.Stats().Computes - before; got != uint64(len(ws)) {
+				t.Errorf("%s: six-scheme sweep of confirmed %s computed %d entries, want %d", scheme.Name(), p.Config.Name, got, len(ws))
+			}
+			var exec uint64
+			for _, n := range ws {
+				row, err := seda.SchemeRow(suite.Rows[n.Name], scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exec += row.ExecCycles
+			}
+			if exec != p.ExecCycles {
+				t.Errorf("%s: %s confirmed %d exec cycles, six-scheme rows sum to %d", scheme.Name(), p.Config.Name, p.ExecCycles, exec)
+			}
 		}
 	}
 }

@@ -289,6 +289,10 @@ var figures = map[string]struct {
 	"6b": {"edge", "perf"},
 }
 
+// sweepSchemes is the scheme set every sweep evaluates, built once so
+// that a warm sweep allocates nothing for it. It is never written.
+var sweepSchemes = seda.Schemes()
+
 // handleSweep answers /v1/sweep?npu=server&fig=5a[&workloads=let,ncf].
 //
 //   - npu selects the platform (server or edge); it may be omitted when
@@ -338,7 +342,7 @@ func (s *API) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.sweepError(w, r, err)
 		return
 	}
-	suite, err := seda.RunSuiteCachedCtx(r.Context(), s.cache, npu, nets)
+	suite, err := seda.RunSuiteCachedCtx(r.Context(), s.cache, npu, nets, sweepSchemes)
 	if err != nil {
 		s.sweepError(w, r, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/memprot"
 	"repro/internal/model"
 	"repro/internal/rescache"
 )
@@ -34,6 +35,9 @@ func TestConfigFingerprintStableAndDistinct(t *testing.T) {
 	for name, fp := range map[string]string{
 		"server/let": ConfigFingerprint(ServerNPU(), let),
 		"edge/ncf":   ConfigFingerprint(EdgeNPU(), ncf),
+		"edge/let {SeDA, Baseline}": fingerprint(EdgeNPU(), let,
+			[]memprot.Scheme{memprot.SchemeSeDA, memprot.SchemeBaseline}),
+		"edge/let {Baseline}": fingerprint(EdgeNPU(), let, []memprot.Scheme{memprot.SchemeBaseline}),
 	} {
 		if prev, dup := distinct[fp]; dup {
 			t.Fatalf("fingerprint collision: %s and %s", prev, name)
@@ -57,13 +61,13 @@ func TestRunNetworkCachedMatchesFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net)
+	got, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, Schemes())
 	if err != nil || hit {
 		t.Fatalf("first cached run: hit=%v err=%v", hit, err)
 	}
 	assertRowsEqual(t, got, fresh)
 
-	again, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net)
+	again, hit, err := runNetworkCachedCtx(context.Background(), c, npu, net, Schemes())
 	if err != nil || !hit {
 		t.Fatalf("second cached run: hit=%v err=%v", hit, err)
 	}
@@ -88,7 +92,7 @@ func TestRunNetworkCachedSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, errs[i] = runNetworkCachedCtx(context.Background(), c, npu, net)
+			results[i], _, errs[i] = runNetworkCachedCtx(context.Background(), c, npu, net, Schemes())
 		}(i)
 	}
 	wg.Wait()
@@ -115,10 +119,10 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 
 	// Prime the cache with one workload, then sweep two: only the
 	// uncached one evaluates.
-	if _, _, err := runNetworkCachedCtx(context.Background(), c, npu, let); err != nil {
+	if _, _, err := runNetworkCachedCtx(context.Background(), c, npu, let, Schemes()); err != nil {
 		t.Fatal(err)
 	}
-	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf})
+	suite, err := RunSuiteCachedCtx(context.Background(), c, npu, []*model.Network{let, ncf}, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +150,7 @@ func TestRunSuiteCachedPartialReuse(t *testing.T) {
 func TestRunSuiteCachedNilCacheFallsBack(t *testing.T) {
 	npu := EdgeNPU()
 	nets := []*model.Network{model.ByName("let")}
-	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets)
+	suite, err := RunSuiteCachedCtx(context.Background(), nil, npu, nets, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +169,7 @@ func TestRunSuiteCachedRespectsComputeSlots(t *testing.T) {
 	}
 	nets := []*model.Network{model.ByName("let"), model.ByName("ncf"), model.ByName("sent")}
 	withGOMAXPROCS(8, func() {
-		if _, err := RunSuiteCachedCtx(context.Background(), c, EdgeNPU(), nets); err != nil {
+		if _, err := RunSuiteCachedCtx(context.Background(), c, EdgeNPU(), nets, Schemes()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -182,7 +186,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _, err := runNetworkCachedCtx(context.Background(), c1, npu, net)
+	fresh, _, err := runNetworkCachedCtx(context.Background(), c1, npu, net, Schemes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +196,7 @@ func TestRunNetworkCachedDiskWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net)
+	warm, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, Schemes())
 	if err != nil || !hit {
 		t.Fatalf("warm start: hit=%v err=%v", hit, err)
 	}
@@ -236,7 +240,7 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := runNetworkCachedCtx(context.Background(), c, npu, net)
+	rows, _, err := runNetworkCachedCtx(context.Background(), c, npu, net, Schemes())
 	if err != nil {
 		t.Fatalf("corrupt entry not healed: %v", err)
 	}
@@ -254,7 +258,7 @@ func testHealsCorruptEntry(t *testing.T, garbage string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net)
+	again, hit, err := runNetworkCachedCtx(context.Background(), c2, npu, net, Schemes())
 	if err != nil || !hit {
 		t.Fatalf("repaired entry: hit=%v err=%v", hit, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"repro/internal/memprot"
 	"repro/internal/model"
 )
 
@@ -37,6 +38,13 @@ const PipelineVersion = "4"
 // system, produce identical results, and deliberately share one
 // fingerprint — the cache is content-addressed, not struct-addressed.
 func ConfigFingerprint(npu NPUConfig, net *model.Network) string {
+	return fingerprint(npu, net, Schemes())
+}
+
+// fingerprint is ConfigFingerprint over a scheme subset: the key of
+// runNetwork's rows for those schemes. Subsets differ from the full
+// set, and from one another, only in the schemes line.
+func fingerprint(npu NPUConfig, net *model.Network, schemes []memprot.Scheme) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "seda/v%s\n", PipelineVersion)
 	// Floats are encoded exactly (hex mantissa), not via a rounded
@@ -57,7 +65,7 @@ func ConfigFingerprint(npu NPUConfig, net *model.Network) string {
 		d.TBurst, d.TCL, d.TRCD, d.TRP, d.TRAS, d.TRefi, d.TRfc,
 		d.WindowSize)
 	fmt.Fprint(h, "schemes")
-	for _, s := range Schemes() {
+	for _, s := range schemes {
 		fmt.Fprintf(h, "|%d:%d", s.Kind, s.Block)
 	}
 	fmt.Fprintln(h)

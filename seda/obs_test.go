@@ -120,7 +120,7 @@ func TestCachedSuiteSpansAttachThroughCache(t *testing.T) {
 	cache := newTestCache(t)
 	nets := []*model.Network{model.ByName("let")}
 	ctx, tr := obs.NewTracer(context.Background(), "test")
-	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets); err != nil {
+	if _, err := RunSuiteCachedCtx(ctx, cache, EdgeNPU(), nets, Schemes()); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()

@@ -2,7 +2,9 @@ package seda
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/memprot"
@@ -81,7 +83,15 @@ func (r RunResult) PerfOverhead() float64 { return 1 - r.NormPerf }
 // cancelled evaluation returns ctx.Err() with no partial rows; an
 // uncancellable context (context.Background) adds no measurable work.
 func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, opts SuiteOptions) ([]RunResult, error) {
-	schemes := Schemes()
+	return runNetwork(ctx, npu, net, Schemes())
+}
+
+// runNetwork is RunNetworkOptsCtx over a scheme subset that
+// checkSchemes accepts: one row per scheme in the given order. Each
+// row depends only on its own scheme and Baseline, so a subset's rows
+// equal the six-scheme rows restricted to it
+// (TestSchemeSubsetRowsMatchSuiteRows).
+func runNetwork(ctx context.Context, npu NPUConfig, net *model.Network, schemes []memprot.Scheme) ([]RunResult, error) {
 	rows := make([]RunResult, len(schemes))
 	for k, s := range schemes {
 		rows[k] = RunResult{NPU: npu.Name, Network: net.Name, Scheme: s}
@@ -102,6 +112,28 @@ func RunNetworkOptsCtx(ctx context.Context, npu NPUConfig, net *model.Network, o
 		return nil, err
 	}
 	return rows, nil
+}
+
+// checkSchemes accepts a scheme subset for the cached entry point: a
+// subsequence of Schemes() that contains Baseline. Baseline keeps the
+// rows normalised exactly as in the full set, and the plot order keeps
+// the subset's fingerprint a function of the set alone.
+func checkSchemes(schemes []memprot.Scheme) error {
+	all := Schemes()
+	j := 0
+	for _, s := range schemes {
+		for j < len(all) && all[j] != s {
+			j++
+		}
+		if j == len(all) {
+			return fmt.Errorf("seda: scheme %s is unknown, repeated or out of Schemes() order", s.Name())
+		}
+		j++
+	}
+	if !slices.Contains(schemes, memprot.SchemeBaseline) {
+		return errors.New("seda: scheme set lacks Baseline")
+	}
+	return nil
 }
 
 // normalize sets every row's NormTraffic and NormPerf against the

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/memprot"
 	"repro/internal/model"
+	"repro/internal/rescache"
 )
 
 // walkCase is a random small platform for testing/quick: the edge NPU
@@ -148,5 +149,71 @@ func TestStreamedWalkMatchesCollectedLayers(t *testing.T) {
 	qc := &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(27))}
 	if err := quick.Check(check, qc); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSchemeSubsetRowsMatchSuiteRows: on random small platforms and
+// workloads, the cached entry point's rows for every scheme subset an
+// exploration confirms ({s, Baseline}, and {Baseline} alone), with and
+// without a cache, equal the
+// six-scheme rows restricted to the subset, every field included, the
+// normalised ratios too. Subsets that are not a subsequence of
+// Schemes() containing Baseline are rejected.
+func TestSchemeSubsetRowsMatchSuiteRows(t *testing.T) {
+	n := 30
+	if testing.Short() {
+		n = 6
+	}
+	ctx := context.Background()
+	check := func(c walkCase) bool {
+		net := model.ByName(c.net)
+		all, err := RunNetworkOptsCtx(ctx, c.npu, net, DefaultSuiteOptions())
+		if err != nil {
+			t.Errorf("%s/%s: %v", c.npu.Name, c.net, err)
+			return false
+		}
+		for _, s := range Schemes() {
+			subset := []memprot.Scheme{s, memprot.SchemeBaseline}
+			if s == memprot.SchemeBaseline {
+				subset = subset[1:]
+			}
+			var want []RunResult
+			for _, r := range all {
+				if slices.Contains(subset, r.Scheme) {
+					want = append(want, r)
+				}
+			}
+			// Uncached, and through a cache: stored, decoded and
+			// accepted by checkRows.
+			for _, cache := range []*rescache.Cache{nil, newTestCache(t)} {
+				suite, err := RunSuiteCachedCtx(ctx, cache, c.npu, []*model.Network{net}, subset)
+				if err != nil {
+					t.Errorf("%s/%s/%s: %v", c.npu.Name, c.net, s.Name(), err)
+					return false
+				}
+				if got := suite.Rows[net.Name]; !slices.Equal(got, want) {
+					t.Errorf("%s/%s/%s: subset rows\n%+v\nwant\n%+v", c.npu.Name, c.net, s.Name(), got, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	qc := &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(28))}
+	if err := quick.Check(check, qc); err != nil {
+		t.Error(err)
+	}
+
+	sgx128 := memprot.Scheme{Kind: memprot.SGX, Block: 128}
+	for name, bad := range map[string][]memprot.Scheme{
+		"empty":        nil,
+		"no baseline":  {memprot.SchemeSeDA},
+		"out of order": {memprot.SchemeBaseline, memprot.SchemeSeDA},
+		"repeated":     {memprot.SchemeSeDA, memprot.SchemeSeDA, memprot.SchemeBaseline},
+		"unknown":      {sgx128, memprot.SchemeBaseline},
+	} {
+		if _, err := RunSuiteCachedCtx(ctx, nil, EdgeNPU(), []*model.Network{model.ByName("let")}, bad); err == nil {
+			t.Errorf("%s scheme set %v accepted", name, bad)
+		}
 	}
 }
